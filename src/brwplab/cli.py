@@ -9,7 +9,8 @@ Exit codes: 0 success / assertion pass, 1 assertion fail,
 2 configuration error, 3 numerical abort.
 
 Heavy imports happen inside main() so that --threads can pin the BLAS
-thread count before numpy loads (thread count affects speed only).
+thread count before numpy loads. A rerun at the same thread count gives
+identical bytes; a different count may change the last digits of sums.
 """
 
 from __future__ import annotations
@@ -194,9 +195,9 @@ def _fit_slope(xs, ys):
 
 # ------------------------------------------------------------- subcommands
 
-def cmd_prox_evolve(cfg, outdir: Path) -> int:
+def cmd_prox_evolve(cfg, outdir: Path) -> tuple:
     import numpy as np
-    from .density import kl_divergence, target_density, uniform_axis
+    from .density import relative_entropy, target_density, uniform_axis
     from .proximal import GridProxOperator, ProxParams
     from .samplers import initial_grid_density
     target = build_target(cfg)
@@ -207,8 +208,7 @@ def cmd_prox_evolve(cfg, outdir: Path) -> int:
     rho = initial_grid_density(scfg, axes)
     op = GridProxOperator(axes, target, ProxParams(T=float(cfg["prox.T"]),
                                                    beta=float(cfg["target.beta"])),
-                          "quadrature" if cfg["sampler.backend"] == "particle"
-                          else cfg["sampler.backend"])
+                          scfg.grid_backend)
     rs = target_density(target, axes, float(cfg["target.beta"]))
     iters = int(cfg["prox.iters"])
     save_every = max(1, int(cfg["prox.save_every"]))
@@ -218,7 +218,7 @@ def cmd_prox_evolve(cfg, outdir: Path) -> int:
     for k in range(1, iters + 1):
         rho, mass = op.step(rho)
         l1 = float(np.sum(w * np.abs(rho.values - rs.values)))
-        rows.append((k, l1, kl_divergence(rho, target, float(cfg["target.beta"])), mass))
+        rows.append((k, l1, relative_entropy(rho, rs), mass))
         if k % save_every == 0 or k == iters:
             rho.to_csv(outdir / f"density_iter_{k:04d}.csv")
     with open(outdir / "l1_error.csv", "w", newline="") as f:
@@ -239,12 +239,10 @@ def cmd_prox_evolve(cfg, outdir: Path) -> int:
                   [([r[0] for r in rows], [r[1] for r in rows], "L1 error")],
                   title="L1 distance to target", xlabel="iteration",
                   ylabel="log10 L1", logy=True)
-    write_manifest(outdir, cfg, "prox-evolve",
-                   {"final_l1": rows[-1][1] if rows else None})
-    return EXIT_OK
+    return EXIT_OK, {"final_l1": rows[-1][1] if rows else None}
 
 
-def cmd_sample(cfg, outdir: Path) -> int:
+def cmd_sample(cfg, outdir: Path) -> tuple:
     import numpy as np
     from .density import target_density, uniform_axis
     from .samplers import marginal_target, run
@@ -270,13 +268,11 @@ def cmd_sample(cfg, outdir: Path) -> int:
                   overlay=overlay,
                   title=f"{scfg.method}, N={scfg.n_particles}, "
                         f"{scfg.n_steps} steps, h={scfg.h}", xlabel="x[0]")
-    write_manifest(outdir, cfg, "sample",
-                   {"final_kl": result.reports[-1].kl,
-                    "mode_balance": float(np.mean(pts[:, 0] > 0))})
-    return EXIT_OK
+    return EXIT_OK, {"final_kl": result.reports[-1].kl,
+                     "mode_balance": float(np.mean(pts[:, 0] > 0))}
 
 
-def cmd_order_check(cfg, outdir: Path) -> int:
+def cmd_order_check(cfg, outdir: Path) -> tuple:
     import numpy as np
     from .density import uniform_axis
     from .proximal import ProxParams, first_order_expansion, prox_step
@@ -307,13 +303,12 @@ def cmd_order_check(cfg, outdir: Path) -> int:
                   title=f"order check, slope={slope:.3f}", xlabel="T",
                   ylabel="log10 err", logy=True)
     ok = slope >= float(cfg["order.min_slope"])
-    write_manifest(outdir, cfg, "order-check", {"slope": slope, "pass": ok})
     print(f"order-check slope={slope:.3f} (pass iff >= {cfg['order.min_slope']}): "
           f"{'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_ASSERT
+    return EXIT_OK if ok else EXIT_ASSERT, {"slope": slope, "pass": ok}
 
 
-def cmd_denominator_check(cfg, outdir: Path) -> int:
+def cmd_denominator_check(cfg, outdir: Path) -> tuple:
     from .density import uniform_axis
     from .proximal import ProxParams, denominator_exact, denominator_laplace
     target = build_target(cfg)
@@ -338,20 +333,18 @@ def cmd_denominator_check(cfg, outdir: Path) -> int:
         for row in rows:
             f.write(",".join(repr(float(v)) for v in row) + "\n")
     ok = all(s >= float(cfg["order.min_slope"]) for s in slopes.values())
-    write_manifest(outdir, cfg, "denominator-check",
-                   {"slopes": {str(k): v for k, v in slopes.items()}, "pass": ok})
     for y, s in slopes.items():
         print(f"denominator-check y={y}: slope={s:.3f}")
-    return EXIT_OK if ok else EXIT_ASSERT
+    return (EXIT_OK if ok else EXIT_ASSERT,
+            {"slopes": {str(k): v for k, v in slopes.items()}, "pass": ok})
 
 
-def cmd_decay_check(cfg, outdir: Path) -> int:
+def cmd_decay_check(cfg, outdir: Path) -> tuple:
     from .samplers import run
     target = build_target(cfg)
     if target.alpha is None:
         raise _config_error("decay-check needs a target with known alpha")
-    cfg = dict(cfg)
-    cfg["sampler.method"] = "brwp_successive"
+    cfg["sampler.method"] = "brwp_successive"   # in place: the manifest records it
     scfg = sampler_config(cfg, target.dim)
     result = run(scfg, target)
     write_run_csv(outdir / "run.csv", result.reports)
@@ -368,14 +361,12 @@ def cmd_decay_check(cfg, outdir: Path) -> int:
                   title="KL decay vs bound", xlabel="iteration",
                   ylabel="log10 KL", logy=True)
     ok = not violations
-    write_manifest(outdir, cfg, "decay-check",
-                   {"violations": violations[:20], "pass": ok,
-                    "terminal_kl": result.reports[-1].kl})
     print(f"decay-check: {'PASS' if ok else f'FAIL at iters {violations[:5]}'}")
-    return EXIT_OK if ok else EXIT_ASSERT
+    return EXIT_OK if ok else EXIT_ASSERT, {"violations": violations[:20], "pass": ok,
+                                           "terminal_kl": result.reports[-1].kl}
 
 
-def cmd_stepsize_sweep(cfg, outdir: Path) -> int:
+def cmd_stepsize_sweep(cfg, outdir: Path) -> tuple:
     from .samplers import evolve_law
     target = build_target(cfg)
     h_list = _as_float_list(cfg["sweep.h_list"])
@@ -402,13 +393,11 @@ def cmd_stepsize_sweep(cfg, outdir: Path) -> int:
         f.write("h,steps_to_threshold,stable,terminal_kl,min_kl\n")
         for h, hit, stable, term, lo in summary:
             f.write(f"{h!r},{hit},{str(stable).lower()},{term!r},{lo!r}\n")
-    write_manifest(outdir, cfg, "stepsize-sweep",
-                   {"summary": [{"h": h, "steps_to_threshold": hit, "stable": stable,
-                                 "terminal_kl": term} for h, hit, stable, term, _ in summary]})
     for h, hit, stable, term, _ in summary:
         print(f"sweep h={h:.4f}: steps_to_{threshold:g}={hit} stable={stable} "
               f"terminal_kl={term:.3e}")
-    return EXIT_OK
+    return EXIT_OK, {"summary": [{"h": h, "steps_to_threshold": hit, "stable": stable,
+                                  "terminal_kl": term} for h, hit, stable, term, _ in summary]}
 
 
 def _as_float_list(value) -> list:
@@ -424,6 +413,8 @@ def _config_error(msg: str):
     return ParameterError(msg)
 
 
+# each command returns (exit code, its manifest entries); main() writes the
+# manifest with the command's runtime
 COMMANDS = {
     "prox-evolve": cmd_prox_evolve,
     "sample": cmd_sample,
@@ -436,18 +427,23 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # honor --threads before numpy is imported anywhere
+    # honor --threads before numpy is imported anywhere; it overrides the
+    # thread variables the process inherited
     if "--threads" in argv:
-        n = argv[argv.index("--threads") + 1]
+        i = argv.index("--threads")
+        if i + 1 >= len(argv) or argv[i + 1].startswith("--"):
+            print("missing value for --threads", file=sys.stderr)
+            return EXIT_CONFIG
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
+            os.environ[var] = argv[i + 1]
     parser = argparse.ArgumentParser(prog="brwplab", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--out", default="out", help="artifact directory")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS thread budget (speed only, never results)")
+                        help="BLAS thread budget; overrides OMP/OPENBLAS/MKL_NUM_THREADS. "
+                             "Reruns at the same count give identical bytes")
     args, rest = parser.parse_known_args(argv)
     overrides = {}
     i = 0
@@ -474,9 +470,11 @@ def main(argv=None) -> int:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         t_start = time.perf_counter()
-        code = COMMANDS[args.command](cfg, outdir)
+        code, extra = COMMANDS[args.command](cfg, outdir)
+        runtime_s = time.perf_counter() - t_start
+        write_manifest(outdir, cfg, args.command, {**extra, "runtime_s": runtime_s})
         if bool(cfg.get("timing.record")):
-            print(f"total {1000 * (time.perf_counter() - t_start):.0f} ms")
+            print(f"total {1000 * runtime_s:.0f} ms")
         return code
     except (ParameterError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

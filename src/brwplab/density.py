@@ -286,8 +286,23 @@ def silverman_bandwidth(points: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------ divergences
 
-def kl_divergence(g: GridDensity, target: Potential, beta: float) -> float:
-    rs = target_density(target, g.axes, beta)
+def divergences(g: GridDensity, rs: GridDensity, target: Potential,
+                beta: float) -> tuple:
+    """(KL, relative Fisher information, M0, TV) of g in one pass.
+
+    rs is target_density(target, g.axes, beta), built once by the caller;
+    the standalone functions below build (and truncation-check) it per call.
+    """
+    w = g.weights()
+    sq = _relative_score(g, target, beta)
+    return (relative_entropy(g, rs),
+            float(np.sum(w * sq * g.values)),
+            float(beta ** (-2) * np.sum(w * sq * sq * g.values)),
+            float(np.sum(w * np.abs(g.values - rs.values))))
+
+
+def relative_entropy(g: GridDensity, rs: GridDensity) -> float:
+    """KL(g || rs) of two densities on the same grid."""
     ratio_log = g.log_values() - rs.log_values()
     integrand = np.where(g.values > 0, g.values * ratio_log, 0.0)
     return float(np.sum(g.weights() * integrand))
@@ -305,22 +320,21 @@ def _relative_score(g: GridDensity, target: Potential, beta: float) -> np.ndarra
     return sq
 
 
+def kl_divergence(g: GridDensity, target: Potential, beta: float) -> float:
+    return relative_entropy(g, target_density(target, g.axes, beta))
+
+
 def fisher_information(g: GridDensity, target: Potential, beta: float) -> float:
-    sq = _relative_score(g, target, beta)
-    target_density(target, g.axes, beta)  # truncation pre-check, same as KL
-    return float(np.sum(g.weights() * sq * g.values))
+    return divergences(g, target_density(target, g.axes, beta), target, beta)[1]
 
 
 def fourth_moment_m0(g: GridDensity, target: Potential, beta: float) -> float:
-    sq = _relative_score(g, target, beta)
-    target_density(target, g.axes, beta)
-    return float(beta ** (-2) * np.sum(g.weights() * sq * sq * g.values))
+    return divergences(g, target_density(target, g.axes, beta), target, beta)[2]
 
 
 def tv_distance(g: GridDensity, target: Potential, beta: float) -> float:
     """Total variation in the unhalved convention: integral of |g - rho*| (range [0,2])."""
-    rs = target_density(target, g.axes, beta)
-    return float(np.sum(g.weights() * np.abs(g.values - rs.values)))
+    return divergences(g, target_density(target, g.axes, beta), target, beta)[3]
 
 
 def w2_1d(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
@@ -346,12 +360,14 @@ def grid_quantiles(g: GridDensity, probs: np.ndarray) -> np.ndarray:
     return np.interp(probs, cdf, x)
 
 
-def w2_to_target_1d(samples: np.ndarray, target: Potential, beta: float,
-                    axes) -> float:
-    """W2 between a 1-D sample and the target, via exact quantile coupling."""
-    rs = target_density(target, (axes[0],), beta, check_truncation=False)
+def w2_to_target_1d(samples: np.ndarray, reference: GridDensity) -> float:
+    """W2 between a 1-D sample and a 1-D target density, via exact quantile coupling.
+
+    reference is the target on its grid, e.g.
+    target_density(target, (axis,), beta, check_truncation=False).
+    """
     s = np.sort(np.asarray(samples, dtype=float))
-    q = grid_quantiles(rs, (np.arange(s.size) + 0.5) / s.size)
+    q = grid_quantiles(reference, (np.arange(s.size) + 0.5) / s.size)
     return w2_1d(s, np.sort(q))
 
 

@@ -158,9 +158,13 @@ class GridProxOperator:
     def step_raw(self, rho0_values: np.ndarray) -> np.ndarray:
         return self.e_v * self.apply_blur(rho0_values / self.denom)
 
-    def step(self, rho0: GridDensity):
-        """One proximal step; returns (normalized rho_T, pre-normalization mass)."""
-        raw = self.step_raw(rho0.values)
+    def step(self, rho0: GridDensity, raw: Optional[np.ndarray] = None):
+        """One proximal step; returns (normalized rho_T, pre-normalization mass).
+
+        raw is step_raw(rho0.values) when the caller already holds it.
+        """
+        if raw is None:
+            raw = self.step_raw(rho0.values)
         g = GridDensity(self.axes, raw, rho0.log_floor)
         mass = g.mass()
         if not np.isfinite(mass) or mass <= 0:
@@ -170,13 +174,17 @@ class GridProxOperator:
                           "grid may be too narrow or T too large", stacklevel=2)
         return GridDensity(self.axes, raw / mass, rho0.log_floor), mass
 
-    def gradient(self, rho0: GridDensity, normalization: float = 1.0) -> list:
+    def gradient(self, rho0: GridDensity, normalization: float = 1.0,
+                 raw: Optional[np.ndarray] = None) -> list:
         """Gradient of the kernel formula output (divided by `normalization`).
 
         grad rho_T = -beta*(grad V/2 + x/(2T)) rho_T + (beta/2T) * e_V * Blur[y_i * rho0/D]
+
+        raw is step_raw(rho0.values) when the caller already holds it.
         """
         beta, T = self.p.beta, self.p.T
-        raw = self.step_raw(rho0.values)
+        if raw is None:
+            raw = self.step_raw(rho0.values)
         ratio = rho0.values / self.denom
         shape = raw.shape
         out = []
@@ -189,9 +197,13 @@ class GridProxOperator:
         return out
 
     def score_of_step(self, rho0: GridDensity):
-        """(rho_T normalized, pre-mass, per-axis score grad log rho_T)."""
-        rho_t, mass = self.step(rho0)
-        grads = self.gradient(rho0, normalization=mass)
+        """(rho_T normalized, pre-mass, per-axis score grad log rho_T).
+
+        The blur of rho0/D is shared by the output and its gradient.
+        """
+        raw = self.step_raw(rho0.values)
+        rho_t, mass = self.step(rho0, raw)
+        grads = self.gradient(rho0, mass, raw)
         floor = rho_t.log_floor
         score = [g / np.maximum(rho_t.values, floor) for g in grads]
         return rho_t, mass, score
@@ -210,7 +222,7 @@ def prox_gradient(rho0: GridDensity, rho_t: GridDensity, target: Potential,
     op = GridProxOperator(rho0.axes, target, p, backend)
     raw = op.step_raw(rho0.values)
     mass = GridDensity(rho0.axes, raw).mass()
-    return op.gradient(rho0, normalization=mass)
+    return op.gradient(rho0, mass, raw)
 
 
 def prox_particle_score(ensemble: ParticleEnsemble, target: Potential,

@@ -29,8 +29,7 @@ import numpy as np
 
 from . import theory
 from .density import (DiagnosticsReport, GridDensity, ParticleEnsemble,
-                      central_diff, fisher_information, fourth_moment_m0, kde,
-                      kl_divergence, tv_distance, uniform_axis, w2_grids_1d,
+                      central_diff, divergences, kde, uniform_axis, w2_grids_1d,
                       w2_to_target_1d, target_density)
 from .errors import DegenerateDensityError, EvaluationError, ParameterError
 from .potentials import Potential, make_gaussian_mixture, make_quadratic
@@ -74,13 +73,27 @@ class SamplerConfig:
     def axes(self) -> tuple:
         return tuple(uniform_axis(lo, hi, n) for lo, hi, n in self.grid)
 
+    @property
+    def grid_backend(self) -> str:
+        """Backend of the grid operator; the particle backend's grid form is quadrature."""
+        return "quadrature" if self.backend == "particle" else self.backend
+
 
 @dataclass
 class DensityState:
-    """Per-run cached grid machinery (and the chain for the successive mode)."""
+    """Per-run cached grid machinery (and the chain for the successive mode).
+
+    target is the diagnostics target on the measurement grid, truncation-checked
+    when first built; w2_target is its first-axis 1-D marginal for W2. kde
+    pairs the last ensemble object seen with its KDE on the run grid, so a
+    brwp_kde step reuses the KDE of the diagnostics row just written.
+    """
 
     operator: Optional[GridProxOperator] = None
     chain: Optional[GridDensity] = None
+    target: Optional[GridDensity] = None
+    w2_target: Optional[GridDensity] = None
+    kde: Optional[tuple] = None
 
 
 def ula_step(ensemble: ParticleEnsemble, target: Potential, h: float,
@@ -153,21 +166,28 @@ def brwp_step(ensemble: ParticleEnsemble, target: Potential, cfg: SamplerConfig,
     else:
         axes = cfg.axes()
         if state.operator is None:
-            backend = "quadrature" if cfg.backend == "particle" else cfg.backend
-            state.operator = GridProxOperator(axes, target, p, backend)
+            state.operator = GridProxOperator(axes, target, p, cfg.grid_backend)
         if cfg.method == "brwp_successive":
             if state.chain is None:
                 raise ParameterError("successive mode needs an initial chain density")
             rho_t, _, fields = state.operator.score_of_step(state.chain)
             state.chain = rho_t
         elif cfg.method == "brwp_kde":
-            rho_k = kde(ensemble, cfg.kde_bandwidth, axes)
+            rho_k = _grid_kde(ensemble, cfg, state)
             _, _, fields = state.operator.score_of_step(rho_k)
         else:
             raise ParameterError(f"brwp_step cannot run method {cfg.method!r}")
         score = _interp_score(axes, fields, ensemble.points)
     pts = ensemble.points - h * (target.grad_fn(ensemble.points) + score / beta)
     return ParticleEnsemble(pts, ensemble.step_index + 1, ensemble.seed), state
+
+
+def _grid_kde(ensemble: ParticleEnsemble, cfg: SamplerConfig,
+              state: DensityState) -> GridDensity:
+    """kde(ensemble) on the run grid, computed once per ensemble object."""
+    if state.kde is None or state.kde[0] is not ensemble:
+        state.kde = (ensemble, kde(ensemble, cfg.kde_bandwidth, cfg.axes()))
+    return state.kde[1]
 
 
 def explicit_flow_step(ensemble: ParticleEnsemble, target: Potential,
@@ -223,7 +243,7 @@ def _diagnose(cfg: SamplerConfig, target: Potential, ensemble: ParticleEnsemble,
     if cfg.method == "brwp_successive":
         g, meas_target = state.chain, target
     elif target.dim <= 3 and len(cfg.grid) == target.dim:
-        g = kde(ensemble, cfg.kde_bandwidth, cfg.axes())
+        g = _grid_kde(ensemble, cfg, state)
         meas_target = target
     elif marg1d is not None:
         marg = ParticleEnsemble(ensemble.points[:, :1], ensemble.step_index,
@@ -232,20 +252,20 @@ def _diagnose(cfg: SamplerConfig, target: Potential, ensemble: ParticleEnsemble,
         meas_target = marg1d
     else:
         return DiagnosticsReport(k, *([float("nan")] * 5))
-    kl = kl_divergence(g, meas_target, beta)
-    fi = fisher_information(g, meas_target, beta)
-    m0 = fourth_moment_m0(g, meas_target, beta)
-    tv = tv_distance(g, meas_target, beta)
+    if state.target is None:
+        state.target = target_density(meas_target, g.axes, beta)
+    kl, fi, m0, tv = divergences(g, state.target, meas_target, beta)
     # W2 in the first dimension, exact quantile coupling
-    if cfg.method == "brwp_successive":
-        w2 = w2_grids_1d(g.marginal_first(),
-                         target_density(marg1d if marg1d is not None else target,
-                                        (g.axes[0],), beta, check_truncation=False)) \
-            if (marg1d is not None or target.dim == 1) else float("nan")
-    elif marg1d is not None:
-        w2 = w2_to_target_1d(ensemble.points[:, 0], marg1d, beta, (cfg.axes()[0],))
-    else:
+    if marg1d is None:
         w2 = float("nan")
+    else:
+        if state.w2_target is None:
+            state.w2_target = target_density(marg1d, (g.axes[0],), beta,
+                                             check_truncation=False)
+        if cfg.method == "brwp_successive":
+            w2 = w2_grids_1d(g.marginal_first(), state.w2_target)
+        else:
+            w2 = w2_to_target_1d(ensemble.points[:, 0], state.w2_target)
     bound = float("nan")
     if bound_ctx is not None:
         if "inputs" not in bound_ctx:
@@ -324,12 +344,13 @@ def evolve_law(cfg: SamplerConfig, target: Potential,
     x = axes[0]
     w_dx = x[1] - x[0]
     p = ProxParams(T=cfg.T, beta=cfg.beta)
-    backend = "quadrature" if cfg.backend == "particle" else cfg.backend
-    op = GridProxOperator(axes, target, p, backend)
+    op = GridProxOperator(axes, target, p, cfg.grid_backend)
     rho = init_density if init_density is not None else initial_grid_density(cfg, axes)
     grad_v = target.grad_fn(x[:, None])[:, 0]
+    # in 1-D the truncation-checked target is also the W2 reference
+    rs = target_density(target, axes, cfg.beta)
     t0 = time.perf_counter()
-    reports = [_law_report(cfg, target, rho, 0, t0)]
+    reports = [_law_report(cfg, target, rs, rho, 0, t0)]
     folded = False
     for k in range(1, cfg.n_steps + 1):
         _, _, fields = op.score_of_step(rho)
@@ -346,16 +367,12 @@ def evolve_law(cfg: SamplerConfig, target: Potential,
             folded = True
             break
         if k % cfg.diag_every == 0 or k == cfg.n_steps:
-            reports.append(_law_report(cfg, target, rho, k, t0))
+            reports.append(_law_report(cfg, target, rs, rho, k, t0))
     return LawTrace(reports, rho, folded)
 
 
-def _law_report(cfg, target, rho, k, t0) -> DiagnosticsReport:
-    kl = kl_divergence(rho, target, cfg.beta)
-    fi = fisher_information(rho, target, cfg.beta)
-    m0 = fourth_moment_m0(rho, target, cfg.beta)
-    tv = tv_distance(rho, target, cfg.beta)
-    w2 = w2_grids_1d(rho, target_density(target, rho.axes, cfg.beta,
-                                         check_truncation=False))
+def _law_report(cfg, target, rs, rho, k, t0) -> DiagnosticsReport:
+    kl, fi, m0, tv = divergences(rho, rs, target, cfg.beta)
+    w2 = w2_grids_1d(rho, rs)
     ms = (time.perf_counter() - t0) * 1000.0 if cfg.record_timing else 0.0
     return DiagnosticsReport(k, kl, fi, m0, tv, w2, float("nan"), ms)

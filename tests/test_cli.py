@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from brwplab.cli import EXIT_CONFIG, EXIT_OK, load_config, main, parse_value
+import os
+
+from brwplab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, load_config, main,
+                         parse_value)
 
 
 def run_cli(*args):
@@ -63,6 +66,7 @@ class TestSample:
         assert manifest["seed"] == 9
         assert manifest["backend"] == "quadrature"
         assert "git_describe" in manifest
+        assert manifest["runtime_s"] > 0
 
     def test_rerun_byte_identical(self, tmp_path):
         args = ["sample", "--sampler.method", "ula", "--sampler.n_steps", "10",
@@ -88,6 +92,32 @@ class TestSample:
                        "--target.id", "swiss_roll")
         assert code == EXIT_CONFIG
 
+    def test_narrow_grid_is_numerical_abort(self, tmp_path, capsys):
+        code = run_cli("sample", "--out", str(tmp_path / "n"), "--target.id", "quadratic",
+                       "--grid.lo", "-3", "--grid.hi", "3", "--grid.n", "241",
+                       "--sampler.n_steps", "2", "--sampler.n_particles", "64",
+                       "--plot", "false")
+        assert code == EXIT_NUMERIC
+        assert "widen the grid" in capsys.readouterr().err
+
+
+class TestThreads:
+    VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @pytest.mark.parametrize("argv", [("sample", "--threads"),
+                                      ("sample", "--threads", "--out", "x")])
+    def test_missing_value_is_config_error(self, argv, capsys):
+        assert run_cli(*argv) == EXIT_CONFIG
+        assert "missing value for --threads" in capsys.readouterr().err
+
+    def test_overrides_inherited_thread_variables(self, tmp_path, monkeypatch):
+        for var in self.VARS:
+            monkeypatch.setenv(var, "7")
+        code = run_cli("sample", "--threads", "1", "--out", str(tmp_path / "t"),
+                       "--target.id", "swiss_roll")
+        assert code == EXIT_CONFIG
+        assert [os.environ[var] for var in self.VARS] == ["1", "1", "1"]
+
 
 class TestOrderCheck:
     def test_quadratic_passes(self, tmp_path):
@@ -96,6 +126,7 @@ class TestOrderCheck:
         assert code == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert 1.7 <= manifest["slope"] <= 2.3
+        assert manifest["runtime_s"] > 0
         assert (out / "order_check.csv").exists()
 
     def test_single_stepsize_is_config_error(self, tmp_path):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from brwplab.density import (DiagnosticsReport, GridDensity, ParticleEnsemble,
-                             fisher_information, fourth_moment_m0, fp_rhs, kde,
-                             kl_divergence, silverman_bandwidth, target_density,
-                             tv_distance, uniform_axis, w2_1d)
+                             divergences, fisher_information, fourth_moment_m0,
+                             fp_rhs, kde, kl_divergence, silverman_bandwidth,
+                             target_density, tv_distance, uniform_axis, w2_1d)
 from brwplab.errors import (DegenerateDensityError, ParameterError,
                             TruncationError)
 from brwplab.potentials import make_quadratic, make_zero
@@ -99,6 +99,21 @@ class TestKl:
         g = gaussian_grid(ax, var=1.0)
         with pytest.raises(TruncationError):
             kl_divergence(g, quad1d, 1.0)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 241), (2, 61), (3, 25)])
+def test_fused_divergences_equal_standalone(dim, n):
+    beta = 1.5
+    target = make_quadratic(1.0, dim)
+    axes = tuple(uniform_axis(-8.0, 8.0, n) for _ in range(dim))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    vals = np.exp(-sum((m - 0.3) ** 2 for m in mesh) / 3.0)
+    vals[vals < 1e-6] = 0.0
+    g = GridDensity(axes, vals).normalize()
+    assert np.any(g.values == 0.0)
+    fused = divergences(g, target_density(target, axes, beta), target, beta)
+    assert fused == (kl_divergence(g, target, beta), fisher_information(g, target, beta),
+                     fourth_moment_m0(g, target, beta), tv_distance(g, target, beta))
 
 
 class TestFisher:

@@ -320,3 +320,24 @@ def test_gradient_2d_matches_finite_differences():
         fd = np.gradient(rho_t.values, dx, axis=i)
         scale = np.max(np.abs(grads[i]))
         assert np.max(np.abs(fd[interior] - grads[i][interior])) / scale < 1e-3
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_score_of_step_matches_step_and_gradient(dim):
+    target = make_quadratic(1.0, dim)
+    axes = tuple(uniform_axis(-6.0, 6.0, 33) for _ in range(dim))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    rho0 = GridDensity(axes, np.exp(-sum((m - 0.5) ** 2 for m in mesh) / 4.0)).normalize()
+    op = GridProxOperator(axes, target, ProxParams(T=0.2, beta=1.0))
+    ref_t, ref_mass = op.step(rho0)
+    ref_grads = op.gradient(rho0, ref_mass)
+    blurs = []
+    blur = op.apply_blur
+    op.apply_blur = lambda vals: blurs.append(1) or blur(vals)
+    rho_t, mass, score = op.score_of_step(rho0)
+    # one blur of rho0/D shared by the output and the gradient, plus one per axis
+    assert len(blurs) == dim + 1
+    assert mass == ref_mass
+    assert np.array_equal(rho_t.values, ref_t.values)
+    for s, gr in zip(score, ref_grads):
+        assert np.array_equal(s, gr / np.maximum(ref_t.values, ref_t.log_floor))

@@ -6,8 +6,9 @@ from brwplab.density import (ParticleEnsemble, kl_divergence, target_density,
 from brwplab.errors import EvaluationError, ParameterError
 from brwplab.potentials import make_gaussian_mixture, make_quadratic
 from brwplab.samplers import (DensityState, SamplerConfig, brwp_step,
-                              evolve_law, explicit_flow_step, initial_grid_density,
-                              interp_at, marginal_target, run, ula_step)
+                              evolve_law, explicit_flow_step, initial_ensemble,
+                              initial_grid_density, interp_at, marginal_target, run,
+                              ula_step)
 
 from conftest import gaussian_grid
 
@@ -168,6 +169,41 @@ class TestRun:
     def test_unknown_method_rejected(self):
         with pytest.raises(ParameterError):
             SamplerConfig(method="hamiltonian")
+
+
+class TestPerRunCaching:
+    def test_kde_reuse_matches_fresh_kde(self, mix1d):
+        cfg = SamplerConfig(method="brwp_kde", h=0.05, n_steps=6, n_particles=200, seed=3)
+        every = run(cfg, mix1d, diag_every=1)
+        sparse = run(cfg, mix1d, diag_every=3)
+        assert [r.iter for r in sparse.reports] == [0, 3, 6]
+        assert [r.csv_row() for r in sparse.reports] == \
+            [every.reports[k].csv_row() for k in (0, 3, 6)]
+        # reference: each step gets a state with no KDE to reuse
+        ens = initial_ensemble(cfg, 1, np.random.default_rng(cfg.seed))
+        op = None
+        for _ in range(cfg.n_steps):
+            ens, state = brwp_step(ens, mix1d, cfg, DensityState(operator=op))
+            op = state.operator
+        assert np.array_equal(ens.points, every.ensemble.points)
+        assert np.array_equal(ens.points, sparse.ensemble.points)
+
+    def test_target_built_once_per_run(self, quad1d, monkeypatch):
+        import brwplab.samplers as samplers
+        calls = []
+        real = samplers.target_density
+        monkeypatch.setattr(samplers, "target_density",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+
+        def builds(fn, method, n_steps):
+            calls.clear()
+            fn(SamplerConfig(method=method, n_steps=n_steps, n_particles=100, seed=0),
+               quad1d)
+            return len(calls)
+
+        for fn, method in ((run, "brwp_successive"), (run, "brwp_kde"),
+                           (evolve_law, "brwp_successive")):
+            assert builds(fn, method, 2) == builds(fn, method, 6) > 0
 
 
 class TestSynchronousUpdates:
