@@ -11,7 +11,7 @@ from .errors import (BrwplabError, DegenerateDensityError, EvaluationError,
 from .potentials import (Potential, from_catalog, make_gaussian_mixture,
                          make_nonsmooth_mixture, make_quadratic, make_zero)
 from .proximal import (GridProxOperator, ProxParams, denominator_exact,
-                       denominator_laplace, first_order_expansion, prox_gradient,
+                       denominator_laplace, first_order_expansion,
                        prox_particle_score, prox_step)
 from .samplers import (SamplerConfig, brwp_step, evolve_law, explicit_flow_step,
                        run, ula_step)

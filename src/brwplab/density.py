@@ -267,8 +267,14 @@ def kde(ensemble: ParticleEnsemble, bandwidth, query_axes) -> GridDensity:
 
     kernels = []
     for i in range(d):
-        diff = axes[i][:, None] - ensemble.points[None, :, i]
-        kernels.append(np.exp(-diff**2 / (2 * bw[i] ** 2)) / (bw[i] * np.sqrt(2 * np.pi)))
+        # exp(-diff^2/(2 bw^2))/(bw sqrt(2 pi)), built in one G_i x N buffer
+        k = np.subtract.outer(axes[i], ensemble.points[:, i])
+        np.square(k, out=k)
+        np.negative(k, out=k)
+        k /= 2 * bw[i] ** 2
+        np.exp(k, out=k)
+        k /= bw[i] * np.sqrt(2 * np.pi)
+        kernels.append(k)
     if d == 1:
         vals = kernels[0].mean(axis=1)
     elif d == 2:

@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .density import GridDensity, ParticleEnsemble, central_diff, trapezoid_weights
+from .density import (GridDensity, ParticleEnsemble, _weight_tensor, central_diff,
+                      trapezoid_weights)
 from .errors import (DegenerateDensityError, IsolatedParticleError,
                      ParameterError, StepsizeError, TruncationError)
 from .potentials import Potential
@@ -36,6 +37,7 @@ LAPLACE_GUARD = 0.1           # refuse when 1 + (T/2)*Lap V(s) <= this
 LAPLACE_WARN = 0.5            # warn when T * sup Lap V over query points exceeds this
 MASS_TOL = 5e-3               # pre-renormalization mass must stay within 1 +/- this
 LOG_UNDERFLOW = np.log(1e-300)
+SCORE_BLOCK = 128             # query rows per block of the particle score
 
 
 @dataclass
@@ -80,10 +82,8 @@ def denominator_exact(y, target: Potential, p: ProxParams) -> float:
         raise TruncationError(
             f"denominator integrand tail {boundary:.2e} exceeds {DENOM_TAIL_TOL:.0e} "
             "of its peak; widen z_axes")
-    w = trapezoid_weights(axes[0])
-    for a in axes[1:]:
-        w = np.multiply.outer(w, trapezoid_weights(a))
-    return float((p.beta / (4 * np.pi * p.T)) ** (d / 2) * np.sum(w * integrand))
+    return float((p.beta / (4 * np.pi * p.T)) ** (d / 2)
+                 * np.sum(_weight_tensor(axes) * integrand))
 
 
 def denominator_laplace(y, target: Potential, p: ProxParams) -> float:
@@ -145,10 +145,17 @@ class GridProxOperator:
             raise DegenerateDensityError("denominator table has nonpositive entries")
 
     def _blur_matrix(self, axis):
+        """Trapezoid blur matrix c*exp(-beta*(x_i - x_j)^2/(4T))*w_j on a uniform axis.
+
+        The kernel depends on i - j only (Toeplitz): exp is taken once per
+        offset and the G x G matrix is laid out from that vector.
+        """
         beta, T = self.p.beta, self.p.T
-        w = trapezoid_weights(axis)
-        diff = axis[:, None] - axis[None, :]
-        return np.sqrt(beta / (4 * np.pi * T)) * np.exp(-beta * diff**2 / (4 * T)) * w[None, :]
+        off = axis - axis[0]
+        kern = np.sqrt(beta / (4 * np.pi * T)) * np.exp(-beta * off**2 / (4 * T))
+        full = np.concatenate((kern[:0:-1], kern))      # offsets -(G-1) .. G-1
+        rows = np.lib.stride_tricks.sliding_window_view(full, axis.size)[::-1]
+        return rows * trapezoid_weights(axis)
 
     def apply_blur(self, vals: np.ndarray) -> np.ndarray:
         for i in range(self.d):
@@ -216,15 +223,6 @@ def prox_step(rho0: GridDensity, target: Potential, p: ProxParams,
     return op.step(rho0)
 
 
-def prox_gradient(rho0: GridDensity, rho_t: GridDensity, target: Potential,
-                  p: ProxParams, backend: str = "quadrature") -> list:
-    """Per-axis gradient of the (normalized) proximal output rho_t."""
-    op = GridProxOperator(rho0.axes, target, p, backend)
-    raw = op.step_raw(rho0.values)
-    mass = GridDensity(rho0.axes, raw).mass()
-    return op.gradient(rho0, mass, raw)
-
-
 def prox_particle_score(ensemble: ParticleEnsemble, target: Potential,
                         p: ProxParams, query: Optional[np.ndarray] = None):
     """Scores grad log rho_T at query points for empirical rho0 = mean of deltas.
@@ -235,7 +233,8 @@ def prox_particle_score(ensemble: ParticleEnsemble, target: Potential,
         score(x) = -beta/2 * grad V(x) + (beta/2T) * (sum_j w_j y_j / sum_j w_j - x).
 
     Also returns log rho_T at the query points; underflow below 1e-300
-    raises IsolatedParticleError.
+    raises IsolatedParticleError. The weights are formed SCORE_BLOCK query
+    rows at a time, so memory is O(SCORE_BLOCK * N), not O(N^2).
     """
     if ensemble.n < 2:
         raise ParameterError("particle score needs at least 2 particles")
@@ -248,14 +247,33 @@ def prox_particle_score(ensemble: ParticleEnsemble, target: Potential,
     log_d = _denominator_laplace_batch(y, target, p, log=True)
     sq_x = np.sum(x * x, axis=1)
     sq_y = np.sum(y * y, axis=1)
-    d2 = sq_x[:, None] + sq_y[None, :] - 2.0 * (x @ y.T)
-    np.maximum(d2, 0.0, out=d2)
-    logw = -beta * d2 / (4 * T) - log_d[None, :]
-    m = logw.max(axis=1, keepdims=True)
-    wt = np.exp(logw - m)
-    sw = wt.sum(axis=1)
-    ybar = (wt @ y) / sw[:, None]
-    log_rho = (m[:, 0] + np.log(sw) - np.log(ensemble.n)
+    n_q = x.shape[0]
+    m = np.empty(n_q)
+    sw = np.empty(n_q)
+    ybar = np.empty((n_q, d))
+    rows = min(SCORE_BLOCK, n_q)
+    sq = np.empty((rows, ensemble.n))
+    buf = np.empty((rows, ensemble.n))
+    for lo in range(0, n_q, SCORE_BLOCK):
+        hi = min(lo + SCORE_BLOCK, n_q)
+        s, b = sq[:hi - lo], buf[:hi - lo]
+        # logw = -beta*max((|x|^2 + |y|^2) - 2 x.y, 0)/(4T) - log D(y) for one row
+        # block; s holds the parenthesized sum so every row rounds as one dense pass
+        np.matmul(x[lo:hi], y.T, out=b)
+        b *= 2.0
+        np.add(sq_x[lo:hi, None], sq_y[None, :], out=s)
+        np.subtract(s, b, out=b)
+        np.maximum(b, 0.0, out=b)
+        b *= -beta
+        b /= 4 * T
+        b -= log_d[None, :]
+        np.max(b, axis=1, out=m[lo:hi])
+        b -= m[lo:hi, None]
+        np.exp(b, out=b)
+        np.sum(b, axis=1, out=sw[lo:hi])
+        np.matmul(b, y, out=ybar[lo:hi])
+    ybar /= sw[:, None]
+    log_rho = (m + np.log(sw) - np.log(ensemble.n)
                - beta / 2 * target.eval_fn(x)
                + 0.5 * d * np.log(beta / (4 * np.pi * T)))
     if np.any(log_rho < LOG_UNDERFLOW):

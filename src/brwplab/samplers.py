@@ -86,7 +86,8 @@ class DensityState:
     target is the diagnostics target on the measurement grid, truncation-checked
     when first built; w2_target is its first-axis 1-D marginal for W2. kde
     pairs the last ensemble object seen with its KDE on the run grid, so a
-    brwp_kde step reuses the KDE of the diagnostics row just written.
+    brwp_kde or explicit_flow step reuses the KDE of the diagnostics row just
+    written.
     """
 
     operator: Optional[GridProxOperator] = None
@@ -191,10 +192,17 @@ def _grid_kde(ensemble: ParticleEnsemble, cfg: SamplerConfig,
 
 
 def explicit_flow_step(ensemble: ParticleEnsemble, target: Potential,
-                       cfg: SamplerConfig) -> ParticleEnsemble:
-    """Explicit Euler of the score flow: the score is of kde(ensemble) itself."""
+                       cfg: SamplerConfig,
+                       state: Optional[DensityState] = None) -> ParticleEnsemble:
+    """Explicit Euler of the score flow: the score is of kde(ensemble) itself.
+
+    With a run's state, the KDE its diagnostics made of this ensemble is reused.
+    """
     axes = cfg.axes()
-    rho_k = kde(ensemble, cfg.kde_bandwidth, axes)
+    if state is None:
+        rho_k = kde(ensemble, cfg.kde_bandwidth, axes)
+    else:
+        rho_k = _grid_kde(ensemble, cfg, state)
     score = _interp_score(axes, rho_k.score(), ensemble.points)
     pts = ensemble.points - cfg.h * (target.grad_fn(ensemble.points) + score / cfg.beta)
     return ParticleEnsemble(pts, ensemble.step_index + 1, ensemble.seed)
@@ -231,7 +239,6 @@ class RunResult:
     reports: list = field(default_factory=list)
     ensemble: Optional[ParticleEnsemble] = None
     density: Optional[GridDensity] = None
-    masses: list = field(default_factory=list)   # pre-renormalization prox masses
 
 
 def _diagnose(cfg: SamplerConfig, target: Potential, ensemble: ParticleEnsemble,
@@ -310,7 +317,7 @@ def run(cfg: SamplerConfig, target: Potential, diag_every: Optional[int] = None,
         if cfg.method == "ula":
             ens = ula_step(ens, target, cfg.h, cfg.beta, rng)
         elif cfg.method == "explicit_flow":
-            ens = explicit_flow_step(ens, target, cfg)
+            ens = explicit_flow_step(ens, target, cfg, state)
         else:
             ens, state = brwp_step(ens, target, cfg, state)
         if k % diag_every == 0 or k == cfg.n_steps:

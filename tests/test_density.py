@@ -65,6 +65,22 @@ class TestKde:
         with pytest.raises(ParameterError):
             kde(ParticleEnsemble(pts), -0.5, (uniform_axis(-5, 5, 101),))
 
+    @pytest.mark.parametrize("dim, n", [(1, 2401), (3, 41)])
+    def test_in_place_kernels_bit_identical(self, dim, n):
+        rng = np.random.default_rng(dim)
+        ens = ParticleEnsemble(rng.standard_normal((300, dim)) * 1.3)
+        axes = tuple(uniform_axis(-8.0, 8.0, n) for _ in range(dim))
+        bw = silverman_bandwidth(ens.points)
+        kernels = [np.exp(-(axes[i][:, None] - ens.points[None, :, i]) ** 2
+                          / (2 * bw[i] ** 2)) / (bw[i] * np.sqrt(2 * np.pi))
+                   for i in range(dim)]
+        if dim == 1:
+            vals = kernels[0].mean(axis=1)
+        else:
+            vals = np.einsum("aj,bj,cj->abc", *kernels) / ens.n
+        ref = GridDensity(axes, vals).normalize()
+        assert np.array_equal(kde(ens, "auto", axes).values, ref.values)
+
     def test_2d_kde_mass(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((200, 2))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,11 @@ from brwplab.density import (GridDensity, ParticleEnsemble, fp_rhs, kde,
                              uniform_axis)
 from brwplab.errors import (DegenerateDensityError, IsolatedParticleError,
                             ParameterError, StepsizeError, TruncationError)
-from brwplab.potentials import Potential, make_quadratic, make_zero
-from brwplab.proximal import (GridProxOperator, ProxParams, denominator_exact,
+from brwplab.potentials import Potential, make_gaussian_mixture, make_quadratic, make_zero
+from brwplab.proximal import (SCORE_BLOCK, GridProxOperator, ProxParams,
+                              _denominator_laplace_batch, denominator_exact,
                               denominator_laplace, first_order_expansion,
-                              prox_gradient, prox_particle_score, prox_step)
+                              prox_particle_score, prox_step)
 
 from conftest import gaussian_grid
 
@@ -27,6 +30,33 @@ def denominator_oracle(y, alpha, beta, T):
     """Closed-form scaled normalization integral for the quadratic potential:
     (1+alpha T)^{-1/2} exp(-beta alpha y^2 / (4 (1 + alpha T)))."""
     return (1 + alpha * T) ** -0.5 * np.exp(-beta * alpha * y**2 / (4 * (1 + alpha * T)))
+
+
+def dense_particle_score(ensemble, target, p, query=None):
+    """The particle score with its whole N x N weight matrix, as a reference."""
+    y = ensemble.points
+    x = y if query is None else np.asarray(query, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None] if ensemble.dim == 1 else x[None, :]
+    beta, T = p.beta, p.T
+    log_d = _denominator_laplace_batch(y, target, p, log=True)
+    d2 = np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)[None, :] - 2.0 * (x @ y.T)
+    np.maximum(d2, 0.0, out=d2)
+    logw = -beta * d2 / (4 * T) - log_d[None, :]
+    m = logw.max(axis=1, keepdims=True)
+    wt = np.exp(logw - m)
+    sw = wt.sum(axis=1)
+    ybar = (wt @ y) / sw[:, None]
+    log_rho = (m[:, 0] + np.log(sw) - np.log(ensemble.n)
+               - beta / 2 * target.eval_fn(x)
+               + 0.5 * ensemble.dim * np.log(beta / (4 * np.pi * T)))
+    score = -beta / 2 * target.grad_fn(x) + beta / (2 * T) * (ybar - x)
+    return score, log_rho
+
+
+def assert_rel_close(a, b, tol):
+    assert a.shape == b.shape
+    assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
 
 
 class TestDenominatorExact:
@@ -170,16 +200,18 @@ class TestProxGradient:
     def test_symmetry_zero_at_origin(self, axis_default, zero1d):
         rho0 = gaussian_grid(axis_default, var=1.0)
         p = ProxParams(T=0.5, beta=2.0)
-        rho_t, _ = prox_step(rho0, zero1d, p)
-        grads = prox_gradient(rho0, rho_t, zero1d, p)
+        op = GridProxOperator(rho0.axes, zero1d, p)
+        rho_t, mass = op.step(rho0)
+        grads = op.gradient(rho0, mass)
         center = np.argmin(np.abs(axis_default))
         assert abs(grads[0][center]) < 1e-8
 
     def test_gaussian_analytic_gradient(self, axis_default, quad1d):
         rho0 = gaussian_grid(axis_default, var=4.0)
         p = ProxParams(T=0.05, beta=1.0)
-        rho_t, _ = prox_step(rho0, quad1d, p)
-        grads = prox_gradient(rho0, rho_t, quad1d, p)
+        op = GridProxOperator(rho0.axes, quad1d, p)
+        rho_t, mass = op.step(rho0)
+        grads = op.gradient(rho0, mass)
         var = prox_variance_oracle(4.0, 1, 1, 0.05)
         ref = -axis_default / var * rho_t.values
         assert np.max(np.abs(grads[0] - ref)) < 1e-4
@@ -187,8 +219,9 @@ class TestProxGradient:
     def test_consistent_with_finite_differences(self, axis_default, mix1d):
         rho0 = gaussian_grid(axis_default, var=2.0)
         p = ProxParams(T=0.05, beta=1.0)
-        rho_t, _ = prox_step(rho0, mix1d, p)
-        grads = prox_gradient(rho0, rho_t, mix1d, p)
+        op = GridProxOperator(rho0.axes, mix1d, p)
+        rho_t, mass = op.step(rho0)
+        grads = op.gradient(rho0, mass)
         dx = axis_default[1] - axis_default[0]
         fd = np.gradient(rho_t.values, dx)
         interior = slice(200, -200)
@@ -231,6 +264,58 @@ class TestParticleScore:
         with pytest.raises(IsolatedParticleError):
             prox_particle_score(ens, quad1d, ProxParams(T=0.01, beta=1.0),
                                 query=np.array([[60.0]]))
+
+    @pytest.mark.parametrize("dim", [1, 10])
+    @pytest.mark.parametrize("n, n_query", [
+        (2 * SCORE_BLOCK + 37, None),          # N not a multiple of the block
+        (50, None),                            # N smaller than one block
+        (300, 77),                             # fewer queries than particles
+        (60, 2 * SCORE_BLOCK + 5),             # more queries than particles
+    ])
+    def test_streamed_matches_dense(self, dim, n, n_query):
+        rng = np.random.default_rng(n + dim)
+        ens = ParticleEnsemble(rng.standard_normal((n, dim)) * 1.5)
+        query = None if n_query is None else rng.standard_normal((n_query, dim)) * 2.0
+        target = make_gaussian_mixture(2.0, 1.0, dim=dim)
+        p = ProxParams(T=0.05, beta=1.5)
+        score, log_rho = prox_particle_score(ens, target, p, query)
+        ref_score, ref_log_rho = dense_particle_score(ens, target, p, query)
+        assert_rel_close(score, ref_score, 1e-12)
+        assert_rel_close(log_rho, ref_log_rho, 1e-12)
+
+    @pytest.mark.parametrize("dim, query", [(1, np.linspace(-2.0, 2.0, 9)),
+                                            (10, np.full(10, 0.3))])
+    def test_streamed_matches_dense_on_query_vector(self, dim, query):
+        rng = np.random.default_rng(dim)
+        ens = ParticleEnsemble(rng.standard_normal((SCORE_BLOCK + 3, dim)))
+        target = make_quadratic(1.0, dim)
+        p = ProxParams(T=0.04, beta=1.0)
+        score, log_rho = prox_particle_score(ens, target, p, query)
+        ref_score, ref_log_rho = dense_particle_score(ens, target, p, query)
+        assert score.shape == (query.size if dim == 1 else 1, dim)
+        assert_rel_close(score, ref_score, 1e-12)
+        assert_rel_close(log_rho, ref_log_rho, 1e-12)
+
+    def test_isolated_query_in_last_block_detected(self, quad1d):
+        ens = ParticleEnsemble(np.linspace(-0.1, 0.1, 30)[:, None])
+        query = np.zeros((2 * SCORE_BLOCK + 3, 1))
+        query[-1, 0] = 60.0
+        prox_particle_score(ens, quad1d, ProxParams(T=0.01, beta=1.0), query[:-1])
+        with pytest.raises(IsolatedParticleError, match=f"query {query.shape[0] - 1}:"):
+            prox_particle_score(ens, quad1d, ProxParams(T=0.01, beta=1.0), query)
+
+    def test_memory_stays_below_one_dense_matrix(self):
+        n, dim = 4000, 10
+        ens = ParticleEnsemble(np.random.default_rng(0).standard_normal((n, dim)))
+        target = make_gaussian_mixture(2.0, 1.0, dim=dim)
+        tracemalloc.start()
+        try:
+            prox_particle_score(ens, target, ProxParams(T=0.05))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a single dense N x N float64 array is 128 MB
+        assert peak < 64 * 2**20
 
 
 class TestFirstOrderExpansion:
@@ -312,8 +397,9 @@ def test_gradient_2d_matches_finite_differences():
     rho0 = GridDensity(axes, np.exp(-(mesh[0] ** 2 + 2 * mesh[1] ** 2) / 4)).normalize()
     target = make_quadratic(1.0, 2)
     p = ProxParams(T=0.05, beta=1.0)
-    rho_t, _ = prox_step(rho0, target, p)
-    grads = prox_gradient(rho0, rho_t, target, p)
+    op = GridProxOperator(rho0.axes, target, p)
+    rho_t, mass = op.step(rho0)
+    grads = op.gradient(rho0, mass)
     dx = axes[0][1] - axes[0][0]
     interior = (slice(40, -40), slice(40, -40))
     for i in range(2):
@@ -341,3 +427,19 @@ def test_score_of_step_matches_step_and_gradient(dim):
     assert np.array_equal(rho_t.values, ref_t.values)
     for s, gr in zip(score, ref_grads):
         assert np.array_equal(s, gr / np.maximum(ref_t.values, ref_t.log_floor))
+
+
+@pytest.mark.parametrize("n, beta, T", [(401, 1.0, 0.05), (400, 2.5, 0.05),
+                                        (2401, 1.0, 0.05), (160, 0.7, 0.3)])
+def test_blur_matrix_matches_direct_formula(n, beta, T):
+    axis = uniform_axis(-12.0, 12.0, n)
+    op = GridProxOperator((axis,), make_quadratic(1.0, 1), ProxParams(T=T, beta=beta))
+    diff = axis[:, None] - axis[None, :]
+    w = np.full(n, axis[1] - axis[0])
+    w[[0, -1]] *= 0.5
+    ref = np.sqrt(beta / (4 * np.pi * T)) * np.exp(-beta * diff**2 / (4 * T)) * w
+    blur = op._blur_matrix(axis)
+    assert blur.shape == ref.shape
+    big = ref > 1e-300
+    assert np.max(np.abs(blur[big] - ref[big]) / ref[big]) <= 1e-12
+    assert np.all(blur[~big] <= 1e-300)

@@ -205,6 +205,23 @@ class TestPerRunCaching:
                            (evolve_law, "brwp_successive")):
             assert builds(fn, method, 2) == builds(fn, method, 6) > 0
 
+    def test_explicit_flow_one_kde_per_step(self, quad1d, monkeypatch):
+        import brwplab.samplers as samplers
+        calls = []
+        real = samplers.kde
+        monkeypatch.setattr(samplers, "kde",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        cfg = SamplerConfig(method="explicit_flow", n_steps=5, n_particles=100,
+                            seed=0, diag_every=1)
+        res = run(cfg, quad1d)
+        # one KDE per diagnostics row, which the following step reuses
+        assert len(calls) == cfg.n_steps + 1
+        # the 3-argument form computes its own KDE and takes the same step
+        ens = initial_ensemble(cfg, 1, np.random.default_rng(cfg.seed))
+        for _ in range(cfg.n_steps):
+            ens = explicit_flow_step(ens, quad1d, cfg)
+        assert np.array_equal(ens.points, res.ensemble.points)
+
 
 class TestSynchronousUpdates:
     def test_particle_mode_permutation_equivariance(self, mix1d):
