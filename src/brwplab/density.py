@@ -21,6 +21,7 @@ from .potentials import Potential
 TAIL_MASS_TOL = 1e-8      # refused if more target mass than this lies off-grid
 GRID_EXTENSION = 0.25     # fractional span appended per side for the tail check
 DEFAULT_LOG_FLOOR = 1e-300
+KDE_BLOCK = 128           # grid rows per block of the 1-D KDE
 
 
 def uniform_axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -265,23 +266,34 @@ def kde(ensemble: ParticleEnsemble, bandwidth, query_axes) -> GridDensity:
     if np.any(bw <= 0):
         raise ParameterError(f"bandwidth must be positive, got {bw}")
 
-    kernels = []
-    for i in range(d):
-        # exp(-diff^2/(2 bw^2))/(bw sqrt(2 pi)), built in one G_i x N buffer
-        k = np.subtract.outer(axes[i], ensemble.points[:, i])
-        np.square(k, out=k)
-        np.negative(k, out=k)
-        k /= 2 * bw[i] ** 2
-        np.exp(k, out=k)
-        k /= bw[i] * np.sqrt(2 * np.pi)
-        kernels.append(k)
+    pts = ensemble.points
     if d == 1:
-        vals = kernels[0].mean(axis=1)
-    elif d == 2:
-        vals = np.einsum("aj,bj->ab", kernels[0], kernels[1]) / ensemble.n
+        # KDE_BLOCK grid rows at a time: memory O(KDE_BLOCK * N), not O(G * N)
+        ax = axes[0]
+        vals = np.empty(ax.size)
+        buf = np.empty((min(KDE_BLOCK, ax.size), ensemble.n))
+        for lo in range(0, ax.size, KDE_BLOCK):
+            hi = min(lo + KDE_BLOCK, ax.size)
+            k = _axis_kernel(ax[lo:hi], pts[:, 0], bw[0], buf[:hi - lo])
+            k.mean(axis=1, out=vals[lo:hi])
     else:
-        vals = np.einsum("aj,bj,cj->abc", kernels[0], kernels[1], kernels[2]) / ensemble.n
+        kernels = [_axis_kernel(axes[i], pts[:, i], bw[i],
+                                np.empty((axes[i].size, ensemble.n)))
+                   for i in range(d)]
+        spec = "aj,bj->ab" if d == 2 else "aj,bj,cj->abc"
+        vals = np.einsum(spec, *kernels) / ensemble.n
     return GridDensity(axes, vals).normalize()
+
+
+def _axis_kernel(grid, pts, bw, out):
+    """exp(-(grid_a - pts_j)^2/(2 bw^2))/(bw sqrt(2 pi)), built in place in out."""
+    np.subtract.outer(grid, pts, out=out)
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    out /= 2 * bw ** 2
+    np.exp(out, out=out)
+    out /= bw * np.sqrt(2 * np.pi)
+    return out
 
 
 def silverman_bandwidth(points: np.ndarray) -> np.ndarray:

@@ -234,7 +234,12 @@ def prox_particle_score(ensemble: ParticleEnsemble, target: Potential,
 
     Also returns log rho_T at the query points; underflow below 1e-300
     raises IsolatedParticleError. The weights are formed SCORE_BLOCK query
-    rows at a time, so memory is O(SCORE_BLOCK * N), not O(N^2).
+    rows at a time, so memory is O(SCORE_BLOCK * N), not O(N^2). Per block,
+    one matrix product gives the log-weights up to the row constant
+    c|x|^2 (c = beta/(4T)), which cancels in the softmax,
+    [x, 1] . [2c y, -c|y|^2 - log D(y)] = -c|x - y|^2 - log D(y) + c|x|^2,
+    and a second gives sum_j w_j [y_j, 1]; only the row max, the shift and
+    exp are elementwise passes.
     """
     if ensemble.n < 2:
         raise ParameterError("particle score needs at least 2 particles")
@@ -242,38 +247,32 @@ def prox_particle_score(ensemble: ParticleEnsemble, target: Potential,
     x = y if query is None else np.asarray(query, dtype=float)
     if x.ndim == 1:
         x = x[:, None] if ensemble.dim == 1 else x[None, :]
-    beta, T = p.beta, p.T
     d = ensemble.dim
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ParameterError(f"query of shape {x.shape} does not match ensemble dim {d}")
+    if not np.all(np.isfinite(x)):
+        raise ParameterError("query points must be finite")
+    beta, T = p.beta, p.T
+    c = beta / (4 * T)
     log_d = _denominator_laplace_batch(y, target, p, log=True)
-    sq_x = np.sum(x * x, axis=1)
-    sq_y = np.sum(y * y, axis=1)
     n_q = x.shape[0]
+    xa = np.hstack((x, np.ones((n_q, 1))))
+    ya = np.hstack((2 * c * y, (-c * np.sum(y * y, axis=1) - log_d)[:, None]))
+    y1 = np.hstack((y, np.ones((ensemble.n, 1))))
     m = np.empty(n_q)
-    sw = np.empty(n_q)
-    ybar = np.empty((n_q, d))
-    rows = min(SCORE_BLOCK, n_q)
-    sq = np.empty((rows, ensemble.n))
-    buf = np.empty((rows, ensemble.n))
+    acc = np.empty((n_q, d + 1))          # [sum_j w_j y_j, sum_j w_j] per query
+    buf = np.empty((min(SCORE_BLOCK, n_q), ensemble.n))
     for lo in range(0, n_q, SCORE_BLOCK):
         hi = min(lo + SCORE_BLOCK, n_q)
-        s, b = sq[:hi - lo], buf[:hi - lo]
-        # logw = -beta*max((|x|^2 + |y|^2) - 2 x.y, 0)/(4T) - log D(y) for one row
-        # block; s holds the parenthesized sum so every row rounds as one dense pass
-        np.matmul(x[lo:hi], y.T, out=b)
-        b *= 2.0
-        np.add(sq_x[lo:hi, None], sq_y[None, :], out=s)
-        np.subtract(s, b, out=b)
-        np.maximum(b, 0.0, out=b)
-        b *= -beta
-        b /= 4 * T
-        b -= log_d[None, :]
+        b = buf[:hi - lo]
+        np.matmul(xa[lo:hi], ya.T, out=b)
         np.max(b, axis=1, out=m[lo:hi])
         b -= m[lo:hi, None]
         np.exp(b, out=b)
-        np.sum(b, axis=1, out=sw[lo:hi])
-        np.matmul(b, y, out=ybar[lo:hi])
-    ybar /= sw[:, None]
-    log_rho = (m + np.log(sw) - np.log(ensemble.n)
+        np.matmul(b, y1, out=acc[lo:hi])
+    sw = acc[:, d]
+    ybar = acc[:, :d] / sw[:, None]
+    log_rho = (m - c * np.sum(x * x, axis=1) + np.log(sw) - np.log(ensemble.n)
                - beta / 2 * target.eval_fn(x)
                + 0.5 * d * np.log(beta / (4 * np.pi * T)))
     if np.any(log_rho < LOG_UNDERFLOW):

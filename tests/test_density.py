@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from brwplab.density import (DiagnosticsReport, GridDensity, ParticleEnsemble,
-                             divergences, fisher_information, fourth_moment_m0,
-                             fp_rhs, kde, kl_divergence, silverman_bandwidth,
-                             target_density, tv_distance, uniform_axis, w2_1d)
+from brwplab.density import (KDE_BLOCK, DiagnosticsReport, GridDensity,
+                             ParticleEnsemble, divergences, fisher_information,
+                             fourth_moment_m0, fp_rhs, kde, kl_divergence,
+                             silverman_bandwidth, target_density, tv_distance,
+                             uniform_axis, w2_1d)
 from brwplab.errors import (DegenerateDensityError, ParameterError,
                             TruncationError)
 from brwplab.potentials import make_quadratic, make_zero
@@ -65,7 +66,8 @@ class TestKde:
         with pytest.raises(ParameterError):
             kde(ParticleEnsemble(pts), -0.5, (uniform_axis(-5, 5, 101),))
 
-    @pytest.mark.parametrize("dim, n", [(1, 2401), (3, 41)])
+    @pytest.mark.parametrize("dim, n", [(1, KDE_BLOCK - 1), (1, KDE_BLOCK),
+                                        (1, 2 * KDE_BLOCK + 1), (1, 2401), (3, 41)])
     def test_in_place_kernels_bit_identical(self, dim, n):
         rng = np.random.default_rng(dim)
         ens = ParticleEnsemble(rng.standard_normal((300, dim)) * 1.3)

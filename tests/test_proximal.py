@@ -296,6 +296,30 @@ class TestParticleScore:
         assert_rel_close(score, ref_score, 1e-12)
         assert_rel_close(log_rho, ref_log_rho, 1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 10])
+    @pytest.mark.parametrize("centre", [0.0, 4.0, 8.0])
+    def test_matches_extended_precision_reference(self, dim, centre):
+        # |x - y|^2 formed directly in long double; the error of the float64
+        # score grows with |x|^2 (expanded distances), hence the shifted clouds
+        y = np.random.default_rng(dim).standard_normal((600, dim)) + centre
+        p = ProxParams(T=0.05, beta=1.0)
+        score, _ = prox_particle_score(ParticleEnsemble(y), make_zero(dim), p)
+        yl = y.astype(np.longdouble)
+        logw = -p.beta * np.sum((yl[:, None, :] - yl[None, :, :]) ** 2, axis=2) / (4 * p.T)
+        w = np.exp(logw - logw.max(axis=1, keepdims=True))
+        ref = p.beta / (2 * p.T) * ((w @ yl) / w.sum(axis=1)[:, None] - yl)
+        assert np.max(np.abs(score - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("query", [
+        np.array([[0.0, np.nan, 1.0]]),        # non-finite coordinate
+        np.zeros((4, 2)),                      # trailing size is not the dim
+        np.zeros((2, 2, 3)),                   # not a list of points
+    ])
+    def test_bad_query_rejected(self, query):
+        ens = ParticleEnsemble(np.random.default_rng(0).standard_normal((20, 3)))
+        with pytest.raises(ParameterError, match="query"):
+            prox_particle_score(ens, make_quadratic(1.0, 3), ProxParams(T=0.05), query)
+
     def test_isolated_query_in_last_block_detected(self, quad1d):
         ens = ParticleEnsemble(np.linspace(-0.1, 0.1, 30)[:, None])
         query = np.zeros((2 * SCORE_BLOCK + 3, 1))
