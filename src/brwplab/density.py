@@ -268,14 +268,23 @@ def kde(ensemble: ParticleEnsemble, bandwidth, query_axes) -> GridDensity:
 
     pts = ensemble.points
     if d == 1:
-        # KDE_BLOCK grid rows at a time: memory O(KDE_BLOCK * N), not O(G * N)
-        ax = axes[0]
+        # KDE_BLOCK grid rows at a time: memory O(KDE_BLOCK * N), not O(G * N).
+        # One GEMM per block gives the exponent,
+        # [x, 1, x^2] . [p/b^2, -p^2/(2b^2), -1/(2b^2)] = -(x - p)^2/(2b^2),
+        # clamped at 0 against rounding; a GEMV takes the scaled row sums.
+        ax, p, b2 = axes[0], pts[:, 0], bw[0] ** 2
+        xa = np.stack((ax, np.ones_like(ax), ax * ax), axis=1)
+        pa = np.stack((p / b2, -p * p / (2 * b2), np.full(ensemble.n, -1 / (2 * b2))))
+        scale = np.full(ensemble.n, 1 / (ensemble.n * bw[0] * np.sqrt(2 * np.pi)))
         vals = np.empty(ax.size)
         buf = np.empty((min(KDE_BLOCK, ax.size), ensemble.n))
         for lo in range(0, ax.size, KDE_BLOCK):
             hi = min(lo + KDE_BLOCK, ax.size)
-            k = _axis_kernel(ax[lo:hi], pts[:, 0], bw[0], buf[:hi - lo])
-            k.mean(axis=1, out=vals[lo:hi])
+            k = buf[:hi - lo]
+            np.matmul(xa[lo:hi], pa, out=k)
+            np.minimum(k, 0.0, out=k)
+            np.exp(k, out=k)
+            np.matmul(k, scale, out=vals[lo:hi])
     else:
         kernels = [_axis_kernel(axes[i], pts[:, i], bw[i],
                                 np.empty((axes[i].size, ensemble.n)))
@@ -304,15 +313,16 @@ def silverman_bandwidth(points: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------ divergences
 
-def divergences(g: GridDensity, rs: GridDensity, target: Potential,
+def divergences(g: GridDensity, rs: GridDensity, grad_v: np.ndarray,
                 beta: float) -> tuple:
     """(KL, relative Fisher information, M0, TV) of g in one pass.
 
-    rs is target_density(target, g.axes, beta), built once by the caller;
-    the standalone functions below build (and truncation-check) it per call.
+    rs is target_density(target, g.axes, beta) and grad_v is
+    target.grad_fn(g.points()), both built once per run by the caller; the
+    standalone functions below build (and truncation-check) them per call.
     """
     w = g.weights()
-    sq = _relative_score(g, target, beta)
+    sq = _relative_score(g, grad_v, beta)
     return (relative_entropy(g, rs),
             float(np.sum(w * sq * g.values)),
             float(beta ** (-2) * np.sum(w * sq * sq * g.values)),
@@ -326,16 +336,20 @@ def relative_entropy(g: GridDensity, rs: GridDensity) -> float:
     return float(np.sum(g.weights() * integrand))
 
 
-def _relative_score(g: GridDensity, target: Potential, beta: float) -> np.ndarray:
+def _relative_score(g: GridDensity, grad_v: np.ndarray, beta: float) -> np.ndarray:
     """|grad log(g/rho*)|^2 on the grid; target part analytic (-beta*grad V)."""
     grads = g.score()
-    gv = target.grad_fn(g.points())
     sq = np.zeros_like(g.values)
     shape = g.values.shape
     for i in range(g.dim):
-        s = grads[i] + beta * gv[:, i].reshape(shape)
+        s = grads[i] + beta * grad_v[:, i].reshape(shape)
         sq += s * s
     return sq
+
+
+def _divergences_of(g: GridDensity, target: Potential, beta: float) -> tuple:
+    return divergences(g, target_density(target, g.axes, beta),
+                       target.grad_fn(g.points()), beta)
 
 
 def kl_divergence(g: GridDensity, target: Potential, beta: float) -> float:
@@ -343,16 +357,16 @@ def kl_divergence(g: GridDensity, target: Potential, beta: float) -> float:
 
 
 def fisher_information(g: GridDensity, target: Potential, beta: float) -> float:
-    return divergences(g, target_density(target, g.axes, beta), target, beta)[1]
+    return _divergences_of(g, target, beta)[1]
 
 
 def fourth_moment_m0(g: GridDensity, target: Potential, beta: float) -> float:
-    return divergences(g, target_density(target, g.axes, beta), target, beta)[2]
+    return _divergences_of(g, target, beta)[2]
 
 
 def tv_distance(g: GridDensity, target: Potential, beta: float) -> float:
     """Total variation in the unhalved convention: integral of |g - rho*| (range [0,2])."""
-    return divergences(g, target_density(target, g.axes, beta), target, beta)[3]
+    return _divergences_of(g, target, beta)[3]
 
 
 def w2_1d(samples_a: np.ndarray, samples_b: np.ndarray) -> float:

@@ -84,7 +84,8 @@ class DensityState:
     """Per-run cached grid machinery (and the chain for the successive mode).
 
     target is the diagnostics target on the measurement grid, truncation-checked
-    when first built; w2_target is its first-axis 1-D marginal for W2. kde
+    when first built, and target_grad its potential's gradient at the grid
+    points; w2_target is its first-axis 1-D marginal for W2. kde
     pairs the last ensemble object seen with its KDE on the run grid, so a
     brwp_kde or explicit_flow step reuses the KDE of the diagnostics row just
     written.
@@ -93,6 +94,7 @@ class DensityState:
     operator: Optional[GridProxOperator] = None
     chain: Optional[GridDensity] = None
     target: Optional[GridDensity] = None
+    target_grad: Optional[np.ndarray] = None
     w2_target: Optional[GridDensity] = None
     kde: Optional[tuple] = None
 
@@ -261,7 +263,8 @@ def _diagnose(cfg: SamplerConfig, target: Potential, ensemble: ParticleEnsemble,
         return DiagnosticsReport(k, *([float("nan")] * 5))
     if state.target is None:
         state.target = target_density(meas_target, g.axes, beta)
-    kl, fi, m0, tv = divergences(g, state.target, meas_target, beta)
+        state.target_grad = meas_target.grad_fn(g.points())
+    kl, fi, m0, tv = divergences(g, state.target, state.target_grad, beta)
     # W2 in the first dimension, exact quantile coupling
     if marg1d is None:
         w2 = float("nan")
@@ -353,15 +356,15 @@ def evolve_law(cfg: SamplerConfig, target: Potential,
     p = ProxParams(T=cfg.T, beta=cfg.beta)
     op = GridProxOperator(axes, target, p, cfg.grid_backend)
     rho = init_density if init_density is not None else initial_grid_density(cfg, axes)
-    grad_v = target.grad_fn(x[:, None])[:, 0]
+    grad_v = target.grad_fn(x[:, None])
     # in 1-D the truncation-checked target is also the W2 reference
     rs = target_density(target, axes, cfg.beta)
     t0 = time.perf_counter()
-    reports = [_law_report(cfg, target, rs, rho, 0, t0)]
+    reports = [_law_report(cfg, grad_v, rs, rho, 0, t0)]
     folded = False
     for k in range(1, cfg.n_steps + 1):
         _, _, fields = op.score_of_step(rho)
-        m = x - cfg.h * (grad_v + fields[0] / cfg.beta)
+        m = x - cfg.h * (grad_v[:, 0] + fields[0] / cfg.beta)
         dm = central_diff(m, w_dx, 0)
         if np.any(dm <= 0):
             folded = True
@@ -374,12 +377,12 @@ def evolve_law(cfg: SamplerConfig, target: Potential,
             folded = True
             break
         if k % cfg.diag_every == 0 or k == cfg.n_steps:
-            reports.append(_law_report(cfg, target, rs, rho, k, t0))
+            reports.append(_law_report(cfg, grad_v, rs, rho, k, t0))
     return LawTrace(reports, rho, folded)
 
 
-def _law_report(cfg, target, rs, rho, k, t0) -> DiagnosticsReport:
-    kl, fi, m0, tv = divergences(rho, rs, target, cfg.beta)
+def _law_report(cfg, grad_v, rs, rho, k, t0) -> DiagnosticsReport:
+    kl, fi, m0, tv = divergences(rho, rs, grad_v, cfg.beta)
     w2 = w2_grids_1d(rho, rs)
     ms = (time.perf_counter() - t0) * 1000.0 if cfg.record_timing else 0.0
     return DiagnosticsReport(k, kl, fi, m0, tv, w2, float("nan"), ms)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -168,6 +169,18 @@ class TestStepsizeSweep:
         assert lines[0] == "h,steps_to_threshold,stable,terminal_kl,min_kl"
         assert len(lines) == 3
         assert (out / "law_h_0.2.csv").exists()
+
+    def test_default_sweep_summary(self, tmp_path):
+        # the law evolution folds on blur noise in the tails if the blur loses
+        # relative accuracy there; this summary then changes
+        out = tmp_path / "sw"
+        code = run_cli("stepsize-sweep", "--out", str(out), "--sweep.n_steps", "40",
+                       "--plot", "false")
+        assert code == EXIT_OK
+        with open(out / "sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["steps_to_threshold"] for r in rows] == ["9", "4", "2", "-1"]
+        assert [r["stable"] for r in rows] == ["true", "true", "true", "false"]
 
     def test_empty_h_list_is_config_error(self, tmp_path):
         code = run_cli("stepsize-sweep", "--out", str(tmp_path / "sw2"),

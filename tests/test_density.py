@@ -66,22 +66,31 @@ class TestKde:
         with pytest.raises(ParameterError):
             kde(ParticleEnsemble(pts), -0.5, (uniform_axis(-5, 5, 101),))
 
-    @pytest.mark.parametrize("dim, n", [(1, KDE_BLOCK - 1), (1, KDE_BLOCK),
-                                        (1, 2 * KDE_BLOCK + 1), (1, 2401), (3, 41)])
-    def test_in_place_kernels_bit_identical(self, dim, n):
+    @pytest.mark.parametrize("dim, n, half", [
+        pytest.param(1, KDE_BLOCK - 1, 8.0, id="1-127"),
+        pytest.param(1, KDE_BLOCK, 8.0, id="1-128"),
+        pytest.param(1, 2 * KDE_BLOCK + 1, 8.0, id="1-257"),
+        pytest.param(1, 2401, 8.0, id="1-2401"),
+        pytest.param(1, 4801, 24.0, id="1-4801-wide"),
+        pytest.param(3, 41, 8.0, id="3-41")])
+    def test_in_place_kernels_bit_identical(self, dim, n, half):
+        """kde against the exact-distance kernels: d = 3 bit for bit; d = 1,
+        whose exponent comes from one GEMM of the expanded square, within
+        1e-12 relative (1e-300 absolute where the kernels underflow)."""
         rng = np.random.default_rng(dim)
         ens = ParticleEnsemble(rng.standard_normal((300, dim)) * 1.3)
-        axes = tuple(uniform_axis(-8.0, 8.0, n) for _ in range(dim))
+        axes = tuple(uniform_axis(-half, half, n) for _ in range(dim))
         bw = silverman_bandwidth(ens.points)
         kernels = [np.exp(-(axes[i][:, None] - ens.points[None, :, i]) ** 2
                           / (2 * bw[i] ** 2)) / (bw[i] * np.sqrt(2 * np.pi))
                    for i in range(dim)]
+        got = kde(ens, "auto", axes).values
         if dim == 1:
-            vals = kernels[0].mean(axis=1)
+            ref = GridDensity(axes, kernels[0].mean(axis=1)).normalize().values
+            assert np.all(np.abs(got - ref) <= 1e-12 * ref + 1e-300)
         else:
             vals = np.einsum("aj,bj,cj->abc", *kernels) / ens.n
-        ref = GridDensity(axes, vals).normalize()
-        assert np.array_equal(kde(ens, "auto", axes).values, ref.values)
+            assert np.array_equal(got, GridDensity(axes, vals).normalize().values)
 
     def test_2d_kde_mass(self):
         rng = np.random.default_rng(2)
@@ -129,7 +138,8 @@ def test_fused_divergences_equal_standalone(dim, n):
     vals[vals < 1e-6] = 0.0
     g = GridDensity(axes, vals).normalize()
     assert np.any(g.values == 0.0)
-    fused = divergences(g, target_density(target, axes, beta), target, beta)
+    fused = divergences(g, target_density(target, axes, beta), target.grad_fn(g.points()),
+                        beta)
     assert fused == (kl_divergence(g, target, beta), fisher_information(g, target, beta),
                      fourth_moment_m0(g, target, beta), tv_distance(g, target, beta))
 

@@ -9,7 +9,7 @@ from brwplab.density import (GridDensity, ParticleEnsemble, fp_rhs, kde,
 from brwplab.errors import (DegenerateDensityError, IsolatedParticleError,
                             ParameterError, StepsizeError, TruncationError)
 from brwplab.potentials import Potential, make_gaussian_mixture, make_quadratic, make_zero
-from brwplab.proximal import (SCORE_BLOCK, GridProxOperator, ProxParams,
+from brwplab.proximal import (BLUR_EXACT_BELOW, SCORE_BLOCK, GridProxOperator, ProxParams,
                               _denominator_laplace_batch, denominator_exact,
                               denominator_laplace, first_order_expansion,
                               prox_particle_score, prox_step)
@@ -52,6 +52,14 @@ def dense_particle_score(ensemble, target, p, query=None):
                + 0.5 * ensemble.dim * np.log(beta / (4 * np.pi * T)))
     score = -beta / 2 * target.grad_fn(x) + beta / (2 * T) * (ybar - x)
     return score, log_rho
+
+
+def assert_blur_matches_dense(op, vals):
+    """apply_blur within 1e-9 of the dense product, relative to the blur of |vals|."""
+    dense = op._blur_matrix(op.axes[0])
+    fast = op.apply_blur(vals)
+    assert np.all(np.abs(fast - dense @ vals) <= 1e-9 * (dense @ np.abs(vals)))
+    return fast
 
 
 def assert_rel_close(a, b, tol):
@@ -467,3 +475,53 @@ def test_blur_matrix_matches_direct_formula(n, beta, T):
     big = ref > 1e-300
     assert np.max(np.abs(blur[big] - ref[big]) / ref[big]) <= 1e-12
     assert np.all(blur[~big] <= 1e-300)
+
+
+class TestFftBlur:
+    """The 1-D FFT blur with dense repair against the dense product."""
+
+    @pytest.mark.parametrize("T, beta", [(0.05, 1.0), (1 / 6, 1.0), (0.5, 2.0)])
+    def test_heat_kernel(self, axis_default, zero1d, T, beta):
+        op = GridProxOperator((axis_default,), zero1d, ProxParams(T=T, beta=beta))
+        rho0 = gaussian_grid(axis_default, var=1.0).values
+        assert_blur_matches_dense(op, op.e_v)
+        out = assert_blur_matches_dense(op, rho0 / op.denom)
+        var = 1.0 + 2 * T / beta
+        ref = np.exp(-axis_default**2 / (2 * var)) / np.sqrt(2 * np.pi * var)
+        assert_rel_close(op.e_v * out, ref, 1e-9)
+
+    @pytest.mark.parametrize("T", [0.05, 1 / 6, 0.5])
+    def test_quadratic_gaussian_closed_form(self, axis_default, quad1d, T):
+        op = GridProxOperator((axis_default,), quad1d, ProxParams(T=T, beta=1.0))
+        rho0 = gaussian_grid(axis_default, var=4.0)
+        assert_blur_matches_dense(op, op.e_v)
+        assert_blur_matches_dense(op, rho0.values / op.denom)
+        rho_t, _ = op.step(rho0)
+        var = prox_variance_oracle(4.0, 1, 1, T)
+        ref = np.exp(-axis_default**2 / (2 * var)) / np.sqrt(2 * np.pi * var)
+        assert np.max(np.abs(rho_t.values - ref)) < 1e-5
+
+    def test_exact_zeros_at_both_ends(self, axis_default, quad1d):
+        # evolve_law's pushforward leaves exact zeros outside the image of its map
+        op = GridProxOperator((axis_default,), quad1d, ProxParams(T=1 / 6, beta=1.0))
+        vals = gaussian_grid(axis_default, var=0.5).values
+        vals[:700] = 0.0
+        vals[-900:] = 0.0
+        out = assert_blur_matches_dense(op, vals / op.denom)
+        assert np.all(out >= 0)
+
+    def test_narrow_bimodal_repairs_interior(self, axis_default, mix1d):
+        op = GridProxOperator((axis_default,), mix1d, ProxParams(T=0.05, beta=1.0))
+        vals = (np.exp(-(axis_default - 5) ** 2 / 0.02)
+                + np.exp(-(axis_default + 5) ** 2 / 0.02)) / op.denom
+        dense = op._blur_matrix(axis_default) @ vals
+        low = np.abs(dense) < BLUR_EXACT_BELOW * np.abs(dense).max()
+        assert low[len(low) // 2] and not low.all()    # a gap between two kept runs
+        assert_blur_matches_dense(op, vals)
+
+    @pytest.mark.parametrize("target_name", ["quad1d", "mix1d", "zero1d"])
+    def test_signed_field(self, axis_default, target_name, request):
+        target = request.getfixturevalue(target_name)
+        op = GridProxOperator((axis_default,), target, ProxParams(T=0.2, beta=1.0))
+        rho0 = gaussian_grid(axis_default, mean=0.3, var=2.0).values
+        assert_blur_matches_dense(op, axis_default * rho0 / op.denom)
