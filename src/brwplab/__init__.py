@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .density import (DiagnosticsReport, GridDensity, ParticleEnsemble,
+from .density import (DiagnosticsReport, Grid, GridDensity, ParticleEnsemble,
                       fisher_information, fourth_moment_m0, kde, kl_divergence,
                       tv_distance, w2_1d)
 from .errors import (BrwplabError, DegenerateDensityError, EvaluationError,

@@ -197,27 +197,25 @@ def _fit_slope(xs, ys):
 
 def cmd_prox_evolve(cfg, outdir: Path) -> tuple:
     import numpy as np
-    from .density import relative_entropy, target_density, uniform_axis
+    from .density import Grid, relative_entropy, target_density
     from .proximal import GridProxOperator, ProxParams
     from .samplers import initial_grid_density
     target = build_target(cfg)
     if target.dim > 3:
         raise _config_error("prox-evolve needs a full grid (target.dim <= 3)")
-    axes = tuple(uniform_axis(lo, hi, n) for lo, hi, n in grid_spec(cfg, target.dim))
     scfg = sampler_config(cfg, target.dim)
-    rho = initial_grid_density(scfg, axes)
-    op = GridProxOperator(axes, target, ProxParams(T=float(cfg["prox.T"]),
-                                                   beta=float(cfg["target.beta"])),
+    grid = Grid.uniform(scfg.grid)
+    rho = initial_grid_density(scfg, grid)
+    op = GridProxOperator(grid, target, ProxParams(T=float(cfg["prox.T"]), beta=scfg.beta),
                           scfg.grid_backend)
-    rs = target_density(target, axes, float(cfg["target.beta"]))
+    rs = target_density(target, grid, scfg.beta)
     iters = int(cfg["prox.iters"])
     save_every = max(1, int(cfg["prox.save_every"]))
     rows = []
-    w = rho.weights()
     rho.to_csv(outdir / "density_iter_0000.csv")
     for k in range(1, iters + 1):
         rho, mass = op.step(rho)
-        l1 = float(np.sum(w * np.abs(rho.values - rs.values)))
+        l1 = float(np.sum(grid.weights * np.abs(rho.values - rs.values)))
         rows.append((k, l1, relative_entropy(rho, rs), mass))
         if k % save_every == 0 or k == iters:
             rho.to_csv(outdir / f"density_iter_{k:04d}.csv")
@@ -230,8 +228,8 @@ def cmd_prox_evolve(cfg, outdir: Path) -> tuple:
         gm = rho.marginal_first()
         tm = rs.marginal_first()
         line_plot(outdir / "overlay.svg",
-                  [(gm.axes[0], gm.values, "computed"),
-                   (tm.axes[0], tm.values, "target")],
+                  [(gm.grid.axes[0], gm.values, "computed"),
+                   (tm.grid.axes[0], tm.values, "target")],
                   title=f"kernel-proximal evolution, T={cfg['prox.T']}, "
                         f"{iters} iterations",
                   xlabel="x", ylabel="density")
@@ -244,7 +242,7 @@ def cmd_prox_evolve(cfg, outdir: Path) -> tuple:
 
 def cmd_sample(cfg, outdir: Path) -> tuple:
     import numpy as np
-    from .density import target_density, uniform_axis
+    from .density import Grid, target_density, uniform_axis
     from .samplers import marginal_target, run
     target = build_target(cfg)
     scfg = sampler_config(cfg, target.dim)
@@ -261,8 +259,7 @@ def cmd_sample(cfg, outdir: Path) -> tuple:
         marg = marginal_target(target)
         if marg is not None:
             ax = uniform_axis(-6.0, 6.0, 481)
-            rs = target_density(marg, (ax,), float(cfg["target.beta"]),
-                                check_truncation=False)
+            rs = target_density(marg, Grid((ax,)), scfg.beta, check_truncation=False)
             overlay = (ax, rs.values, "target")
         histogram(outdir / "histogram.svg", pts[:, 0], bins=40, lo=-6.0, hi=6.0,
                   overlay=overlay,
@@ -274,17 +271,15 @@ def cmd_sample(cfg, outdir: Path) -> tuple:
 
 def cmd_order_check(cfg, outdir: Path) -> tuple:
     import numpy as np
-    from .density import uniform_axis
+    from .density import Grid
     from .proximal import ProxParams, first_order_expansion, prox_step
     from .samplers import initial_grid_density
     target = build_target(cfg)
     t_list = _as_float_list(cfg["order.t_list"])
     if len(t_list) < 3:
         raise _config_error("order-check needs at least 3 stepsizes to fit a slope")
-    axes = tuple(uniform_axis(lo, hi, n) for lo, hi, n in grid_spec(cfg, target.dim))
     scfg = sampler_config(cfg, target.dim)
-    scfg.init_sigma_sq = float(cfg["sampler.init_sigma_sq"])
-    rho0 = initial_grid_density(scfg, axes)
+    rho0 = initial_grid_density(scfg, Grid.uniform(scfg.grid))
     beta = float(cfg["target.beta"])
     rows = []
     for t_step in t_list:
@@ -309,21 +304,21 @@ def cmd_order_check(cfg, outdir: Path) -> tuple:
 
 
 def cmd_denominator_check(cfg, outdir: Path) -> tuple:
-    from .density import uniform_axis
+    from .density import Grid
     from .proximal import ProxParams, denominator_exact, denominator_laplace
     target = build_target(cfg)
     y_list = _as_float_list(cfg["denominator.y_list"])
     t_list = _as_float_list(cfg["denominator.t_list"])
     if len(t_list) < 3:
         raise _config_error("denominator-check needs at least 3 stepsizes")
-    axes = tuple(uniform_axis(lo, hi, n) for lo, hi, n in grid_spec(cfg, target.dim))
+    grid = Grid.uniform(grid_spec(cfg, target.dim))
     beta = float(cfg["target.beta"])
     rows, slopes = [], {}
     for y in y_list:
         errs = []
         for t_step in t_list:
-            p = ProxParams(T=t_step, beta=beta, z_axes=axes)
-            exact = denominator_exact([y] * target.dim, target, p)
+            p = ProxParams(T=t_step, beta=beta)
+            exact = denominator_exact([y] * target.dim, target, p, grid)
             lap = denominator_laplace([y] * target.dim, target, p)
             errs.append(abs(exact - lap))
             rows.append((y, t_step, exact, lap, errs[-1]))

@@ -1,7 +1,8 @@
 """Density representations and divergence diagnostics.
 
-GridDensity holds a nonnegative tensor-grid density (d <= 3) with uniform
-axes and trapezoid-quadrature mass ~ 1. ParticleEnsemble is the sampler
+Grid is the uniform tensor grid (d <= 3) a run evaluates everything on, with
+its trapezoid weights and points. GridDensity holds nonnegative values on a
+Grid with trapezoid-quadrature mass ~ 1. ParticleEnsemble is the sampler
 state. All divergences (KL, relative Fisher information, fourth-moment
 functional M0, total variation) are trapezoid estimates against the Gibbs
 target exp(-beta*V)/Z with Z computed on the same grid.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 import numpy as np
 
@@ -20,7 +22,7 @@ from .potentials import Potential
 
 TAIL_MASS_TOL = 1e-8      # refused if more target mass than this lies off-grid
 GRID_EXTENSION = 0.25     # fractional span appended per side for the tail check
-DEFAULT_LOG_FLOOR = 1e-300
+LOG_FLOOR = 1e-300        # densities are clamped to this before taking logs
 KDE_BLOCK = 128           # grid rows per block of the 1-D KDE
 
 
@@ -34,13 +36,6 @@ def trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     w = np.full(axis.size, axis[1] - axis[0])
     w[0] *= 0.5
     w[-1] *= 0.5
-    return w
-
-
-def _weight_tensor(axes) -> np.ndarray:
-    w = trapezoid_weights(axes[0])
-    for ax in axes[1:]:
-        w = np.multiply.outer(w, trapezoid_weights(ax))
     return w
 
 
@@ -60,88 +55,133 @@ def central_diff(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
     return g
 
 
-@dataclass
-class GridDensity:
-    """Nonnegative density values on a uniform tensor grid (d <= 3)."""
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """A uniform tensor grid (1 <= d <= 3), built once per run and shared.
+
+    The trapezoid weights and the ij-ordered (N, d) points are built on first
+    use and kept read-only; mesh is per-axis views of the points. Iterating a
+    grid yields its axes.
+    """
 
     axes: tuple
-    values: np.ndarray
-    log_floor: float = DEFAULT_LOG_FLOOR
 
     def __post_init__(self):
-        self.axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
-        if len(self.axes) < 1 or len(self.axes) > 3:
-            raise ParameterError(f"grid densities support 1 <= d <= 3, got d={len(self.axes)}")
-        for a in self.axes:
+        axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
+        if not 1 <= len(axes) <= 3:
+            raise ParameterError(f"grids support 1 <= d <= 3, got d={len(axes)}")
+        for a in axes:
             if a.ndim != 1 or a.size < 2:
                 raise ParameterError("each axis must be a 1-D array with >= 2 points")
             steps = np.diff(a)
             if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
                 raise ParameterError("axes must be uniformly spaced")
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != tuple(a.size for a in self.axes):
-            raise ParameterError(
-                f"values shape {self.values.shape} does not match axes "
-                f"{tuple(a.size for a in self.axes)}")
-        if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):
-            raise DegenerateDensityError("density values must be finite and nonnegative")
+        object.__setattr__(self, "axes", axes)
+
+    @classmethod
+    def uniform(cls, spec) -> "Grid":
+        """The grid of per-axis (lo, hi, n) triples."""
+        return cls(tuple(uniform_axis(lo, hi, n) for lo, hi, n in spec))
+
+    def __iter__(self):
+        return iter(self.axes)
 
     @property
     def dim(self) -> int:
         return len(self.axes)
 
     @property
+    def shape(self) -> tuple:
+        return tuple(a.size for a in self.axes)
+
+    @property
     def spacing(self) -> tuple:
         return tuple(float(a[1] - a[0]) for a in self.axes)
 
+    @cached_property
     def weights(self) -> np.ndarray:
-        return _weight_tensor(self.axes)
+        w = trapezoid_weights(self.axes[0])
+        for ax in self.axes[1:]:
+            w = np.multiply.outer(w, trapezoid_weights(ax))
+        w.flags.writeable = False
+        return w
 
+    @cached_property
     def points(self) -> np.ndarray:
         """All grid points as an (N, d) array (ij meshgrid order)."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.reshape(-1) for m in mesh], axis=1)
+        pts = np.empty((int(np.prod(self.shape)), self.dim))
+        for i, m in enumerate(np.meshgrid(*self.axes, indexing="ij", sparse=True)):
+            pts[:, i].reshape(self.shape)[...] = m
+        pts.flags.writeable = False
+        return pts
+
+    @property
+    def mesh(self) -> tuple:
+        """Per-axis coordinates on the grid shape: views of points, not copies."""
+        return tuple(self.points[:, i].reshape(self.shape) for i in range(self.dim))
+
+    @cached_property
+    def marginal(self) -> "Grid":
+        """The 1-D grid of the first axis."""
+        return Grid(self.axes[:1])
+
+
+@dataclass
+class GridDensity:
+    """Nonnegative density values on a Grid."""
+
+    grid: Grid
+    values: np.ndarray
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if self.values.shape != self.grid.shape:
+            raise ParameterError(
+                f"values shape {self.values.shape} does not match grid {self.grid.shape}")
+        if np.any(self.values < 0) or not np.all(np.isfinite(self.values)):
+            raise DegenerateDensityError("density values must be finite and nonnegative")
 
     def mass(self) -> float:
-        return float(np.sum(self.weights() * self.values))
+        return float(np.sum(self.grid.weights * self.values))
 
     def normalize(self) -> "GridDensity":
         m = self.mass()
         if not np.isfinite(m) or m <= 0:
             raise DegenerateDensityError(f"cannot normalize density with mass {m}")
-        return GridDensity(self.axes, self.values / m, self.log_floor)
+        return GridDensity(self.grid, self.values / m)
 
     def log_values(self) -> np.ndarray:
-        return np.log(np.maximum(self.values, self.log_floor))
+        return np.log(np.maximum(self.values, LOG_FLOOR))
 
     def score(self) -> list:
         """Per-axis central-difference gradient of log(density)."""
         logv = self.log_values()
-        return [central_diff(logv, self.spacing[i], i) for i in range(self.dim)]
+        return [central_diff(logv, dx, i) for i, dx in enumerate(self.grid.spacing)]
 
     def marginal_first(self) -> "GridDensity":
         """First-axis marginal (trapezoid over remaining axes)."""
-        if self.dim == 1:
+        if self.grid.dim == 1:
             return self
         vals = self.values
-        for i in range(self.dim - 1, 0, -1):
-            vals = np.tensordot(vals, trapezoid_weights(self.axes[i]), axes=([i], [0]))
-        return GridDensity((self.axes[0],), vals, self.log_floor).normalize()
+        for i in range(self.grid.dim - 1, 0, -1):
+            vals = np.tensordot(vals, trapezoid_weights(self.grid.axes[i]), axes=([i], [0]))
+        return GridDensity(self.grid.marginal, vals).normalize()
 
     # --- serialization: axis rows, then value rows (row-major over leading axes) ---
     def to_csv(self, path) -> None:
         path = Path(path)
         with open(path, "w", newline="") as f:
             writer = csv.writer(f, lineterminator="\n")
-            for a in self.axes:
+            for a in self.grid:
                 writer.writerow([repr(float(v)) for v in a])
-            flat = self.values.reshape(-1, self.axes[-1].size)
+            flat = self.values.reshape(-1, self.grid.shape[-1])
             for row in flat:
                 writer.writerow([repr(float(v)) for v in row])
         sidecar = {
-            "axes": [{"lo": float(a[0]), "hi": float(a[-1]), "n": int(a.size)} for a in self.axes],
+            "axes": [{"lo": float(a[0]), "hi": float(a[-1]), "n": int(a.size)}
+                     for a in self.grid],
             "shape": [int(s) for s in self.values.shape],
-            "log_floor": self.log_floor,
+            "log_floor": LOG_FLOOR,
             "csv": path.name,
         }
         with open(path.with_suffix(path.suffix + ".json"), "w") as f:
@@ -156,18 +196,16 @@ class GridDensity:
         with open(path) as f:
             rows = [[float(v) for v in row] for row in csv.reader(f)]
         d = len(meta["axes"])
-        axes = tuple(np.asarray(rows[i]) for i in range(d))
-        values = np.asarray(rows[d:]).reshape(meta["shape"])
-        return GridDensity(axes, values, meta.get("log_floor", DEFAULT_LOG_FLOOR))
+        grid = Grid(tuple(np.asarray(rows[i]) for i in range(d)))
+        return GridDensity(grid, np.asarray(rows[d:]).reshape(meta["shape"]))
 
 
 @dataclass
 class ParticleEnsemble:
-    """N weighted-equal particles in R^d plus RNG seed lineage."""
+    """N weighted-equal particles in R^d."""
 
     points: np.ndarray
     step_index: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -210,42 +248,41 @@ class DiagnosticsReport:
 
 # ---------------------------------------------------------------- targets
 
-def target_density(target: Potential, axes, beta: float,
+def target_density(target: Potential, grid: Grid, beta: float,
                    check_truncation: bool = True) -> GridDensity:
     """exp(-beta*V)/Z on the grid; refuses grids that truncate target mass."""
-    axes = tuple(np.asarray(a, dtype=float) for a in axes)
-    vals = _unnormalized_target(target, axes, beta)
-    z = float(np.sum(_weight_tensor(axes) * vals))
+    vals = _unnormalized_target(target, grid, beta)
+    z = float(np.sum(grid.weights * vals))
     if not np.isfinite(z) or z <= 0:
         raise DegenerateDensityError("target has non-finite or zero grid mass")
     if check_truncation:
         ext_axes = []
-        for a in axes:
+        for a in grid.axes:
             dx = a[1] - a[0]
             extra = int(np.ceil(GRID_EXTENSION * (a[-1] - a[0]) / dx))
             lo = a[0] - extra * dx
             ext_axes.append(np.linspace(lo, a[-1] + extra * dx, a.size + 2 * extra))
-        vals_ext = _unnormalized_target(target, tuple(ext_axes), beta)
-        z_ext = float(np.sum(_weight_tensor(tuple(ext_axes)) * vals_ext))
+        ext = Grid(tuple(ext_axes))
+        # values before weights: keeps the weights out of the potential's peak memory
+        vals_ext = _unnormalized_target(target, ext, beta)
+        z_ext = float(np.sum(ext.weights * vals_ext))
         if (z_ext - z) / z_ext > TAIL_MASS_TOL:
             raise TruncationError(
                 f"target mass outside grid is {(z_ext - z) / z_ext:.3e} "
                 f"(> {TAIL_MASS_TOL:.1e}); widen the grid")
-    return GridDensity(axes, vals / z)
+    return GridDensity(grid, vals / z)
 
 
-def _unnormalized_target(target: Potential, axes, beta: float) -> np.ndarray:
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    v = target.eval_fn(pts)
+def _unnormalized_target(target: Potential, grid: Grid, beta: float) -> np.ndarray:
+    v = target.eval_fn(grid.points)
     v = v - v.min()  # stabilize the exponential; cancels in normalization
-    return np.exp(-beta * v).reshape([a.size for a in axes])
+    return np.exp(-beta * v).reshape(grid.shape)
 
 
 # ------------------------------------------------------------ estimators
 
-def kde(ensemble: ParticleEnsemble, bandwidth, query_axes) -> GridDensity:
-    """Gaussian-product-kernel density estimate, normalized on the grid.
+def kde(ensemble: ParticleEnsemble, bandwidth, query_axes: Grid) -> GridDensity:
+    """Gaussian-product-kernel density estimate, normalized on the Grid query_axes.
 
     bandwidth: positive float, per-axis array, or "auto" for the Silverman
     rule (4/(d+2))^{1/(d+4)} N^{-1/(d+4)} * per-axis sample std, which in
@@ -253,7 +290,7 @@ def kde(ensemble: ParticleEnsemble, bandwidth, query_axes) -> GridDensity:
     """
     if ensemble.n < 2:
         raise ParameterError("kde needs at least 2 particles")
-    axes = tuple(np.asarray(a, dtype=float) for a in query_axes)
+    axes = query_axes.axes
     d = len(axes)
     if ensemble.dim != d:
         raise ParameterError(f"ensemble dim {ensemble.dim} != query grid dim {d}")
@@ -291,7 +328,7 @@ def kde(ensemble: ParticleEnsemble, bandwidth, query_axes) -> GridDensity:
                    for i in range(d)]
         spec = "aj,bj->ab" if d == 2 else "aj,bj,cj->abc"
         vals = np.einsum(spec, *kernels) / ensemble.n
-    return GridDensity(axes, vals).normalize()
+    return GridDensity(query_axes, vals).normalize()
 
 
 def _axis_kernel(grid, pts, bw, out):
@@ -317,11 +354,11 @@ def divergences(g: GridDensity, rs: GridDensity, grad_v: np.ndarray,
                 beta: float) -> tuple:
     """(KL, relative Fisher information, M0, TV) of g in one pass.
 
-    rs is target_density(target, g.axes, beta) and grad_v is
-    target.grad_fn(g.points()), both built once per run by the caller; the
+    rs is target_density(target, g.grid, beta) and grad_v is
+    target.grad_fn(g.grid.points), both built once per run by the caller; the
     standalone functions below build (and truncation-check) them per call.
     """
-    w = g.weights()
+    w = g.grid.weights
     sq = _relative_score(g, grad_v, beta)
     return (relative_entropy(g, rs),
             float(np.sum(w * sq * g.values)),
@@ -333,27 +370,25 @@ def relative_entropy(g: GridDensity, rs: GridDensity) -> float:
     """KL(g || rs) of two densities on the same grid."""
     ratio_log = g.log_values() - rs.log_values()
     integrand = np.where(g.values > 0, g.values * ratio_log, 0.0)
-    return float(np.sum(g.weights() * integrand))
+    return float(np.sum(g.grid.weights * integrand))
 
 
 def _relative_score(g: GridDensity, grad_v: np.ndarray, beta: float) -> np.ndarray:
     """|grad log(g/rho*)|^2 on the grid; target part analytic (-beta*grad V)."""
-    grads = g.score()
     sq = np.zeros_like(g.values)
-    shape = g.values.shape
-    for i in range(g.dim):
-        s = grads[i] + beta * grad_v[:, i].reshape(shape)
+    for i, gr in enumerate(g.score()):
+        s = gr + beta * grad_v[:, i].reshape(g.grid.shape)
         sq += s * s
     return sq
 
 
 def _divergences_of(g: GridDensity, target: Potential, beta: float) -> tuple:
-    return divergences(g, target_density(target, g.axes, beta),
-                       target.grad_fn(g.points()), beta)
+    return divergences(g, target_density(target, g.grid, beta),
+                       target.grad_fn(g.grid.points), beta)
 
 
 def kl_divergence(g: GridDensity, target: Potential, beta: float) -> float:
-    return relative_entropy(g, target_density(target, g.axes, beta))
+    return relative_entropy(g, target_density(target, g.grid, beta))
 
 
 def fisher_information(g: GridDensity, target: Potential, beta: float) -> float:
@@ -382,10 +417,10 @@ def w2_1d(samples_a: np.ndarray, samples_b: np.ndarray) -> float:
 
 def grid_quantiles(g: GridDensity, probs: np.ndarray) -> np.ndarray:
     """Quantile function of a 1-D grid density via its trapezoid CDF."""
-    if g.dim != 1:
+    if g.grid.dim != 1:
         raise ParameterError("grid_quantiles requires a 1-D density")
-    x = g.axes[0]
-    dx = g.spacing[0]
+    x = g.grid.axes[0]
+    dx = g.grid.spacing[0]
     mid = 0.5 * (g.values[1:] + g.values[:-1]) * dx
     cdf = np.concatenate([[0.0], np.cumsum(mid)])
     cdf /= cdf[-1]
@@ -396,7 +431,7 @@ def w2_to_target_1d(samples: np.ndarray, reference: GridDensity) -> float:
     """W2 between a 1-D sample and a 1-D target density, via exact quantile coupling.
 
     reference is the target on its grid, e.g.
-    target_density(target, (axis,), beta, check_truncation=False).
+    target_density(target, Grid((axis,)), beta, check_truncation=False).
     """
     s = np.sort(np.asarray(samples, dtype=float))
     q = grid_quantiles(reference, (np.arange(s.size) + 0.5) / s.size)
@@ -418,13 +453,12 @@ def fp_rhs(g: GridDensity, target: Potential, beta: float) -> np.ndarray:
     Central differences inside, one-sided at the boundary; the flux form
     keeps the discrete integral of the output near zero.
     """
-    if any(a.size < 5 for a in g.axes):
+    if any(n < 5 for n in g.grid.shape):
         raise ParameterError("fp_rhs needs at least 5 points per axis")
-    shape = g.values.shape
-    gv = target.grad_fn(g.points())
+    gv = target.grad_fn(g.grid.points)
     rhs = np.zeros_like(g.values)
-    for i in range(g.dim):
-        flux = g.values * gv[:, i].reshape(shape) \
-            + central_diff(g.values, g.spacing[i], i) / beta
-        rhs += central_diff(flux, g.spacing[i], i)
+    for i, dx in enumerate(g.grid.spacing):
+        flux = g.values * gv[:, i].reshape(g.grid.shape) \
+            + central_diff(g.values, dx, i) / beta
+        rhs += central_diff(flux, dx, i)
     return rhs

@@ -26,11 +26,10 @@ def _logsumexp(a, axis=None):
 
 @dataclass
 class Potential:
-    """A potential V with gradient, Laplacian and regularity metadata.
+    """A potential V with gradient, Laplacian and convexity metadata.
 
     alpha is the strong log-concavity constant (Hessian >= alpha*I) when
-    known; lipschitz_grad bounds the Hessian norm. Both are optional and
-    purely informational for samplers/theory.
+    known; samplers and theory read it for stepsize limits and KL bounds.
     """
 
     dim: int
@@ -38,7 +37,6 @@ class Potential:
     grad_fn: Callable[[np.ndarray], np.ndarray]
     laplacian_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     alpha: Optional[float] = None
-    lipschitz_grad: Optional[float] = None
     name: str = "potential"
     params: dict = field(default_factory=dict)
 
@@ -123,7 +121,6 @@ def make_quadratic(alpha: float, dim: int) -> Potential:
         grad_fn=lambda x: alpha * x,
         laplacian_fn=lambda x: np.full(x.shape[0], alpha * dim),
         alpha=float(alpha),
-        lipschitz_grad=float(alpha),
         name="quadratic",
         params={"alpha": float(alpha), "dim": dim},
     )

@@ -28,12 +28,12 @@ from typing import Optional
 import numpy as np
 
 from . import theory
-from .density import (DiagnosticsReport, GridDensity, ParticleEnsemble,
-                      central_diff, divergences, kde, uniform_axis, w2_grids_1d,
-                      w2_to_target_1d, target_density)
+from .density import (DiagnosticsReport, Grid, GridDensity, ParticleEnsemble,
+                      central_diff, divergences, kde, w2_grids_1d, w2_to_target_1d,
+                      target_density)
 from .errors import DegenerateDensityError, EvaluationError, ParameterError
 from .potentials import Potential, make_gaussian_mixture, make_quadratic
-from .proximal import GridProxOperator, ProxParams, prox_particle_score
+from .proximal import BACKENDS, GridProxOperator, ProxParams, prox_particle_score
 
 METHODS = ("brwp_kde", "brwp_successive", "brwp_particle", "ula", "explicit_flow")
 CLAMP_FRACTION_ABORT = 0.01
@@ -59,6 +59,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ParameterError(f"unknown method {self.method!r}; known: {METHODS}")
+        if self.backend not in BACKENDS:
+            raise ParameterError(f"unknown backend {self.backend!r}; known: {BACKENDS}")
         if self.h <= 0:
             raise ParameterError(f"h must be positive, got {self.h}")
         if self.T is None:
@@ -70,9 +72,6 @@ class SamplerConfig:
         if self.diag_every < 1:
             raise ParameterError("diag_every must be >= 1")
 
-    def axes(self) -> tuple:
-        return tuple(uniform_axis(lo, hi, n) for lo, hi, n in self.grid)
-
     @property
     def grid_backend(self) -> str:
         """Backend of the grid operator; the particle backend's grid form is quadrature."""
@@ -83,6 +82,7 @@ class SamplerConfig:
 class DensityState:
     """Per-run cached grid machinery (and the chain for the successive mode).
 
+    grid is the run's Grid, Grid.uniform(cfg.grid), built once per run.
     target is the diagnostics target on the measurement grid, truncation-checked
     when first built, and target_grad its potential's gradient at the grid
     points; w2_target is its first-axis 1-D marginal for W2. kde
@@ -91,6 +91,7 @@ class DensityState:
     written.
     """
 
+    grid: Grid
     operator: Optional[GridProxOperator] = None
     chain: Optional[GridDensity] = None
     target: Optional[GridDensity] = None
@@ -107,13 +108,14 @@ def ula_step(ensemble: ParticleEnsemble, target: Potential, h: float,
     noise = rng.standard_normal(ensemble.points.shape)
     pts = ensemble.points - h * target.grad_fn(ensemble.points) \
         + np.sqrt(2.0 * h / beta) * noise
-    return ParticleEnsemble(pts, ensemble.step_index + 1, ensemble.seed)
+    return ParticleEnsemble(pts, ensemble.step_index + 1)
 
 
-def interp_at(axes, field: np.ndarray, pts: np.ndarray):
-    """Multilinear interpolation of a grid field at points, clamped to the grid.
+def interp_at(axes, fields, pts: np.ndarray):
+    """Multilinear interpolation of k grid fields at points, clamped to the grid.
 
-    Returns (values, n_clamped). Clamped points use the nearest cell edge.
+    Returns (values of shape (N, k), n_clamped); the cell lookup is shared by
+    the fields. Clamped points use the nearest cell edge.
     """
     d = len(axes)
     n_pts = pts.shape[0]
@@ -129,7 +131,7 @@ def interp_at(axes, field: np.ndarray, pts: np.ndarray):
         i0 = np.floor(t).astype(int)
         idx.append(i0)
         frac.append(t - i0)
-    out = np.zeros(n_pts)
+    out = np.zeros((n_pts, len(fields)))
     for corner in range(2**d):
         w = np.ones(n_pts)
         ind = []
@@ -137,24 +139,20 @@ def interp_at(axes, field: np.ndarray, pts: np.ndarray):
             hi = (corner >> i) & 1
             w *= frac[i] if hi else (1.0 - frac[i])
             ind.append(idx[i] + hi)
-        out += w * field[tuple(ind)]
+        for j, field in enumerate(fields):
+            out[:, j] += w * field[tuple(ind)]
     return out, int(clamped.sum())
 
 
 def _interp_score(axes, score_fields, pts: np.ndarray) -> np.ndarray:
-    out = np.empty_like(pts)
-    total_clamped = 0
-    for i, f in enumerate(score_fields):
-        vals, n_clamped = interp_at(axes, f, pts)
-        out[:, i] = vals
-        total_clamped = max(total_clamped, n_clamped)
-    if total_clamped > 0:
-        frac = total_clamped / pts.shape[0]
+    out, n_clamped = interp_at(axes, score_fields, pts)
+    if n_clamped > 0:
+        frac = n_clamped / pts.shape[0]
         if frac > CLAMP_FRACTION_ABORT:
             raise EvaluationError(
                 f"{frac:.1%} of particles left the score grid (> "
                 f"{CLAMP_FRACTION_ABORT:.0%}); widen the grid")
-        warnings.warn(f"{total_clamped} particle(s) clamped to the score grid edge",
+        warnings.warn(f"{n_clamped} particle(s) clamped to the score grid edge",
                       stacklevel=2)
     return out
 
@@ -167,9 +165,8 @@ def brwp_step(ensemble: ParticleEnsemble, target: Potential, cfg: SamplerConfig,
     if cfg.method == "brwp_particle":
         score, _ = prox_particle_score(ensemble, target, p)
     else:
-        axes = cfg.axes()
         if state.operator is None:
-            state.operator = GridProxOperator(axes, target, p, cfg.grid_backend)
+            state.operator = GridProxOperator(state.grid, target, p, cfg.grid_backend)
         if cfg.method == "brwp_successive":
             if state.chain is None:
                 raise ParameterError("successive mode needs an initial chain density")
@@ -180,16 +177,16 @@ def brwp_step(ensemble: ParticleEnsemble, target: Potential, cfg: SamplerConfig,
             _, _, fields = state.operator.score_of_step(rho_k)
         else:
             raise ParameterError(f"brwp_step cannot run method {cfg.method!r}")
-        score = _interp_score(axes, fields, ensemble.points)
+        score = _interp_score(state.grid.axes, fields, ensemble.points)
     pts = ensemble.points - h * (target.grad_fn(ensemble.points) + score / beta)
-    return ParticleEnsemble(pts, ensemble.step_index + 1, ensemble.seed), state
+    return ParticleEnsemble(pts, ensemble.step_index + 1), state
 
 
 def _grid_kde(ensemble: ParticleEnsemble, cfg: SamplerConfig,
               state: DensityState) -> GridDensity:
     """kde(ensemble) on the run grid, computed once per ensemble object."""
     if state.kde is None or state.kde[0] is not ensemble:
-        state.kde = (ensemble, kde(ensemble, cfg.kde_bandwidth, cfg.axes()))
+        state.kde = (ensemble, kde(ensemble, cfg.kde_bandwidth, state.grid))
     return state.kde[1]
 
 
@@ -200,27 +197,24 @@ def explicit_flow_step(ensemble: ParticleEnsemble, target: Potential,
 
     With a run's state, the KDE its diagnostics made of this ensemble is reused.
     """
-    axes = cfg.axes()
     if state is None:
-        rho_k = kde(ensemble, cfg.kde_bandwidth, axes)
-    else:
-        rho_k = _grid_kde(ensemble, cfg, state)
-    score = _interp_score(axes, rho_k.score(), ensemble.points)
+        state = DensityState(Grid.uniform(cfg.grid))
+    rho_k = _grid_kde(ensemble, cfg, state)
+    score = _interp_score(state.grid.axes, rho_k.score(), ensemble.points)
     pts = ensemble.points - cfg.h * (target.grad_fn(ensemble.points) + score / cfg.beta)
-    return ParticleEnsemble(pts, ensemble.step_index + 1, ensemble.seed)
+    return ParticleEnsemble(pts, ensemble.step_index + 1)
 
 
 def initial_ensemble(cfg: SamplerConfig, dim: int, rng) -> ParticleEnsemble:
     pts = cfg.init_mean + np.sqrt(cfg.init_sigma_sq) * rng.standard_normal(
         (cfg.n_particles, dim))
-    return ParticleEnsemble(pts, 0, cfg.seed)
+    return ParticleEnsemble(pts)
 
 
-def initial_grid_density(cfg: SamplerConfig, axes) -> GridDensity:
-    mesh = np.meshgrid(*axes, indexing="ij")
-    sq = sum((m - cfg.init_mean) ** 2 for m in mesh)
+def initial_grid_density(cfg: SamplerConfig, grid: Grid) -> GridDensity:
+    sq = sum((m - cfg.init_mean) ** 2 for m in grid.mesh)
     vals = np.exp(-sq / (2.0 * cfg.init_sigma_sq))
-    return GridDensity(axes, vals).normalize()
+    return GridDensity(grid, vals).normalize()
 
 
 def marginal_target(target: Potential) -> Optional[Potential]:
@@ -240,7 +234,6 @@ def marginal_target(target: Potential) -> Optional[Potential]:
 class RunResult:
     reports: list = field(default_factory=list)
     ensemble: Optional[ParticleEnsemble] = None
-    density: Optional[GridDensity] = None
 
 
 def _diagnose(cfg: SamplerConfig, target: Potential, ensemble: ParticleEnsemble,
@@ -251,26 +244,24 @@ def _diagnose(cfg: SamplerConfig, target: Potential, ensemble: ParticleEnsemble,
     # measurement density + matching target
     if cfg.method == "brwp_successive":
         g, meas_target = state.chain, target
-    elif target.dim <= 3 and len(cfg.grid) == target.dim:
-        g = _grid_kde(ensemble, cfg, state)
-        meas_target = target
+    elif target.dim == state.grid.dim:
+        g, meas_target = _grid_kde(ensemble, cfg, state), target
     elif marg1d is not None:
-        marg = ParticleEnsemble(ensemble.points[:, :1], ensemble.step_index,
-                                ensemble.seed)
-        g = kde(marg, cfg.kde_bandwidth, (cfg.axes()[0],))
+        marg = ParticleEnsemble(ensemble.points[:, :1], ensemble.step_index)
+        g = kde(marg, cfg.kde_bandwidth, state.grid.marginal)
         meas_target = marg1d
     else:
         return DiagnosticsReport(k, *([float("nan")] * 5))
     if state.target is None:
-        state.target = target_density(meas_target, g.axes, beta)
-        state.target_grad = meas_target.grad_fn(g.points())
+        state.target = target_density(meas_target, g.grid, beta)
+        state.target_grad = meas_target.grad_fn(g.grid.points)
     kl, fi, m0, tv = divergences(g, state.target, state.target_grad, beta)
     # W2 in the first dimension, exact quantile coupling
     if marg1d is None:
         w2 = float("nan")
     else:
         if state.w2_target is None:
-            state.w2_target = target_density(marg1d, (g.axes[0],), beta,
+            state.w2_target = target_density(marg1d, g.grid.marginal, beta,
                                              check_truncation=False)
         if cfg.method == "brwp_successive":
             w2 = w2_grids_1d(g.marginal_first(), state.w2_target)
@@ -287,16 +278,13 @@ def _diagnose(cfg: SamplerConfig, target: Potential, ensemble: ParticleEnsemble,
     return DiagnosticsReport(k, kl, fi, m0, tv, w2, bound, ms)
 
 
-def run(cfg: SamplerConfig, target: Potential, diag_every: Optional[int] = None,
-        init_points: Optional[np.ndarray] = None,
-        init_density: Optional[GridDensity] = None) -> RunResult:
+def run(cfg: SamplerConfig, target: Potential,
+        init_points: Optional[np.ndarray] = None) -> RunResult:
     """Execute cfg.n_steps synchronous steps, recording diagnostics.
 
     Deterministic for a fixed config: the RNG is seeded from cfg.seed and
     the semi-implicit modes draw no noise after initialization.
     """
-    if diag_every is None:
-        diag_every = cfg.diag_every
     if target.alpha is not None and cfg.h > theory.max_stepsize(target.alpha):
         warnings.warn(f"h={cfg.h} exceeds the maximum stable stepsize "
                       f"2/(3*alpha)={theory.max_stepsize(target.alpha):.4f}",
@@ -304,15 +292,14 @@ def run(cfg: SamplerConfig, target: Potential, diag_every: Optional[int] = None,
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     if init_points is not None:
-        ens = ParticleEnsemble(np.array(init_points, dtype=float), 0, cfg.seed)
+        ens = ParticleEnsemble(np.array(init_points, dtype=float))
     else:
         ens = initial_ensemble(cfg, target.dim, rng)
-    state = DensityState()
+    state = DensityState(Grid.uniform(cfg.grid))
     if cfg.method == "brwp_successive":
         if target.dim > 3:
             raise ParameterError("successive mode needs a full grid (dim <= 3)")
-        state.chain = init_density if init_density is not None \
-            else initial_grid_density(cfg, cfg.axes())
+        state.chain = initial_grid_density(cfg, state.grid)
     bound_ctx = {} if target.alpha is not None else None
     result = RunResult()
     result.reports.append(_diagnose(cfg, target, ens, state, 0, t0, bound_ctx))
@@ -323,10 +310,9 @@ def run(cfg: SamplerConfig, target: Potential, diag_every: Optional[int] = None,
             ens = explicit_flow_step(ens, target, cfg, state)
         else:
             ens, state = brwp_step(ens, target, cfg, state)
-        if k % diag_every == 0 or k == cfg.n_steps:
+        if k % cfg.diag_every == 0 or k == cfg.n_steps:
             result.reports.append(_diagnose(cfg, target, ens, state, k, t0, bound_ctx))
     result.ensemble = ens
-    result.density = state.chain
     return result
 
 
@@ -339,8 +325,7 @@ class LawTrace:
     folded: bool          # particle map lost monotonicity at some step
 
 
-def evolve_law(cfg: SamplerConfig, target: Potential,
-               init_density: Optional[GridDensity] = None) -> LawTrace:
+def evolve_law(cfg: SamplerConfig, target: Potential) -> LawTrace:
     """Deterministic evolution of the closed-loop particle law on a 1-D grid.
 
     Each step scores Prox_T of the current law and pushes the law through
@@ -350,29 +335,27 @@ def evolve_law(cfg: SamplerConfig, target: Potential,
     """
     if target.dim != 1:
         raise ParameterError("evolve_law supports dim=1 grids only")
-    axes = cfg.axes()
-    x = axes[0]
-    w_dx = x[1] - x[0]
-    p = ProxParams(T=cfg.T, beta=cfg.beta)
-    op = GridProxOperator(axes, target, p, cfg.grid_backend)
-    rho = init_density if init_density is not None else initial_grid_density(cfg, axes)
-    grad_v = target.grad_fn(x[:, None])
+    grid = Grid.uniform(cfg.grid)
+    x = grid.axes[0]
+    op = GridProxOperator(grid, target, ProxParams(T=cfg.T, beta=cfg.beta), cfg.grid_backend)
+    rho = initial_grid_density(cfg, grid)
+    grad_v = target.grad_fn(grid.points)
     # in 1-D the truncation-checked target is also the W2 reference
-    rs = target_density(target, axes, cfg.beta)
+    rs = target_density(target, grid, cfg.beta)
     t0 = time.perf_counter()
     reports = [_law_report(cfg, grad_v, rs, rho, 0, t0)]
     folded = False
     for k in range(1, cfg.n_steps + 1):
         _, _, fields = op.score_of_step(rho)
         m = x - cfg.h * (grad_v[:, 0] + fields[0] / cfg.beta)
-        dm = central_diff(m, w_dx, 0)
+        dm = central_diff(m, grid.spacing[0], 0)
         if np.any(dm <= 0):
             folded = True
         vals = np.where(np.abs(dm) > 1e-300, rho.values / np.abs(dm), 0.0)
         order = np.argsort(m)
         new_vals = np.interp(x, m[order], vals[order], left=0.0, right=0.0)
         try:
-            rho = GridDensity(axes, np.maximum(new_vals, 0.0)).normalize()
+            rho = GridDensity(grid, np.maximum(new_vals, 0.0)).normalize()
         except DegenerateDensityError:
             folded = True
             break

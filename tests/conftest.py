@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from brwplab.density import GridDensity, uniform_axis
+from brwplab.density import Grid, GridDensity, uniform_axis
 from brwplab.potentials import make_gaussian_mixture, make_quadratic, make_zero
 
 
@@ -27,7 +27,7 @@ def zero1d():
 
 def gaussian_grid(axis, mean=0.0, var=1.0):
     vals = np.exp(-(axis - mean) ** 2 / (2.0 * var))
-    return GridDensity((axis,), vals).normalize()
+    return GridDensity(Grid((axis,)), vals).normalize()
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from brwplab.density import (GridDensity, ParticleEnsemble, kl_divergence,
+from brwplab.density import (Grid, GridDensity, ParticleEnsemble, kl_divergence,
                              target_density, uniform_axis, w2_grids_1d)
 from brwplab.potentials import (from_catalog, make_gaussian_mixture,
                                 make_quadratic, make_zero)
@@ -51,20 +51,21 @@ def ula_invariant_density(target, beta, h, axes, tol=2e-14, max_iter=6000):
     var = 2.0 * h / beta
     kernel = np.exp(-(x[:, None] - mu[None, :]) ** 2 / (2 * var)) \
         / np.sqrt(2 * np.pi * var)
-    pi = target_density(target, axes, beta).values
+    grid = Grid(axes)
+    pi = target_density(target, grid, beta).values
     for it in range(max_iter):
         nxt = kernel @ (w * pi)
         nxt /= np.sum(w * nxt)
         if it % 20 == 19 and np.max(np.abs(nxt - pi)) < tol:
-            return GridDensity(axes, nxt)
+            return GridDensity(grid, nxt)
         pi = nxt
-    return GridDensity(axes, pi)
+    return GridDensity(grid, pi)
 
 
 def successive_chain_plateau(target, beta, t_step, axes, tol=1e-13,
                              max_iter=4000):
-    op = GridProxOperator(axes, target, ProxParams(T=t_step, beta=beta))
-    g = target_density(target, axes, beta)
+    op = GridProxOperator(Grid(axes), target, ProxParams(T=t_step, beta=beta))
+    g = target_density(target, op.grid, beta)
     prev = np.inf
     for it in range(max_iter):
         g, _ = op.step(g)
@@ -96,17 +97,18 @@ def test_acceptance_1_order_two_consistency():
 
 def test_acceptance_2_laplace_denominator_accuracy():
     t0 = time.perf_counter()
+    grid = Grid((AXIS,))
     slopes = {}
     for y in (-2.0, 0.0, 2.0):
         t_list = [0.2, 0.1, 0.05, 0.025]
         errs = []
         for t_step in t_list:
-            p = ProxParams(T=t_step, beta=1.0, z_axes=(AXIS,))
-            errs.append(abs(denominator_exact([y], QUAD, p)
+            p = ProxParams(T=t_step, beta=1.0)
+            errs.append(abs(denominator_exact([y], QUAD, p, grid)
                             - denominator_laplace([y], QUAD, p)))
         slopes[y] = _slope(t_list, errs)
-    p = ProxParams(T=0.1, beta=1.0, z_axes=(AXIS,))
-    exact = denominator_exact([0.0], QUAD, p)
+    p = ProxParams(T=0.1, beta=1.0)
+    exact = denominator_exact([0.0], QUAD, p, grid)
     lap = denominator_laplace([0.0], QUAD, p)
     elapsed = time.perf_counter() - t0
     ok = (all(s >= 1.7 for s in slopes.values())
@@ -138,7 +140,7 @@ def test_acceptance_3_heat_kernel_reduction():
 def test_acceptance_4_pure_prox_kl_decay():
     t0 = time.perf_counter()
     t_step, alpha = 0.01, 1.0
-    op = GridProxOperator((AXIS,), QUAD, ProxParams(T=t_step, beta=1.0))
+    op = GridProxOperator(Grid((AXIS,)), QUAD, ProxParams(T=t_step, beta=1.0))
     g = gaussian_grid(AXIS, var=2.0)
     kl0 = kl_divergence(g, QUAD, 1.0)
     worst_margin = np.inf
@@ -233,7 +235,7 @@ def test_bias_order_w2_exhibits_h_vs_h2_gap():
     ula_w2, law_w2 = [], []
     for h in H_BIAS:
         pi = ula_invariant_density(QUAD, 1.0, h, (AXIS,))
-        rs = target_density(QUAD, (AXIS,), 1.0)
+        rs = target_density(QUAD, Grid((AXIS,)), 1.0)
         ula_w2.append(w2_grids_1d(pi, rs, 2048))
         cfg = SamplerConfig(method="brwp_successive", h=h, n_steps=400,
                             n_particles=100, seed=0, diag_every=400)
@@ -331,8 +333,9 @@ def test_acceptance_10_property_suites():
         assert fisher_information(g, QUAD, 1.0) >= \
             2.0 * kl_divergence(g, QUAD, 1.0) - 1e-6
     # stationarity fixed point: chain started at the target stays at its floor
-    rs = target_density(QUAD, (AXIS,), 1.0)
-    op = GridProxOperator((AXIS,), QUAD, ProxParams(T=0.02, beta=1.0))
+    grid = Grid((AXIS,))
+    rs = target_density(QUAD, grid, 1.0)
+    op = GridProxOperator(grid, QUAD, ProxParams(T=0.02, beta=1.0))
     g = rs
     for _ in range(10):
         g, _ = op.step(g)
@@ -341,7 +344,7 @@ def test_acceptance_10_property_suites():
     cfg = SamplerConfig(method="brwp_successive", h=0.02, n_particles=500,
                         n_steps=1, seed=5)
     pts = np.random.default_rng(5).standard_normal((500, 1))
-    out, _ = brwp_step(ParticleEnsemble(pts), QUAD, cfg, DensityState(chain=rs))
+    out, _ = brwp_step(ParticleEnsemble(pts), QUAD, cfg, DensityState(grid, chain=rs))
     assert np.mean(np.abs(out.points - pts)) <= 2e-2 * cfg.h
     # determinism: byte-identical reruns
     for method in ("ula", "brwp_successive"):

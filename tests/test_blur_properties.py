@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, seed, settings, strategies as st
 
-from brwplab.density import uniform_axis
+from brwplab.density import Grid, uniform_axis
 from brwplab.potentials import make_zero
 from brwplab.proximal import GridProxOperator, ProxParams
 
@@ -17,7 +17,7 @@ from brwplab.proximal import GridProxOperator, ProxParams
 def test_nonnegative_bounded_and_repeatable(g, half_width, T, beta, n_bumps, cut_lo, cut_hi,
                                             rng_seed):
     axis = uniform_axis(-half_width, half_width, g)
-    op = GridProxOperator((axis,), make_zero(1), ProxParams(T=T, beta=beta))
+    op = GridProxOperator(Grid((axis,)), make_zero(1), ProxParams(T=T, beta=beta))
     rng = np.random.default_rng(rng_seed)
     vals = np.zeros(g)
     for _ in range(n_bumps):

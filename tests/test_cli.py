@@ -93,6 +93,14 @@ class TestSample:
                        "--target.id", "swiss_roll")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("method", ["ula", "brwp_particle"])
+    def test_unknown_backend_is_config_error(self, tmp_path, method, capsys):
+        code = run_cli("sample", "--out", str(tmp_path / "b"), "--sampler.method", method,
+                       "--sampler.backend", "bogus", "--sampler.n_steps", "1",
+                       "--sampler.n_particles", "16", "--plot", "false")
+        assert code == EXIT_CONFIG
+        assert "unknown backend 'bogus'" in capsys.readouterr().err
+
     def test_narrow_grid_is_numerical_abort(self, tmp_path, capsys):
         code = run_cli("sample", "--out", str(tmp_path / "n"), "--target.id", "quadratic",
                        "--grid.lo", "-3", "--grid.hi", "3", "--grid.n", "241",
@@ -212,6 +220,30 @@ class TestProxEvolve:
                 "--plot", "false")
         g = GridDensity.from_csv(out / "density_iter_0002.csv")
         assert g.mass() == pytest.approx(1.0, abs=1e-9)
+
+
+RERUN_ARGS = {
+    "prox-evolve": ("--prox.iters", "4", "--prox.save_every", "2"),
+    "order-check": (),
+    "denominator-check": (),
+    "decay-check": ("--sampler.n_steps", "5", "--sampler.n_particles", "64"),
+    "stepsize-sweep": ("--sweep.h_list", "0.2,0.4", "--sweep.n_steps", "10"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RERUN_ARGS))
+def test_rerun_byte_identical(command, tmp_path):
+    outs = (tmp_path / "a", tmp_path / "b")
+    for out in outs:
+        assert run_cli(command, *RERUN_ARGS[command], "--out", str(out)) == EXIT_OK
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "manifest.json" in names and len(names) > 1
+    for name in names:
+        a, b = ((out / name).read_bytes() for out in outs)
+        if name == "manifest.json":    # runtime_s is the one field that varies
+            a, b = ({**json.loads(x), "runtime_s": None} for x in (a, b))
+        assert a == b, name
 
 
 def test_unknown_positional_is_config_error(tmp_path):

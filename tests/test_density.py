@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from brwplab.density import (KDE_BLOCK, DiagnosticsReport, GridDensity,
+from brwplab.density import (KDE_BLOCK, DiagnosticsReport, Grid, GridDensity,
                              ParticleEnsemble, divergences, fisher_information,
                              fourth_moment_m0, fp_rhs, kde, kl_divergence,
                              silverman_bandwidth, target_density, tv_distance,
@@ -21,25 +21,49 @@ def gaussian_kl(sigma_sq, mu=0.0):
 class TestNormalize:
     def test_constant_density(self):
         ax = uniform_axis(0.0, 1.0, 11)
-        g = GridDensity((ax,), np.full(11, 2.0)).normalize()
+        g = GridDensity(Grid((ax,)), np.full(11, 2.0)).normalize()
         assert np.allclose(g.values, 1.0)
         assert g.mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_gaussian_matches_analytic_pdf(self):
         ax = uniform_axis(-8.0, 8.0, 1601)
-        g = GridDensity((ax,), np.exp(-ax**2 / 2)).normalize()
+        g = GridDensity(Grid((ax,)), np.exp(-ax**2 / 2)).normalize()
         ref = np.exp(-ax**2 / 2) / np.sqrt(2 * np.pi)
         assert np.max(np.abs(g.values - ref)) < 1e-6
 
     def test_zero_mass_raises(self):
         ax = uniform_axis(0.0, 1.0, 11)
         with pytest.raises(DegenerateDensityError):
-            GridDensity((ax,), np.zeros(11)).normalize()
+            GridDensity(Grid((ax,)), np.zeros(11)).normalize()
 
     def test_negative_values_rejected(self):
         ax = uniform_axis(0.0, 1.0, 11)
         with pytest.raises(DegenerateDensityError):
-            GridDensity((ax,), np.linspace(-1, 1, 11))
+            GridDensity(Grid((ax,)), np.linspace(-1, 1, 11))
+
+
+class TestGrid:
+    @pytest.mark.parametrize("axes", [
+        pytest.param((np.array([0.0, 1.0, 3.0]),), id="non-uniform"),
+        pytest.param((), id="0-axes"),
+        pytest.param((np.linspace(0, 1, 5),) * 4, id="4-axes"),
+        pytest.param((np.linspace(0, 1, 5), np.array([0.5])), id="1-point-axis"),
+        pytest.param((np.zeros((2, 2)),), id="2-d-axis"),
+    ])
+    def test_bad_axes_rejected(self, axes):
+        with pytest.raises(ParameterError):
+            Grid(axes)
+
+    def test_layout_matches_meshgrid(self):
+        grid = Grid.uniform(((-1.0, 1.0, 5), (0.0, 2.0, 3), (-3.0, 3.0, 4)))
+        mesh = np.meshgrid(*grid.axes, indexing="ij")
+        assert grid.shape == (5, 3, 4) and grid.dim == 3
+        assert np.array_equal(grid.points, np.stack([m.reshape(-1) for m in mesh], axis=1))
+        for i in range(grid.dim):
+            assert np.array_equal(grid.mesh[i], mesh[i])
+            assert np.shares_memory(grid.mesh[i], grid.points)
+        assert grid.weights is grid.weights and grid.points is grid.points
+        assert [ax.size for ax in grid] == [5, 3, 4]
 
 
 class TestKde:
@@ -47,7 +71,7 @@ class TestKde:
         ax = uniform_axis(-10.0, 10.0, 2001)
         pts = np.full((50, 1), 0.7)
         bw = 0.8
-        g = kde(ParticleEnsemble(pts), bw, (ax,))
+        g = kde(ParticleEnsemble(pts), bw, Grid((ax,)))
         ref = np.exp(-(ax - 0.7) ** 2 / (2 * bw**2)) / (bw * np.sqrt(2 * np.pi))
         assert np.max(np.abs(g.values - ref)) < 1e-8
 
@@ -64,7 +88,7 @@ class TestKde:
     def test_bad_bandwidth_rejected(self):
         pts = np.random.default_rng(0).standard_normal((10, 1))
         with pytest.raises(ParameterError):
-            kde(ParticleEnsemble(pts), -0.5, (uniform_axis(-5, 5, 101),))
+            kde(ParticleEnsemble(pts), -0.5, Grid((uniform_axis(-5, 5, 101),)))
 
     @pytest.mark.parametrize("dim, n, half", [
         pytest.param(1, KDE_BLOCK - 1, 8.0, id="1-127"),
@@ -80,29 +104,30 @@ class TestKde:
         rng = np.random.default_rng(dim)
         ens = ParticleEnsemble(rng.standard_normal((300, dim)) * 1.3)
         axes = tuple(uniform_axis(-half, half, n) for _ in range(dim))
+        grid = Grid(axes)
         bw = silverman_bandwidth(ens.points)
         kernels = [np.exp(-(axes[i][:, None] - ens.points[None, :, i]) ** 2
                           / (2 * bw[i] ** 2)) / (bw[i] * np.sqrt(2 * np.pi))
                    for i in range(dim)]
-        got = kde(ens, "auto", axes).values
+        got = kde(ens, "auto", grid).values
         if dim == 1:
-            ref = GridDensity(axes, kernels[0].mean(axis=1)).normalize().values
+            ref = GridDensity(grid, kernels[0].mean(axis=1)).normalize().values
             assert np.all(np.abs(got - ref) <= 1e-12 * ref + 1e-300)
         else:
             vals = np.einsum("aj,bj,cj->abc", *kernels) / ens.n
-            assert np.array_equal(got, GridDensity(axes, vals).normalize().values)
+            assert np.array_equal(got, GridDensity(grid, vals).normalize().values)
 
     def test_2d_kde_mass(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((200, 2))
         axes = (uniform_axis(-8, 8, 161), uniform_axis(-8, 8, 161))
-        g = kde(ParticleEnsemble(pts), "auto", axes)
+        g = kde(ParticleEnsemble(pts), "auto", Grid(axes))
         assert g.mass() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestKl:
     def test_zero_at_target(self, axis_default, quad1d):
-        rs = target_density(quad1d, (axis_default,), 1.0)
+        rs = target_density(quad1d, Grid((axis_default,)), 1.0)
         assert abs(kl_divergence(rs, quad1d, 1.0)) < 1e-10
 
     def test_gaussian_closed_form_variance(self, axis_default, quad1d):
@@ -136,17 +161,17 @@ def test_fused_divergences_equal_standalone(dim, n):
     mesh = np.meshgrid(*axes, indexing="ij")
     vals = np.exp(-sum((m - 0.3) ** 2 for m in mesh) / 3.0)
     vals[vals < 1e-6] = 0.0
-    g = GridDensity(axes, vals).normalize()
+    g = GridDensity(Grid(axes), vals).normalize()
     assert np.any(g.values == 0.0)
-    fused = divergences(g, target_density(target, axes, beta), target.grad_fn(g.points()),
-                        beta)
+    fused = divergences(g, target_density(target, g.grid, beta),
+                        target.grad_fn(g.grid.points), beta)
     assert fused == (kl_divergence(g, target, beta), fisher_information(g, target, beta),
                      fourth_moment_m0(g, target, beta), tv_distance(g, target, beta))
 
 
 class TestFisher:
     def test_zero_at_target(self, axis_default, quad1d):
-        rs = target_density(quad1d, (axis_default,), 1.0)
+        rs = target_density(quad1d, Grid((axis_default,)), 1.0)
         assert abs(fisher_information(rs, quad1d, 1.0)) < 1e-8
 
     def test_gaussian_closed_form(self, axis_default, quad1d):
@@ -169,7 +194,7 @@ class TestFisher:
 
 class TestFourthMoment:
     def test_zero_at_target(self, axis_default, quad1d):
-        rs = target_density(quad1d, (axis_default,), 1.0)
+        rs = target_density(quad1d, Grid((axis_default,)), 1.0)
         assert fourth_moment_m0(rs, quad1d, 1.0) < 1e-8
 
     def test_gaussian_quadrature_oracle(self, axis_default, quad1d):
@@ -193,7 +218,7 @@ class TestFourthMoment:
 
 class TestTvW2:
     def test_tv_zero_at_target(self, axis_default, quad1d):
-        rs = target_density(quad1d, (axis_default,), 1.0)
+        rs = target_density(quad1d, Grid((axis_default,)), 1.0)
         assert tv_distance(rs, quad1d, 1.0) < 1e-10
 
     def test_tv_range(self, axis_default, quad1d):
@@ -221,7 +246,7 @@ class TestTvW2:
 class TestFpRhs:
     def test_stationary_at_target(self, quad1d):
         ax = uniform_axis(-8.0, 8.0, 1601)
-        rs = target_density(quad1d, (ax,), 1.0)
+        rs = target_density(quad1d, Grid((ax,)), 1.0)
         rhs = fp_rhs(rs, quad1d, 1.0)
         assert np.max(np.abs(rhs)) <= 1e-4
 
@@ -236,11 +261,11 @@ class TestFpRhs:
     def test_mass_conservation(self, axis_default, quad1d):
         g = gaussian_grid(axis_default, var=2.0)
         rhs = fp_rhs(g, quad1d, 1.0)
-        assert abs(np.sum(g.weights() * rhs)) < 1e-6
+        assert abs(np.sum(g.grid.weights * rhs)) < 1e-6
 
 def test_fp_rhs_needs_five_points(quad1d):
     ax = uniform_axis(-8.0, 8.0, 4)
-    g = GridDensity((ax,), np.ones(4)).normalize()
+    g = GridDensity(Grid((ax,)), np.ones(4)).normalize()
     with pytest.raises(ParameterError):
         fp_rhs(g, quad1d, 1.0)
 
@@ -252,7 +277,7 @@ def test_kl_decreases_along_fp_flow(axis_default, quad1d):
     prev_kl = kl_divergence(g, quad1d, beta)
     for _ in range(5):
         fi = fisher_information(g, quad1d, beta)
-        g = GridDensity(g.axes, np.maximum(g.values + dt * fp_rhs(g, quad1d, beta),
+        g = GridDensity(g.grid, np.maximum(g.values + dt * fp_rhs(g, quad1d, beta),
                                            0.0)).normalize()
         kl = kl_divergence(g, quad1d, beta)
         assert kl < prev_kl
@@ -268,12 +293,12 @@ class TestSerialization:
         g.to_csv(path)
         back = GridDensity.from_csv(path)
         assert np.array_equal(back.values, g.values)
-        assert np.array_equal(back.axes[0], g.axes[0])
+        assert np.array_equal(back.grid.axes[0], g.grid.axes[0])
 
     def test_csv_roundtrip_2d(self, tmp_path):
         axes = (uniform_axis(-3, 3, 31), uniform_axis(-2, 2, 21))
         mesh = np.meshgrid(*axes, indexing="ij")
-        g = GridDensity(axes, np.exp(-mesh[0] ** 2 - mesh[1] ** 2)).normalize()
+        g = GridDensity(Grid(axes), np.exp(-mesh[0] ** 2 - mesh[1] ** 2)).normalize()
         path = tmp_path / "dens2.csv"
         g.to_csv(path)
         back = GridDensity.from_csv(path)
@@ -291,7 +316,7 @@ def test_marginal_first_2d():
     axes = (uniform_axis(-6, 6, 121), uniform_axis(-6, 6, 121))
     mesh = np.meshgrid(*axes, indexing="ij")
     vals = np.exp(-((mesh[0] - 1) ** 2) / 2 - mesh[1] ** 2 / 4)
-    g = GridDensity(axes, vals).normalize()
+    g = GridDensity(Grid(axes), vals).normalize()
     marg = g.marginal_first()
     ref = np.exp(-((axes[0] - 1) ** 2) / 2) / np.sqrt(2 * np.pi)
     assert np.max(np.abs(marg.values - ref)) < 1e-6

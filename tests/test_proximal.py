@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brwplab.density import (GridDensity, ParticleEnsemble, fp_rhs, kde,
+from brwplab.density import (LOG_FLOOR, Grid, GridDensity, ParticleEnsemble, fp_rhs, kde,
                              kl_divergence, fisher_information, target_density,
                              uniform_axis)
 from brwplab.errors import (DegenerateDensityError, IsolatedParticleError,
@@ -56,7 +56,7 @@ def dense_particle_score(ensemble, target, p, query=None):
 
 def assert_blur_matches_dense(op, vals):
     """apply_blur within 1e-9 of the dense product, relative to the blur of |vals|."""
-    dense = op._blur_matrix(op.axes[0])
+    dense = op._blur_matrix(op.grid.axes[0])
     fast = op.apply_blur(vals)
     assert np.all(np.abs(fast - dense @ vals) <= 1e-9 * (dense @ np.abs(vals)))
     return fast
@@ -70,19 +70,20 @@ def assert_rel_close(a, b, tol):
 class TestDenominatorExact:
     def test_free_potential_is_one(self, axis_default, zero1d):
         for t_step, beta in ((0.5, 2.0), (0.1, 1.0), (0.03, 3.0)):
-            p = ProxParams(T=t_step, beta=beta, z_axes=(axis_default,))
-            assert denominator_exact([0.7], zero1d, p) == pytest.approx(1.0, abs=1e-8)
+            p = ProxParams(T=t_step, beta=beta)
+            assert denominator_exact([0.7], zero1d, p, Grid((axis_default,))) == \
+                pytest.approx(1.0, abs=1e-8)
 
     def test_quadratic_closed_form(self, axis_default, quad1d):
-        p = ProxParams(T=0.1, beta=1.0, z_axes=(axis_default,))
-        val = denominator_exact([0.0], quad1d, p)
+        p = ProxParams(T=0.1, beta=1.0)
+        val = denominator_exact([0.0], quad1d, p, Grid((axis_default,)))
         assert val == pytest.approx(denominator_oracle(0.0, 1, 1, 0.1), abs=1e-9)
         assert val == pytest.approx(0.9534625892455922, abs=1e-6)
 
     def test_quadratic_closed_form_off_center(self, axis_default, quad1d):
-        p = ProxParams(T=0.05, beta=1.0, z_axes=(axis_default,))
+        p = ProxParams(T=0.05, beta=1.0)
         for y in (-2.0, 1.3):
-            assert denominator_exact([y], quad1d, p) == pytest.approx(
+            assert denominator_exact([y], quad1d, p, Grid((axis_default,))) == pytest.approx(
                 denominator_oracle(y, 1, 1, 0.05), rel=1e-9)
 
     def test_constant_potential(self, axis_default):
@@ -90,15 +91,15 @@ class TestDenominatorExact:
         pot = Potential(dim=1, eval_fn=lambda x: np.full(x.shape[0], c),
                         grad_fn=lambda x: np.zeros_like(x),
                         laplacian_fn=lambda x: np.zeros(x.shape[0]))
-        p = ProxParams(T=0.2, beta=1.0, z_axes=(axis_default,))
+        p = ProxParams(T=0.2, beta=1.0)
         for y in (-3.0, 0.0, 4.0):
-            assert denominator_exact([y], pot, p) == pytest.approx(
+            assert denominator_exact([y], pot, p, Grid((axis_default,))) == pytest.approx(
                 np.exp(-c / 2), rel=1e-8)
 
     def test_narrow_grid_refused(self, quad1d):
-        p = ProxParams(T=0.5, beta=1.0, z_axes=(uniform_axis(-1.0, 1.0, 101),))
+        p = ProxParams(T=0.5, beta=1.0)
         with pytest.raises(TruncationError):
-            denominator_exact([0.0], quad1d, p)
+            denominator_exact([0.0], quad1d, p, Grid((uniform_axis(-1.0, 1.0, 101),)))
 
 
 class TestDenominatorLaplace:
@@ -113,8 +114,8 @@ class TestDenominatorLaplace:
         assert val == pytest.approx(0.952381, abs=1e-6)
 
     def test_gap_to_exact_is_small(self, axis_default, quad1d):
-        p = ProxParams(T=0.1, beta=1.0, z_axes=(axis_default,))
-        exact = denominator_exact([0.0], quad1d, p)
+        p = ProxParams(T=0.1, beta=1.0)
+        exact = denominator_exact([0.0], quad1d, p, Grid((axis_default,)))
         lap = denominator_laplace([0.0], quad1d, p)
         assert abs(exact - lap) == pytest.approx(1.1e-3, abs=2e-4)
 
@@ -123,8 +124,8 @@ class TestDenominatorLaplace:
         for y in (-2.0, 0.0, 2.0):
             errs = []
             for t_step in t_list:
-                p = ProxParams(T=t_step, beta=1.0, z_axes=(axis_default,))
-                errs.append(abs(denominator_exact([y], quad1d, p)
+                p = ProxParams(T=t_step, beta=1.0)
+                errs.append(abs(denominator_exact([y], quad1d, p, Grid((axis_default,)))
                                 - denominator_laplace([y], quad1d, p)))
             slope = np.polyfit(np.log(t_list), np.log(errs), 1)[0]
             assert slope >= 1.7
@@ -154,7 +155,7 @@ class TestProxStep:
     def test_quadratic_gaussian_chain_variance(self, axis_default, quad1d):
         rho0 = gaussian_grid(axis_default, var=4.0)
         rho_t, _ = prox_step(rho0, quad1d, ProxParams(T=0.05, beta=1.0))
-        var = float(np.sum(rho_t.weights() * axis_default**2 * rho_t.values))
+        var = float(np.sum(rho_t.grid.weights * axis_default**2 * rho_t.values))
         assert var == pytest.approx(prox_variance_oracle(4.0, 1, 1, 0.05), abs=1e-4)
         assert prox_variance_oracle(4.0, 1, 1, 0.05) == pytest.approx(
             3.723356009070295, rel=1e-12)
@@ -168,7 +169,7 @@ class TestProxStep:
 
     def test_mixture_becomes_bimodal(self, axis_default, mix1d):
         rho0 = gaussian_grid(axis_default, var=2.0)
-        op = GridProxOperator((axis_default,), mix1d, ProxParams(T=0.05, beta=1.0))
+        op = GridProxOperator(Grid((axis_default,)), mix1d, ProxParams(T=0.05, beta=1.0))
         g = rho0
         for _ in range(50):
             g, mass = op.step(g)
@@ -198,7 +199,7 @@ class TestProxStep:
     def test_2d_heat_reduction(self):
         axes = (uniform_axis(-10, 10, 201), uniform_axis(-10, 10, 201))
         mesh = np.meshgrid(*axes, indexing="ij")
-        rho0 = GridDensity(axes, np.exp(-(mesh[0] ** 2 + mesh[1] ** 2) / 2)).normalize()
+        rho0 = GridDensity(Grid(axes), np.exp(-(mesh[0] ** 2 + mesh[1] ** 2) / 2)).normalize()
         rho_t, _ = prox_step(rho0, make_zero(2), ProxParams(T=0.5, beta=2.0))
         ref = np.exp(-(mesh[0] ** 2 + mesh[1] ** 2) / 3) / (3 * np.pi)
         assert np.max(np.abs(rho_t.values - ref)) < 1e-4
@@ -208,7 +209,7 @@ class TestProxGradient:
     def test_symmetry_zero_at_origin(self, axis_default, zero1d):
         rho0 = gaussian_grid(axis_default, var=1.0)
         p = ProxParams(T=0.5, beta=2.0)
-        op = GridProxOperator(rho0.axes, zero1d, p)
+        op = GridProxOperator(rho0.grid, zero1d, p)
         rho_t, mass = op.step(rho0)
         grads = op.gradient(rho0, mass)
         center = np.argmin(np.abs(axis_default))
@@ -217,7 +218,7 @@ class TestProxGradient:
     def test_gaussian_analytic_gradient(self, axis_default, quad1d):
         rho0 = gaussian_grid(axis_default, var=4.0)
         p = ProxParams(T=0.05, beta=1.0)
-        op = GridProxOperator(rho0.axes, quad1d, p)
+        op = GridProxOperator(rho0.grid, quad1d, p)
         rho_t, mass = op.step(rho0)
         grads = op.gradient(rho0, mass)
         var = prox_variance_oracle(4.0, 1, 1, 0.05)
@@ -227,7 +228,7 @@ class TestProxGradient:
     def test_consistent_with_finite_differences(self, axis_default, mix1d):
         rho0 = gaussian_grid(axis_default, var=2.0)
         p = ProxParams(T=0.05, beta=1.0)
-        op = GridProxOperator(rho0.axes, mix1d, p)
+        op = GridProxOperator(rho0.grid, mix1d, p)
         rho_t, mass = op.step(rho0)
         grads = op.gradient(rho0, mass)
         dx = axis_default[1] - axis_default[0]
@@ -258,8 +259,8 @@ class TestParticleScore:
         score, _ = prox_particle_score(ens, zero1d, p)
         # grid oracle on the same data: KDE density through the grid operator
         axes = (uniform_axis(-12.0, 12.0, 2401),)
-        rho0 = kde(ens, "auto", axes)
-        op = GridProxOperator(axes, zero1d, p)
+        rho0 = kde(ens, "auto", Grid(axes))
+        op = GridProxOperator(rho0.grid, zero1d, p)
         _, _, fields = op.score_of_step(rho0)
         grid_score = np.interp(pts[:, 0], axes[0], fields[0])
         assert np.mean(np.abs(score[:, 0] - grid_score)) <= 0.1
@@ -357,7 +358,7 @@ class TestFirstOrderExpansion:
         assert np.array_equal(out.values, rho0.values)
 
     def test_stationary_at_target(self, axis_default, quad1d):
-        rs = target_density(quad1d, (axis_default,), 1.0)
+        rs = target_density(quad1d, Grid((axis_default,)), 1.0)
         out = first_order_expansion(rs, quad1d, 1.0, 0.1)
         interior = slice(100, -100)
         assert np.max(np.abs(out.values - rs.values)[interior]) < 1e-5
@@ -373,7 +374,7 @@ class TestFirstOrderExpansion:
     def test_nonpositive_input_rejected(self, axis_default, quad1d):
         vals = np.exp(-axis_default**2)
         vals[0] = 0.0
-        g = GridDensity((axis_default,), vals)
+        g = GridDensity(Grid((axis_default,)), vals)
         with pytest.raises(DegenerateDensityError):
             first_order_expansion(g, quad1d, 1.0, 0.1)
 
@@ -395,7 +396,7 @@ class TestPureProxDecay:
     @pytest.mark.parametrize("target_name", ["quadratic", "mixture"])
     def test_kl_strictly_decreasing(self, axis_default, quad1d, mix1d, target_name):
         target = quad1d if target_name == "quadratic" else mix1d
-        op = GridProxOperator((axis_default,), target, ProxParams(T=0.05, beta=1.0))
+        op = GridProxOperator(Grid((axis_default,)), target, ProxParams(T=0.05, beta=1.0))
         g = gaussian_grid(axis_default, var=2.0)
         prev = kl_divergence(g, target, 1.0)
         for _ in range(40):
@@ -426,10 +427,10 @@ def test_params_validation():
 def test_gradient_2d_matches_finite_differences():
     axes = (uniform_axis(-8, 8, 321), uniform_axis(-8, 8, 321))
     mesh = np.meshgrid(*axes, indexing="ij")
-    rho0 = GridDensity(axes, np.exp(-(mesh[0] ** 2 + 2 * mesh[1] ** 2) / 4)).normalize()
+    rho0 = GridDensity(Grid(axes), np.exp(-(mesh[0] ** 2 + 2 * mesh[1] ** 2) / 4)).normalize()
     target = make_quadratic(1.0, 2)
     p = ProxParams(T=0.05, beta=1.0)
-    op = GridProxOperator(rho0.axes, target, p)
+    op = GridProxOperator(rho0.grid, target, p)
     rho_t, mass = op.step(rho0)
     grads = op.gradient(rho0, mass)
     dx = axes[0][1] - axes[0][0]
@@ -445,9 +446,10 @@ def test_score_of_step_matches_step_and_gradient(dim):
     target = make_quadratic(1.0, dim)
     axes = tuple(uniform_axis(-6.0, 6.0, 33) for _ in range(dim))
     mesh = np.meshgrid(*axes, indexing="ij")
-    rho0 = GridDensity(axes, np.exp(-sum((m - 0.5) ** 2 for m in mesh) / 4.0)).normalize()
-    op = GridProxOperator(axes, target, ProxParams(T=0.2, beta=1.0))
+    rho0 = GridDensity(Grid(axes), np.exp(-sum((m - 0.5) ** 2 for m in mesh) / 4.0)).normalize()
+    op = GridProxOperator(rho0.grid, target, ProxParams(T=0.2, beta=1.0))
     ref_t, ref_mass = op.step(rho0)
+    assert ref_t.grid is op.grid
     ref_grads = op.gradient(rho0, ref_mass)
     blurs = []
     blur = op.apply_blur
@@ -458,14 +460,14 @@ def test_score_of_step_matches_step_and_gradient(dim):
     assert mass == ref_mass
     assert np.array_equal(rho_t.values, ref_t.values)
     for s, gr in zip(score, ref_grads):
-        assert np.array_equal(s, gr / np.maximum(ref_t.values, ref_t.log_floor))
+        assert np.array_equal(s, gr / np.maximum(ref_t.values, LOG_FLOOR))
 
 
 @pytest.mark.parametrize("n, beta, T", [(401, 1.0, 0.05), (400, 2.5, 0.05),
                                         (2401, 1.0, 0.05), (160, 0.7, 0.3)])
 def test_blur_matrix_matches_direct_formula(n, beta, T):
     axis = uniform_axis(-12.0, 12.0, n)
-    op = GridProxOperator((axis,), make_quadratic(1.0, 1), ProxParams(T=T, beta=beta))
+    op = GridProxOperator(Grid((axis,)), make_quadratic(1.0, 1), ProxParams(T=T, beta=beta))
     diff = axis[:, None] - axis[None, :]
     w = np.full(n, axis[1] - axis[0])
     w[[0, -1]] *= 0.5
@@ -482,7 +484,7 @@ class TestFftBlur:
 
     @pytest.mark.parametrize("T, beta", [(0.05, 1.0), (1 / 6, 1.0), (0.5, 2.0)])
     def test_heat_kernel(self, axis_default, zero1d, T, beta):
-        op = GridProxOperator((axis_default,), zero1d, ProxParams(T=T, beta=beta))
+        op = GridProxOperator(Grid((axis_default,)), zero1d, ProxParams(T=T, beta=beta))
         rho0 = gaussian_grid(axis_default, var=1.0).values
         assert_blur_matches_dense(op, op.e_v)
         out = assert_blur_matches_dense(op, rho0 / op.denom)
@@ -492,7 +494,7 @@ class TestFftBlur:
 
     @pytest.mark.parametrize("T", [0.05, 1 / 6, 0.5])
     def test_quadratic_gaussian_closed_form(self, axis_default, quad1d, T):
-        op = GridProxOperator((axis_default,), quad1d, ProxParams(T=T, beta=1.0))
+        op = GridProxOperator(Grid((axis_default,)), quad1d, ProxParams(T=T, beta=1.0))
         rho0 = gaussian_grid(axis_default, var=4.0)
         assert_blur_matches_dense(op, op.e_v)
         assert_blur_matches_dense(op, rho0.values / op.denom)
@@ -503,7 +505,7 @@ class TestFftBlur:
 
     def test_exact_zeros_at_both_ends(self, axis_default, quad1d):
         # evolve_law's pushforward leaves exact zeros outside the image of its map
-        op = GridProxOperator((axis_default,), quad1d, ProxParams(T=1 / 6, beta=1.0))
+        op = GridProxOperator(Grid((axis_default,)), quad1d, ProxParams(T=1 / 6, beta=1.0))
         vals = gaussian_grid(axis_default, var=0.5).values
         vals[:700] = 0.0
         vals[-900:] = 0.0
@@ -511,7 +513,7 @@ class TestFftBlur:
         assert np.all(out >= 0)
 
     def test_narrow_bimodal_repairs_interior(self, axis_default, mix1d):
-        op = GridProxOperator((axis_default,), mix1d, ProxParams(T=0.05, beta=1.0))
+        op = GridProxOperator(Grid((axis_default,)), mix1d, ProxParams(T=0.05, beta=1.0))
         vals = (np.exp(-(axis_default - 5) ** 2 / 0.02)
                 + np.exp(-(axis_default + 5) ** 2 / 0.02)) / op.denom
         dense = op._blur_matrix(axis_default) @ vals
@@ -522,6 +524,6 @@ class TestFftBlur:
     @pytest.mark.parametrize("target_name", ["quad1d", "mix1d", "zero1d"])
     def test_signed_field(self, axis_default, target_name, request):
         target = request.getfixturevalue(target_name)
-        op = GridProxOperator((axis_default,), target, ProxParams(T=0.2, beta=1.0))
+        op = GridProxOperator(Grid((axis_default,)), target, ProxParams(T=0.2, beta=1.0))
         rho0 = gaussian_grid(axis_default, mean=0.3, var=2.0).values
         assert_blur_matches_dense(op, axis_default * rho0 / op.denom)

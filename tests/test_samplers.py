@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from brwplab.density import (ParticleEnsemble, kl_divergence, target_density,
+from brwplab.density import (Grid, ParticleEnsemble, kl_divergence, target_density,
                              uniform_axis)
 from brwplab.errors import EvaluationError, ParameterError
 from brwplab.potentials import make_gaussian_mixture, make_quadratic
@@ -64,16 +66,17 @@ class TestInterpolation:
         mesh = np.meshgrid(*axes, indexing="ij")
         field = 2.0 * mesh[0] - 0.5 * mesh[1] + 1.0
         pts = np.random.default_rng(0).uniform(-1.5, 1.5, (50, 2))
-        vals, clamped = interp_at(axes, field, pts)
+        vals, clamped = interp_at(axes, [field], pts)
         assert clamped == 0
-        assert np.allclose(vals, 2 * pts[:, 0] - 0.5 * pts[:, 1] + 1.0, atol=1e-12)
+        assert np.allclose(vals[:, 0], 2 * pts[:, 0] - 0.5 * pts[:, 1] + 1.0, atol=1e-12)
 
     def test_excessive_clamping_aborts(self, quad1d):
         cfg = SamplerConfig(method="brwp_successive", h=0.02, n_particles=50,
                             n_steps=1, grid=((-12.0, 12.0, 2401),))
         pts = np.zeros((50, 1))
         pts[:3, 0] = 50.0  # 6% outside the grid
-        state = DensityState(chain=initial_grid_density(cfg, cfg.axes()))
+        grid = Grid.uniform(cfg.grid)
+        state = DensityState(grid, chain=initial_grid_density(cfg, grid))
         with pytest.raises(EvaluationError):
             brwp_step(ParticleEnsemble(pts), quad1d, cfg, state)
 
@@ -87,7 +90,8 @@ class TestSuccessiveMode:
         rng = np.random.default_rng(3)
         pts = 2.0 * rng.standard_normal((n, 1))
         ens = ParticleEnsemble(pts)
-        state = DensityState(chain=gaussian_grid(cfg.axes()[0], var=4.0))
+        grid = Grid.uniform(cfg.grid)
+        state = DensityState(grid, chain=gaussian_grid(grid.axes[0], var=4.0))
         v = 4.0
         w_oracle = 4.0
         for _ in range(50):
@@ -100,12 +104,12 @@ class TestSuccessiveMode:
         h = 0.02
         cfg = SamplerConfig(method="brwp_successive", h=h, n_particles=500,
                             n_steps=1, seed=5)
-        axes = cfg.axes()
-        rs = target_density(quad1d, axes, 1.0)
+        grid = Grid.uniform(cfg.grid)
+        rs = target_density(quad1d, grid, 1.0)
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((500, 1))
         ens = ParticleEnsemble(pts)
-        out, _ = brwp_step(ens, quad1d, cfg, DensityState(chain=rs))
+        out, _ = brwp_step(ens, quad1d, cfg, DensityState(grid, chain=rs))
         displacement = np.mean(np.abs(out.points - ens.points))
         assert displacement <= 2e-2 * h
 
@@ -174,16 +178,17 @@ class TestRun:
 class TestPerRunCaching:
     def test_kde_reuse_matches_fresh_kde(self, mix1d):
         cfg = SamplerConfig(method="brwp_kde", h=0.05, n_steps=6, n_particles=200, seed=3)
-        every = run(cfg, mix1d, diag_every=1)
-        sparse = run(cfg, mix1d, diag_every=3)
+        every = run(dataclasses.replace(cfg, diag_every=1), mix1d)
+        sparse = run(dataclasses.replace(cfg, diag_every=3), mix1d)
         assert [r.iter for r in sparse.reports] == [0, 3, 6]
         assert [r.csv_row() for r in sparse.reports] == \
             [every.reports[k].csv_row() for k in (0, 3, 6)]
         # reference: each step gets a state with no KDE to reuse
         ens = initial_ensemble(cfg, 1, np.random.default_rng(cfg.seed))
+        grid = Grid.uniform(cfg.grid)
         op = None
         for _ in range(cfg.n_steps):
-            ens, state = brwp_step(ens, mix1d, cfg, DensityState(operator=op))
+            ens, state = brwp_step(ens, mix1d, cfg, DensityState(grid, operator=op))
             op = state.operator
         assert np.array_equal(ens.points, every.ensemble.points)
         assert np.array_equal(ens.points, sparse.ensemble.points)
@@ -204,6 +209,15 @@ class TestPerRunCaching:
         for fn, method in ((run, "brwp_successive"), (run, "brwp_kde"),
                            (evolve_law, "brwp_successive")):
             assert builds(fn, method, 2) == builds(fn, method, 6) > 0
+
+    @pytest.mark.parametrize("method", ["brwp_kde", "brwp_successive", "explicit_flow"])
+    def test_one_grid_per_run(self, quad1d, monkeypatch, method):
+        calls = []
+        real = Grid.uniform
+        monkeypatch.setattr(Grid, "uniform",
+                            classmethod(lambda cls, spec: calls.append(1) or real(spec)))
+        run(SamplerConfig(method=method, n_steps=3, n_particles=100, seed=0), quad1d)
+        assert len(calls) == 1
 
     def test_explicit_flow_one_kde_per_step(self, quad1d, monkeypatch):
         import brwplab.samplers as samplers
@@ -229,9 +243,10 @@ class TestSynchronousUpdates:
         pts = rng.standard_normal((64, 1)) * 1.4
         cfg = SamplerConfig(method="brwp_particle", h=0.02, n_particles=64,
                             n_steps=1, seed=9)
-        out, _ = brwp_step(ParticleEnsemble(pts), mix1d, cfg, DensityState())
+        grid = Grid.uniform(cfg.grid)
+        out, _ = brwp_step(ParticleEnsemble(pts), mix1d, cfg, DensityState(grid))
         perm = rng.permutation(64)
-        out_p, _ = brwp_step(ParticleEnsemble(pts[perm]), mix1d, cfg, DensityState())
+        out_p, _ = brwp_step(ParticleEnsemble(pts[perm]), mix1d, cfg, DensityState(grid))
         assert np.allclose(out.points[perm], out_p.points, rtol=1e-12, atol=1e-12)
 
     def test_successive_mode_permutation_exact(self, quad1d):
@@ -239,8 +254,9 @@ class TestSynchronousUpdates:
         pts = rng.standard_normal((50, 1))
         cfg = SamplerConfig(method="brwp_successive", h=0.05, n_particles=50,
                             n_steps=1, seed=10)
-        state_a = DensityState(chain=gaussian_grid(cfg.axes()[0], var=1.0))
-        state_b = DensityState(chain=gaussian_grid(cfg.axes()[0], var=1.0))
+        grid = Grid.uniform(cfg.grid)
+        state_a = DensityState(grid, chain=gaussian_grid(grid.axes[0], var=1.0))
+        state_b = DensityState(grid, chain=gaussian_grid(grid.axes[0], var=1.0))
         out, _ = brwp_step(ParticleEnsemble(pts), quad1d, cfg, state_a)
         perm = rng.permutation(50)
         out_p, _ = brwp_step(ParticleEnsemble(pts[perm]), quad1d, cfg, state_b)
@@ -259,9 +275,9 @@ class TestStationarity:
     N = 2000
     H = 0.02
 
-    def _kde_kl(self, pts, axes, target):
+    def _kde_kl(self, pts, grid, target):
         from brwplab.density import kde as kde_fn
-        g = kde_fn(ParticleEnsemble(pts), "auto", axes)
+        g = kde_fn(ParticleEnsemble(pts), "auto", grid)
         return kl_divergence(g, target, 1.0)
 
     @pytest.mark.parametrize("method", ["ula", "brwp_successive", "brwp_kde",
@@ -269,13 +285,13 @@ class TestStationarity:
     def test_kl_stays_at_floor(self, method, quad1d):
         cfg = SamplerConfig(method=method, h=self.H, n_steps=50,
                             n_particles=self.N, seed=100, diag_every=10)
-        axes = cfg.axes()
+        grid = Grid.uniform(cfg.grid)
         floor = max(self._kde_kl(np.random.default_rng(1000 + i)
-                                 .standard_normal((self.N, 1)), axes, quad1d)
+                                 .standard_normal((self.N, 1)), grid, quad1d)
                     for i in range(5))
         rng = np.random.default_rng(987654)
         ens = ParticleEnsemble(rng.standard_normal((self.N, 1)))
-        state = DensityState(chain=target_density(quad1d, axes, 1.0))
+        state = DensityState(grid, chain=target_density(quad1d, grid, 1.0))
         noise_rng = np.random.default_rng(cfg.seed)
         for k in range(1, 51):
             if method == "ula":
@@ -285,7 +301,7 @@ class TestStationarity:
             else:
                 ens, state = brwp_step(ens, quad1d, cfg, state)
             if k % 10 == 0:
-                kl = self._kde_kl(ens.points, axes, quad1d)
+                kl = self._kde_kl(ens.points, grid, quad1d)
                 assert kl <= 2.0 * floor, (method, k, kl, floor)
 
 
