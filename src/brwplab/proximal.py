@@ -6,10 +6,13 @@ The operator maps a density rho0 to
     D(y)     = (beta/(4*pi*T))^{d/2} * Integral exp(-(beta/2)(V(z) + |z-y|^2/(2T))) dz,
 
 where G_T is the heat kernel with variance 2T/beta per axis. Both integrals
-use the same Gaussian blur, which factorizes across axes; the grid backend
-therefore precomputes one 1-D trapezoid blur matrix per axis and caches the
-denominator, so a step costs O(d * G * n) instead of O(G^2). In 1-D the blur
-is an FFT convolution whose small entries are recomputed from the dense rows.
+use the same Gaussian blur, which factorizes across axes. The grid backend
+builds the blur from one Toeplitz kernel vector per axis, with its subnormal
+entries set to 0, and caches the denominator. For d >= 2 it lays out one
+trapezoid blur matrix per axis, so a step costs O(d * G * n) instead of
+O(G^2). In 1-D the blur is an FFT convolution with the kernel's cached
+spectrum; its small entries are recomputed by correlating the kernel vector
+with the input, and no G x G matrix is held.
 
 Backends: "quadrature" computes D by grid quadrature (exact up to trapezoid
 error), "laplace_denominator" uses the second-order closed form
@@ -123,13 +126,16 @@ class GridProxOperator:
         self.grid = grid
         self.p = p
         pts = grid.points
-        self._grad_v = target.grad_fn(pts)
+        self.grad_v = target.grad_fn(pts)
+        self.grad_v.flags.writeable = False
         self.e_v = np.exp(-p.beta / 2 * target.eval_fn(pts)).reshape(grid.shape)
-        self._blur = [self._blur_matrix(a) for a in grid.axes]
         if grid.dim == 1:
             g = grid.shape[0]
+            self._kern = self._toeplitz_kernel(grid.axes[0])
             self._fft_len = 1 << (3 * g - 3).bit_length()     # power of two >= 3G - 2
-            self._kern_hat = np.fft.rfft(self._toeplitz_kernel(grid.axes[0]), self._fft_len)
+            self._kern_hat = np.fft.rfft(self._kern, self._fft_len)
+        else:
+            self._blur = [self._blur_matrix(a) for a in grid.axes]
         if backend == "quadrature":
             self.denom = self.apply_blur(self.e_v)
         else:
@@ -138,21 +144,29 @@ class GridProxOperator:
             raise DegenerateDensityError("denominator table has nonpositive entries")
 
     def _toeplitz_kernel(self, axis):
-        """c*exp(-beta*(k*dx)^2/(4T)) at the offsets k = -(G-1) .. G-1 of a uniform axis."""
+        """c*exp(-beta*(k*dx)^2/(4T)) at the offsets k = -(G-1) .. G-1 of a uniform axis.
+
+        Entries below the smallest normal float are set to 0: products with
+        subnormal operands run on the CPU's slow microcode path.
+        """
         beta, T = self.p.beta, self.p.T
         off = axis - axis[0]
         kern = np.sqrt(beta / (4 * np.pi * T)) * np.exp(-beta * off**2 / (4 * T))
+        kern[kern < np.finfo(float).tiny] = 0.0
         return np.concatenate((kern[:0:-1], kern))
 
     def _blur_matrix(self, axis):
         """Trapezoid blur matrix c*exp(-beta*(x_i - x_j)^2/(4T))*w_j on a uniform axis.
 
         The kernel depends on i - j only (Toeplitz): exp is taken once per
-        offset and the G x G matrix is laid out from that vector.
+        offset and the G x G matrix is laid out from that vector. Products
+        with the weights that fall below the smallest normal float are 0 too.
         """
         full = self._toeplitz_kernel(axis)
         rows = np.lib.stride_tricks.sliding_window_view(full, axis.size)[::-1]
-        return rows * trapezoid_weights(axis)
+        blur = rows * trapezoid_weights(axis)
+        blur[blur < np.finfo(float).tiny] = 0.0
+        return blur
 
     def apply_blur(self, vals: np.ndarray) -> np.ndarray:
         """Trapezoid Gaussian blur of grid values, axis by axis.
@@ -160,29 +174,34 @@ class GridProxOperator:
         In 1-D, a zero-padded FFT convolution with the cached kernel spectrum.
         Its error is absolute, about 1e-16 of the peak at every entry, so
         every entry with |out| < BLUR_EXACT_BELOW * max|out| is recomputed
-        from the dense rows: the tails, where the denominator and evolve_law
-        need relative accuracy, are dense, and the kept entries are within
-        about 1e-10 of the dense blur relative to the blur of |vals|. For
-        d >= 2 the dense per-axis products are faster than per-axis FFTs.
+        exactly: each contiguous run of such entries (leading, interior or
+        trailing) is one np.correlate of the Toeplitz kernel vector with the
+        weighted input. The tails, where the denominator and evolve_law need
+        relative accuracy, are thus exact sums, and the kept entries are
+        within about 1e-10 of the dense blur relative to the blur of |vals|.
+        For d >= 2 the dense per-axis products are faster than per-axis FFTs.
+        Kernel and matrix entries below the smallest normal float, tiny, are
+        0, so each dropped term is below tiny * max(1, dx) * |vals_j| and an
+        output moves by less than tiny * max(1, dx) * sum|vals| per axis. An
+        output's own term is about |vals_i|, so for a nonnegative input whose
+        dynamic range is under 1e40 the change is under 1e-260 relative.
         """
         if self.grid.dim > 1:
             for i, blur in enumerate(self._blur):
                 vals = np.moveaxis(np.tensordot(blur, vals, axes=(1, i)), 0, i)
             return vals
         g, n = vals.size, self._fft_len
-        out = np.fft.irfft(np.fft.rfft(vals * self.grid.weights, n) * self._kern_hat,
-                           n)[g - 1:2 * g - 1]
+        u = vals * self.grid.weights
+        out = np.fft.irfft(np.fft.rfft(u, n) * self._kern_hat, n)[g - 1:2 * g - 1]
         mag = np.abs(out)
-        low = mag < BLUR_EXACT_BELOW * mag.max()
-        if low.any():
-            blur = self._blur[0]
-            kept = np.flatnonzero(~low)
-            lo, hi = kept[0], kept[-1] + 1
-            out[:lo] = blur[:lo] @ vals            # leading and trailing tails: row views
-            out[hi:] = blur[hi:] @ vals
-            inner = np.flatnonzero(low[lo:hi]) + lo
-            if inner.size:
-                out[inner] = blur[inner] @ vals
+        low = np.zeros(g + 2, dtype=bool)        # padded: every run has both edges
+        np.less(mag, BLUR_EXACT_BELOW * mag.max(), out=low[1:-1])
+        runs = np.flatnonzero(low[1:] != low[:-1]).reshape(-1, 2)    # [start, stop) rows
+        if runs.size:
+            # out[i] = sum_j kern[G-1-i+j] u[j]; kern is symmetric
+            u_rev = u[::-1].copy()
+            for a, b in runs:
+                out[a:b] = np.correlate(self._kern[a:b - 1 + g], u_rev, "valid")
         return out
 
     def step_raw(self, rho0_values: np.ndarray) -> np.ndarray:
@@ -222,7 +241,7 @@ class GridProxOperator:
         out = []
         for i, x_i in enumerate(self.grid.mesh):
             blurred = self.apply_blur(x_i * ratio)
-            gi = (-beta * (self._grad_v[:, i].reshape(raw.shape) / 2
+            gi = (-beta * (self.grad_v[:, i].reshape(raw.shape) / 2
                            + x_i / (2 * T)) * raw
                   + beta / (2 * T) * self.e_v * blurred)
             out.append(gi / normalization)

@@ -297,8 +297,9 @@ def run(cfg: SamplerConfig, target: Potential,
         ens = initial_ensemble(cfg, target.dim, rng)
     state = DensityState(Grid.uniform(cfg.grid))
     if cfg.method == "brwp_successive":
-        if target.dim > 3:
-            raise ParameterError("successive mode needs a full grid (dim <= 3)")
+        if target.dim != state.grid.dim:
+            raise ParameterError(f"successive mode needs a grid of the target's dimension: "
+                                 f"target dim {target.dim}, grid dim {state.grid.dim}")
         state.chain = initial_grid_density(cfg, state.grid)
     bound_ctx = {} if target.alpha is not None else None
     result = RunResult()
@@ -339,7 +340,7 @@ def evolve_law(cfg: SamplerConfig, target: Potential) -> LawTrace:
     x = grid.axes[0]
     op = GridProxOperator(grid, target, ProxParams(T=cfg.T, beta=cfg.beta), cfg.grid_backend)
     rho = initial_grid_density(cfg, grid)
-    grad_v = target.grad_fn(grid.points)
+    grad_v = op.grad_v
     # in 1-D the truncation-checked target is also the W2 reference
     rs = target_density(target, grid, cfg.beta)
     t0 = time.perf_counter()

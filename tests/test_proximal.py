@@ -5,7 +5,7 @@ import pytest
 
 from brwplab.density import (LOG_FLOOR, Grid, GridDensity, ParticleEnsemble, fp_rhs, kde,
                              kl_divergence, fisher_information, target_density,
-                             uniform_axis)
+                             trapezoid_weights, uniform_axis)
 from brwplab.errors import (DegenerateDensityError, IsolatedParticleError,
                             ParameterError, StepsizeError, TruncationError)
 from brwplab.potentials import Potential, make_gaussian_mixture, make_quadratic, make_zero
@@ -60,6 +60,14 @@ def assert_blur_matches_dense(op, vals):
     fast = op.apply_blur(vals)
     assert np.all(np.abs(fast - dense @ vals) <= 1e-9 * (dense @ np.abs(vals)))
     return fast
+
+
+def direct_blur_matrix(axis, beta, T):
+    """Trapezoid blur matrix c*exp(-beta*(x_i - x_j)^2/(4T))*w_j from the pairwise differences."""
+    w = np.full(axis.size, axis[1] - axis[0])
+    w[[0, -1]] *= 0.5
+    diff = axis[:, None] - axis[None, :]
+    return np.sqrt(beta / (4 * np.pi * T)) * np.exp(-beta * diff**2 / (4 * T)) * w
 
 
 def assert_rel_close(a, b, tol):
@@ -468,10 +476,7 @@ def test_score_of_step_matches_step_and_gradient(dim):
 def test_blur_matrix_matches_direct_formula(n, beta, T):
     axis = uniform_axis(-12.0, 12.0, n)
     op = GridProxOperator(Grid((axis,)), make_quadratic(1.0, 1), ProxParams(T=T, beta=beta))
-    diff = axis[:, None] - axis[None, :]
-    w = np.full(n, axis[1] - axis[0])
-    w[[0, -1]] *= 0.5
-    ref = np.sqrt(beta / (4 * np.pi * T)) * np.exp(-beta * diff**2 / (4 * T)) * w
+    ref = direct_blur_matrix(axis, beta, T)
     blur = op._blur_matrix(axis)
     assert blur.shape == ref.shape
     big = ref > 1e-300
@@ -527,3 +532,81 @@ class TestFftBlur:
         op = GridProxOperator(Grid((axis_default,)), target, ProxParams(T=0.2, beta=1.0))
         rho0 = gaussian_grid(axis_default, mean=0.3, var=2.0).values
         assert_blur_matches_dense(op, axis_default * rho0 / op.denom)
+
+    def test_leading_interior_and_trailing_runs_at_once(self, axis_default, quad1d):
+        op = GridProxOperator(Grid((axis_default,)), quad1d, ProxParams(T=0.05, beta=1.0))
+        vals = sum(np.exp(-(axis_default - c) ** 2 / 0.02) for c in (-6.0, 0.0, 6.0))
+        dense = direct_blur_matrix(axis_default, 1.0, 0.05)
+        ref = dense @ vals
+        low = np.abs(ref) < BLUR_EXACT_BELOW * np.abs(ref).max()
+        starts = np.flatnonzero(np.diff(low.astype(int)) == 1) + 1
+        assert low[0] and low[-1] and starts.size == 3     # leading, two interior, trailing
+        out = op.apply_blur(vals)
+        assert np.all(np.abs(out - ref) <= 1e-9 * (dense @ np.abs(vals)))
+
+    def test_no_dense_table_held(self):
+        grid = Grid((uniform_axis(-12.0, 12.0, 2401),))
+        tracemalloc.start()
+        try:
+            op = GridProxOperator(grid, make_quadratic(1.0, 1), ProxParams(T=0.05, beta=1.0))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.denom.shape == (2401,)
+        assert held < 1e6 and peak < 1e6      # one 2401^2 table is 46 MB
+
+
+class TestSubnormalFlush:
+    """Kernel entries below the smallest normal float are exactly 0."""
+
+    @pytest.mark.parametrize("n, T, beta", [(41, 0.05, 1.0), (2401, 0.05, 1.0),
+                                            (2401, 1 / 6, 1.0), (161, 0.3, 0.7)])
+    def test_toeplitz_kernel_has_no_subnormals(self, n, T, beta):
+        axis = uniform_axis(-12.0, 12.0, n)
+        op = GridProxOperator(Grid((axis,)), make_quadratic(1.0, 1), ProxParams(T=T, beta=beta))
+        kern = op._toeplitz_kernel(axis)
+        assert kern.shape == (2 * n - 1,)
+        assert not np.any((kern > 0) & (kern < np.finfo(float).tiny))
+
+    def test_weighted_matrix_has_no_subnormals(self):
+        # here normal kernel entries times the trapezoid weights fall below tiny
+        axis = uniform_axis(-12.0, 12.0, 161)
+        op = GridProxOperator(Grid((axis, axis)), make_zero(2), ProxParams(T=0.29, beta=2.0))
+        tiny = np.finfo(float).tiny
+        rows = np.lib.stride_tricks.sliding_window_view(op._toeplitz_kernel(axis), 161)[::-1]
+        weighted = rows * trapezoid_weights(axis)
+        assert np.count_nonzero((weighted > 0) & (weighted < tiny)) == 52
+        for blur in op._blur:
+            assert not np.any((blur > 0) & (blur < tiny))
+
+    def test_3d_blur_equals_unflushed_product(self):
+        # the successive_3d operator: quadratic d = 3 on 41^3 over +-12, T = 0.05
+        beta, T = 1.0, 0.05
+        axis = uniform_axis(-12.0, 12.0, 41)
+        grid = Grid((axis,) * 3)
+        op = GridProxOperator(grid, make_quadratic(1.0, 3), ProxParams(T=T, beta=beta))
+        # the kernel formula at each offset |i - j|, without the flush
+        kern = np.sqrt(beta / (4 * np.pi * T)) * np.exp(-beta * (axis - axis[0]) ** 2 / (4 * T))
+        off = np.abs(np.subtract.outer(np.arange(41), np.arange(41)))
+        ref_mat = kern[off] * trapezoid_weights(axis)
+        tiny = np.finfo(float).tiny
+        assert np.count_nonzero((ref_mat > 0) & (ref_mat < tiny)) == 42
+        for blur in op._blur:
+            assert not np.any((blur > 0) & (blur < tiny))
+
+        def unflushed(vals):
+            for i in range(3):
+                vals = np.moveaxis(np.tensordot(ref_mat, vals, axes=(1, i)), 0, i)
+            return vals
+
+        ratio = np.exp(-sum(m**2 for m in grid.mesh) / 4.0) / op.denom
+        for vals in (op.e_v, ratio):
+            assert np.array_equal(op.apply_blur(vals), unflushed(vals))
+        # x_i * rho0/D is odd in x_i: on the plane x_i = 0 its blur cancels to 0
+        # and the dropped entries can leave a subnormal residue there
+        for m in grid.mesh:
+            out, ref = op.apply_blur(m * ratio), unflushed(m * ratio)
+            normal = np.abs(ref) >= tiny
+            assert np.count_nonzero(~normal) <= 41**2
+            assert np.array_equal(out[normal], ref[normal])
+            assert np.all(np.abs(out[~normal]) < tiny)

@@ -126,6 +126,12 @@ class TestSuccessiveMode:
         with pytest.raises(ParameterError):
             run(cfg, target)
 
+    def test_target_dim_must_match_grid_dim(self):
+        # a 2-D target on the default 1-D grid, caught before the first row
+        cfg = SamplerConfig(method="brwp_successive", n_steps=0)
+        with pytest.raises(ParameterError, match="target dim 2, grid dim 1"):
+            run(cfg, make_quadratic(1.0, 2))
+
 
 class TestRun:
     def test_zero_steps_single_row(self, quad1d):
@@ -209,6 +215,17 @@ class TestPerRunCaching:
         for fn, method in ((run, "brwp_successive"), (run, "brwp_kde"),
                            (evolve_law, "brwp_successive")):
             assert builds(fn, method, 2) == builds(fn, method, 6) > 0
+
+    def test_law_reuses_operator_grad_v(self, quad1d):
+        sizes = []
+        counted = dataclasses.replace(
+            quad1d, grad_fn=lambda x: sizes.append(x.shape[0]) or quad1d.grad_fn(x))
+        cfg = SamplerConfig(method="brwp_successive", n_steps=3)
+        trace = evolve_law(cfg, counted)
+        assert sizes == [2401]
+        rows = [dataclasses.astuple(r) for r in trace.reports]
+        ref = [dataclasses.astuple(r) for r in evolve_law(cfg, quad1d).reports]
+        assert np.array_equal(rows, ref, equal_nan=True)
 
     @pytest.mark.parametrize("method", ["brwp_kde", "brwp_successive", "explicit_flow"])
     def test_one_grid_per_run(self, quad1d, monkeypatch, method):
