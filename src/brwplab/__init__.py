@@ -12,7 +12,7 @@ from .potentials import (Potential, from_catalog, make_gaussian_mixture,
                          make_nonsmooth_mixture, make_quadratic, make_zero)
 from .proximal import (GridProxOperator, ProxParams, denominator_exact,
                        denominator_laplace, first_order_expansion,
-                       prox_particle_score, prox_step)
+                       prox_particle_score)
 from .samplers import (SamplerConfig, brwp_step, evolve_law, explicit_flow_step,
                        run, ula_step)
 from .theory import (BoundInputs, kl_k_bound, kl_one_step_bound, max_stepsize,

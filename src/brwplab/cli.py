@@ -272,7 +272,7 @@ def cmd_sample(cfg, outdir: Path) -> tuple:
 def cmd_order_check(cfg, outdir: Path) -> tuple:
     import numpy as np
     from .density import Grid
-    from .proximal import ProxParams, first_order_expansion, prox_step
+    from .proximal import GridProxOperator, ProxParams, first_order_expansion
     from .samplers import initial_grid_density
     target = build_target(cfg)
     t_list = _as_float_list(cfg["order.t_list"])
@@ -283,7 +283,8 @@ def cmd_order_check(cfg, outdir: Path) -> tuple:
     beta = float(cfg["target.beta"])
     rows = []
     for t_step in t_list:
-        rho_t, _ = prox_step(rho0, target, ProxParams(T=t_step, beta=beta))
+        op = GridProxOperator(rho0.grid, target, ProxParams(T=t_step, beta=beta))
+        rho_t, _ = op.step(rho0)
         foe = first_order_expansion(rho0, target, beta, t_step)
         rows.append((t_step, float(np.max(np.abs(rho_t.values - foe.values)))))
     slope = _fit_slope([r[0] for r in rows], [r[1] for r in rows])

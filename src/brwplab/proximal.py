@@ -6,13 +6,14 @@ The operator maps a density rho0 to
     D(y)     = (beta/(4*pi*T))^{d/2} * Integral exp(-(beta/2)(V(z) + |z-y|^2/(2T))) dz,
 
 where G_T is the heat kernel with variance 2T/beta per axis. Both integrals
-use the same Gaussian blur, which factorizes across axes. The grid backend
-builds the blur from one Toeplitz kernel vector per axis, with its subnormal
-entries set to 0, and caches the denominator. For d >= 2 it lays out one
-trapezoid blur matrix per axis, so a step costs O(d * G * n) instead of
-O(G^2). In 1-D the blur is an FFT convolution with the kernel's cached
-spectrum; its small entries are recomputed by correlating the kernel vector
-with the input, and no G x G matrix is held.
+use the same Gaussian blur, which factorizes across axes. GridProxOperator's
+step gives rho_T; its score_of_step also gives grad log rho_T, one more blur
+per axis. The grid backend builds the blur from one Toeplitz kernel vector
+per axis, with its subnormal entries set to 0, and caches the denominator.
+For d >= 2 it lays out one trapezoid blur matrix per axis, so a step costs
+O(d * G * n) instead of O(G^2). In 1-D the blur is an FFT convolution with
+the kernel's cached spectrum; its small entries are recomputed by
+correlating the kernel vector with the input, and no G x G matrix is held.
 
 Backends: "quadrature" computes D by grid quadrature (exact up to trapezoid
 error), "laplace_denominator" uses the second-order closed form
@@ -89,15 +90,13 @@ def denominator_laplace(y, target: Potential, p: ProxParams) -> float:
     y = np.atleast_1d(np.asarray(y, dtype=float)).reshape(1, -1)
     if y.size != target.dim:
         raise ParameterError(f"y of size {y.size} vs potential dim {target.dim}")
-    val = _denominator_laplace_batch(y, target, p)
-    return float(val[0])
+    return float(np.exp(_log_denominator_laplace(y, target, p))[0])
 
 
-def _denominator_laplace_batch(ys: np.ndarray, target: Potential, p: ProxParams,
-                               log: bool = False):
+def _log_denominator_laplace(ys: np.ndarray, target: Potential, p: ProxParams):
+    """log D at each row of ys by the Laplace form, with its T*Lap V guards."""
     s = ys - p.T * target.grad_fn(ys)
-    lap = np.atleast_1d(target.laplacian_fn(s) if target.laplacian_fn is not None
-                        else target._fd_laplacian(s))
+    lap = np.atleast_1d(target.laplacian(s))
     corr = 1.0 + (p.T / 2) * lap
     if np.any(corr <= LAPLACE_GUARD):
         raise StepsizeError(
@@ -108,13 +107,15 @@ def _denominator_laplace_batch(ys: np.ndarray, target: Potential, p: ProxParams,
             f"T*LapV reaches {p.T * lap.max():.2f} > {LAPLACE_WARN}; Laplace "
             "denominator accuracy degrades (its hypothesis needs T*LapV <= 1)",
             stacklevel=3)
-    log_val = -(p.beta / 2) * (target.eval_fn(s)
-                               + np.sum((s - ys) ** 2, axis=1) / (2 * p.T)) - np.log(corr)
-    return log_val if log else np.exp(log_val)
+    return -(p.beta / 2) * (target.eval_fn(s)
+                            + np.sum((s - ys) ** 2, axis=1) / (2 * p.T)) - np.log(corr)
 
 
 class GridProxOperator:
-    """Cached kernel-formula operator on a fixed Grid; its outputs share the grid."""
+    """Cached kernel-formula operator on a fixed Grid; its outputs share the grid.
+
+    step(rho0) gives rho_T and its mass; score_of_step(rho0) also its score.
+    """
 
     def __init__(self, grid: Grid, target: Potential, p: ProxParams,
                  backend: str = "quadrature"):
@@ -139,7 +140,7 @@ class GridProxOperator:
         if backend == "quadrature":
             self.denom = self.apply_blur(self.e_v)
         else:
-            self.denom = _denominator_laplace_batch(pts, target, p).reshape(grid.shape)
+            self.denom = np.exp(_log_denominator_laplace(pts, target, p)).reshape(grid.shape)
         if np.any(self.denom <= 0) or not np.all(np.isfinite(self.denom)):
             raise DegenerateDensityError("denominator table has nonpositive entries")
 
@@ -204,20 +205,17 @@ class GridProxOperator:
                 out[a:b] = np.correlate(self._kern[a:b - 1 + g], u_rev, "valid")
         return out
 
-    def step_raw(self, rho0_values: np.ndarray) -> np.ndarray:
-        return self.e_v * self.apply_blur(rho0_values / self.denom)
-
     def step(self, rho0: GridDensity, raw: Optional[np.ndarray] = None):
         """One proximal step; returns (normalized rho_T, pre-normalization mass).
 
-        raw is step_raw(rho0.values) when the caller already holds it. The
+        raw is e_V * Blur[rho0/D] when the caller already holds it. The
         numerator integral is cut at the grid edge with no tail check, unlike
         denominator_exact: for quadratic V and rho0 = N(0, 4) on +-12 the output
         is 80-90% off the closed form at |x| > 8 (1e-9 to 1e-13 of its peak)
         for T from 0.05 to 0.5, and nothing warns.
         """
         if raw is None:
-            raw = self.step_raw(rho0.values)
+            raw = self.e_v * self.apply_blur(rho0.values / self.denom)
         mass = GridDensity(self.grid, raw).mass()
         if not np.isfinite(mass) or mass <= 0:
             raise DegenerateDensityError(f"proximal output has mass {mass}")
@@ -226,44 +224,27 @@ class GridProxOperator:
                           "grid may be too narrow or T too large", stacklevel=2)
         return GridDensity(self.grid, raw / mass), mass
 
-    def gradient(self, rho0: GridDensity, normalization: float = 1.0,
-                 raw: Optional[np.ndarray] = None) -> list:
-        """Gradient of the kernel formula output (divided by `normalization`).
-
-        grad rho_T = -beta*(grad V/2 + x/(2T)) rho_T + (beta/2T) * e_V * Blur[y_i * rho0/D]
-
-        raw is step_raw(rho0.values) when the caller already holds it.
-        """
-        beta, T = self.p.beta, self.p.T
-        if raw is None:
-            raw = self.step_raw(rho0.values)
-        ratio = rho0.values / self.denom
-        out = []
-        for i, x_i in enumerate(self.grid.mesh):
-            blurred = self.apply_blur(x_i * ratio)
-            gi = (-beta * (self.grad_v[:, i].reshape(raw.shape) / 2
-                           + x_i / (2 * T)) * raw
-                  + beta / (2 * T) * self.e_v * blurred)
-            out.append(gi / normalization)
-        return out
-
     def score_of_step(self, rho0: GridDensity):
         """(rho_T normalized, pre-mass, per-axis score grad log rho_T).
 
-        The blur of rho0/D is shared by the output and its gradient.
+        One blur of rho0/D gives the output, and one blur per axis its gradient
+
+            grad rho_T = -beta*(grad V/2 + x/(2T)) rho_T
+                         + (beta/2T) * e_V * Blur[y_i * rho0/D],
+
+        which is divided by the mass and by rho_T floored at LOG_FLOOR.
         """
-        raw = self.step_raw(rho0.values)
+        beta, T = self.p.beta, self.p.T
+        ratio = rho0.values / self.denom
+        raw = self.e_v * self.apply_blur(ratio)
         rho_t, mass = self.step(rho0, raw)
-        grads = self.gradient(rho0, mass, raw)
-        score = [g / np.maximum(rho_t.values, LOG_FLOOR) for g in grads]
+        floor = np.maximum(rho_t.values, LOG_FLOOR)
+        score = []
+        for i, x_i in enumerate(self.grid.mesh):
+            grad = (-beta * (self.grad_v[:, i].reshape(raw.shape) / 2 + x_i / (2 * T)) * raw
+                    + beta / (2 * T) * self.e_v * self.apply_blur(x_i * ratio))
+            score.append(grad / mass / floor)
         return rho_t, mass, score
-
-
-def prox_step(rho0: GridDensity, target: Potential, p: ProxParams,
-              backend: str = "quadrature"):
-    """Functional one-shot proximal step; see GridProxOperator for the cached form."""
-    op = GridProxOperator(rho0.grid, target, p, backend)
-    return op.step(rho0)
 
 
 def prox_particle_score(ensemble: ParticleEnsemble, target: Potential,
@@ -297,7 +278,7 @@ def prox_particle_score(ensemble: ParticleEnsemble, target: Potential,
         raise ParameterError("query points must be finite")
     beta, T = p.beta, p.T
     c = beta / (4 * T)
-    log_d = _denominator_laplace_batch(y, target, p, log=True)
+    log_d = _log_denominator_laplace(y, target, p)
     n_q = x.shape[0]
     xa = np.hstack((x, np.ones((n_q, 1))))
     ya = np.hstack((2 * c * y, (-c * np.sum(y * y, axis=1) - log_d)[:, None]))

@@ -158,8 +158,8 @@ def _interp_score(axes, score_fields, pts: np.ndarray) -> np.ndarray:
 
 
 def brwp_step(ensemble: ParticleEnsemble, target: Potential, cfg: SamplerConfig,
-              state: DensityState):
-    """One synchronous semi-implicit update; score per cfg.method."""
+              state: DensityState) -> ParticleEnsemble:
+    """One synchronous semi-implicit update; score per cfg.method; updates state in place."""
     h, beta = cfg.h, cfg.beta
     p = ProxParams(T=cfg.T, beta=beta)
     if cfg.method == "brwp_particle":
@@ -179,7 +179,7 @@ def brwp_step(ensemble: ParticleEnsemble, target: Potential, cfg: SamplerConfig,
             raise ParameterError(f"brwp_step cannot run method {cfg.method!r}")
         score = _interp_score(state.grid.axes, fields, ensemble.points)
     pts = ensemble.points - h * (target.grad_fn(ensemble.points) + score / beta)
-    return ParticleEnsemble(pts, ensemble.step_index + 1), state
+    return ParticleEnsemble(pts, ensemble.step_index + 1)
 
 
 def _grid_kde(ensemble: ParticleEnsemble, cfg: SamplerConfig,
@@ -191,14 +191,11 @@ def _grid_kde(ensemble: ParticleEnsemble, cfg: SamplerConfig,
 
 
 def explicit_flow_step(ensemble: ParticleEnsemble, target: Potential,
-                       cfg: SamplerConfig,
-                       state: Optional[DensityState] = None) -> ParticleEnsemble:
+                       cfg: SamplerConfig, state: DensityState) -> ParticleEnsemble:
     """Explicit Euler of the score flow: the score is of kde(ensemble) itself.
 
-    With a run's state, the KDE its diagnostics made of this ensemble is reused.
+    The KDE a run's diagnostics made of this ensemble is reused from state.
     """
-    if state is None:
-        state = DensityState(Grid.uniform(cfg.grid))
     rho_k = _grid_kde(ensemble, cfg, state)
     score = _interp_score(state.grid.axes, rho_k.score(), ensemble.points)
     pts = ensemble.points - cfg.h * (target.grad_fn(ensemble.points) + score / cfg.beta)
@@ -310,7 +307,7 @@ def run(cfg: SamplerConfig, target: Potential,
         elif cfg.method == "explicit_flow":
             ens = explicit_flow_step(ens, target, cfg, state)
         else:
-            ens, state = brwp_step(ens, target, cfg, state)
+            ens = brwp_step(ens, target, cfg, state)
         if k % cfg.diag_every == 0 or k == cfg.n_steps:
             result.reports.append(_diagnose(cfg, target, ens, state, k, t0, bound_ctx))
     result.ensemble = ens

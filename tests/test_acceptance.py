@@ -20,8 +20,7 @@ from brwplab.density import (Grid, GridDensity, ParticleEnsemble, kl_divergence,
 from brwplab.potentials import (from_catalog, make_gaussian_mixture,
                                 make_quadratic, make_zero)
 from brwplab.proximal import (GridProxOperator, ProxParams, denominator_exact,
-                              denominator_laplace, first_order_expansion,
-                              prox_step)
+                              denominator_laplace, first_order_expansion)
 from brwplab.samplers import (DensityState, SamplerConfig, brwp_step,
                               evolve_law, run)
 from brwplab.theory import sequence_bound_check
@@ -83,7 +82,8 @@ def test_acceptance_1_order_two_consistency():
     t_list = [0.2, 0.1, 0.05, 0.025]
     errs = []
     for t_step in t_list:
-        rho_t, _ = prox_step(rho0, QUAD, ProxParams(T=t_step, beta=1.0))
+        op = GridProxOperator(rho0.grid, QUAD, ProxParams(T=t_step, beta=1.0))
+        rho_t, _ = op.step(rho0)
         foe = first_order_expansion(rho0, QUAD, 1.0, t_step)
         errs.append(float(np.max(np.abs(rho_t.values - foe.values))))
     slope = _slope(t_list, errs)
@@ -126,7 +126,8 @@ def test_acceptance_2_laplace_denominator_accuracy():
 def test_acceptance_3_heat_kernel_reduction():
     t0 = time.perf_counter()
     rho0 = gaussian_grid(AXIS, var=1.0)
-    rho_t, _ = prox_step(rho0, make_zero(1), ProxParams(T=0.5, beta=2.0))
+    op = GridProxOperator(rho0.grid, make_zero(1), ProxParams(T=0.5, beta=2.0))
+    rho_t, _ = op.step(rho0)
     ref = np.exp(-AXIS**2 / 3.0) / np.sqrt(3.0 * np.pi)
     err = float(np.max(np.abs(rho_t.values - ref)))
     elapsed = time.perf_counter() - t0
@@ -321,7 +322,8 @@ def test_acceptance_10_property_suites():
         ax = uniform_axis(lo, hi, n)
         rho0 = gaussian_grid(ax, var=2.0)
         for t_step in (0.1, 0.05):
-            rho_t, mass = prox_step(rho0, target, ProxParams(T=t_step, beta=1.0))
+            op = GridProxOperator(rho0.grid, target, ProxParams(T=t_step, beta=1.0))
+            rho_t, mass = op.step(rho0)
             assert np.all(rho_t.values >= 0), (tid, t_step)
             assert abs(mass - 1.0) <= 5e-3, (tid, t_step, mass)
     # gradient-dominated inequality on random grid densities
@@ -344,7 +346,7 @@ def test_acceptance_10_property_suites():
     cfg = SamplerConfig(method="brwp_successive", h=0.02, n_particles=500,
                         n_steps=1, seed=5)
     pts = np.random.default_rng(5).standard_normal((500, 1))
-    out, _ = brwp_step(ParticleEnsemble(pts), QUAD, cfg, DensityState(grid, chain=rs))
+    out = brwp_step(ParticleEnsemble(pts), QUAD, cfg, DensityState(grid, chain=rs))
     assert np.mean(np.abs(out.points - pts)) <= 2e-2 * cfg.h
     # determinism: byte-identical reruns
     for method in ("ula", "brwp_successive"):

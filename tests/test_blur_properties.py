@@ -1,11 +1,14 @@
-"""Property tests of the 1-D FFT blur with dense repair."""
+"""Property tests of the grid operator: the 1-D FFT blur with dense repair,
+and the score of a step against the closed form for quadratic V."""
 
 import numpy as np
 from hypothesis import given, seed, settings, strategies as st
 
-from brwplab.density import Grid, uniform_axis
-from brwplab.potentials import make_zero
-from brwplab.proximal import GridProxOperator, ProxParams
+from brwplab.density import Grid, GridDensity, uniform_axis
+from brwplab.potentials import make_quadratic, make_zero
+from brwplab.proximal import MASS_TOL, GridProxOperator, ProxParams
+
+from conftest import prox_variance_oracle
 
 
 @seed(20240611)
@@ -32,3 +35,31 @@ def test_nonnegative_bounded_and_repeatable(g, half_width, T, beta, n_bumps, cut
     assert np.all(out >= 0)
     assert np.all(np.abs(out - dense) <= 1e-9 * dense)
     assert np.array_equal(op.apply_blur(vals), out)
+
+
+@seed(20261018)
+@settings(max_examples=25, deadline=None, database=None)
+@given(dim=st.sampled_from([1, 2]), alpha=st.floats(0.5, 2.0), beta=st.floats(0.5, 2.0),
+       T=st.floats(0.02, 0.3), frac=st.floats(0.1, 0.6))
+def test_score_of_step_gaussian_closed_form(dim, alpha, beta, T, frac):
+    # V = alpha|x|^2/2 and rho0 = N(0, v0 I) give rho_T = N(0, var_t I), so the
+    # score is -x/var_t. rho0/D ~ exp(-c|y|^2) decays only for v0 below the bound:
+    # beyond it the numerator integral's cut at the grid edge would dominate.
+    v0 = frac * 2 * (1 + alpha * T) / (alpha * beta)
+    var_t = prox_variance_oracle(v0, alpha, beta, T)
+    c = (1 - frac) / (2 * v0)
+    half = max(np.sqrt(40 / c), 8 * np.sqrt(var_t))      # rho0/D < e^-40 of its peak at the edge
+    dx = 0.5 * min(np.sqrt(2 * T / beta), np.sqrt(v0))   # resolves the kernel and rho0
+    axis = uniform_axis(-half, half, 2 * int(np.ceil(half / dx)) + 1)
+    grid = Grid((axis,) * dim)
+    rho0 = GridDensity(grid, np.exp(-sum(m**2 for m in grid.mesh) / (2 * v0))).normalize()
+    op = GridProxOperator(grid, make_quadratic(alpha, dim), ProxParams(T=T, beta=beta))
+    rho_t, mass, score = op.score_of_step(rho0)
+    assert abs(mass - 1.0) <= MASS_TOL
+    keep = rho_t.values >= 1e-6 * rho_t.values.max()
+    for s, x in zip(score, grid.mesh):
+        assert np.all(np.abs(s + x / var_t)[keep] <= 1e-8 / np.sqrt(var_t))
+    again_t, again_mass, again_score = op.score_of_step(rho0)
+    assert again_mass == mass
+    assert np.array_equal(again_t.values, rho_t.values)
+    assert all(np.array_equal(a, s) for a, s in zip(again_score, score))

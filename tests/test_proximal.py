@@ -10,20 +10,11 @@ from brwplab.errors import (DegenerateDensityError, IsolatedParticleError,
                             ParameterError, StepsizeError, TruncationError)
 from brwplab.potentials import Potential, make_gaussian_mixture, make_quadratic, make_zero
 from brwplab.proximal import (BLUR_EXACT_BELOW, SCORE_BLOCK, GridProxOperator, ProxParams,
-                              _denominator_laplace_batch, denominator_exact,
+                              _log_denominator_laplace, denominator_exact,
                               denominator_laplace, first_order_expansion,
-                              prox_particle_score, prox_step)
+                              prox_particle_score)
 
-from conftest import gaussian_grid
-
-
-def prox_variance_oracle(v, alpha, beta, T):
-    """Output variance of one proximal step for V = alpha|x|^2/2, rho0 = N(0, v).
-
-    Chain of Gaussian integrals done symbolically:
-        sigma_T^2 = (2 alpha T^2 + 2 T + beta v) / (beta (1 + alpha T)^2).
-    """
-    return (2 * alpha * T**2 + 2 * T + beta * v) / (beta * (1 + alpha * T) ** 2)
+from conftest import gaussian_grid, prox_variance_oracle
 
 
 def denominator_oracle(y, alpha, beta, T):
@@ -39,7 +30,7 @@ def dense_particle_score(ensemble, target, p, query=None):
     if x.ndim == 1:
         x = x[:, None] if ensemble.dim == 1 else x[None, :]
     beta, T = p.beta, p.T
-    log_d = _denominator_laplace_batch(y, target, p, log=True)
+    log_d = _log_denominator_laplace(y, target, p)
     d2 = np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)[None, :] - 2.0 * (x @ y.T)
     np.maximum(d2, 0.0, out=d2)
     logw = -beta * d2 / (4 * T) - log_d[None, :]
@@ -155,14 +146,16 @@ class TestDenominatorLaplace:
 class TestProxStep:
     def test_heat_kernel_reduction(self, axis_default, zero1d):
         rho0 = gaussian_grid(axis_default, var=1.0)
-        rho_t, mass = prox_step(rho0, zero1d, ProxParams(T=0.5, beta=2.0))
+        op = GridProxOperator(rho0.grid, zero1d, ProxParams(T=0.5, beta=2.0))
+        rho_t, mass = op.step(rho0)
         ref = np.exp(-axis_default**2 / 3) / np.sqrt(3 * np.pi)
         assert np.max(np.abs(rho_t.values - ref)) <= 1e-4
         assert mass == pytest.approx(1.0, abs=5e-3)
 
     def test_quadratic_gaussian_chain_variance(self, axis_default, quad1d):
         rho0 = gaussian_grid(axis_default, var=4.0)
-        rho_t, _ = prox_step(rho0, quad1d, ProxParams(T=0.05, beta=1.0))
+        op = GridProxOperator(rho0.grid, quad1d, ProxParams(T=0.05, beta=1.0))
+        rho_t, _ = op.step(rho0)
         var = float(np.sum(rho_t.grid.weights * axis_default**2 * rho_t.values))
         assert var == pytest.approx(prox_variance_oracle(4.0, 1, 1, 0.05), abs=1e-4)
         assert prox_variance_oracle(4.0, 1, 1, 0.05) == pytest.approx(
@@ -170,7 +163,8 @@ class TestProxStep:
 
     def test_output_is_gaussian_for_quadratic(self, axis_default, quad1d):
         rho0 = gaussian_grid(axis_default, var=4.0)
-        rho_t, _ = prox_step(rho0, quad1d, ProxParams(T=0.05, beta=1.0))
+        op = GridProxOperator(rho0.grid, quad1d, ProxParams(T=0.05, beta=1.0))
+        rho_t, _ = op.step(rho0)
         var = prox_variance_oracle(4.0, 1, 1, 0.05)
         ref = np.exp(-axis_default**2 / (2 * var)) / np.sqrt(2 * np.pi * var)
         assert np.max(np.abs(rho_t.values - ref)) < 1e-5
@@ -193,22 +187,24 @@ class TestProxStep:
         for target in (mix1d, quad1d):
             rho0 = gaussian_grid(axis_default, var=2.0)
             for t_step in (0.1, 0.05, 0.01):
-                rho_t, mass = prox_step(rho0, target, ProxParams(T=t_step, beta=1.0))
+                op = GridProxOperator(rho0.grid, target, ProxParams(T=t_step, beta=1.0))
+                rho_t, mass = op.step(rho0)
                 assert np.all(rho_t.values >= 0)
                 assert abs(mass - 1.0) <= 5e-3
 
     def test_laplace_denominator_backend_close_to_quadrature(self, axis_default, quad1d):
         rho0 = gaussian_grid(axis_default, var=2.0)
-        a, _ = prox_step(rho0, quad1d, ProxParams(T=0.02, beta=1.0), "quadrature")
-        b, _ = prox_step(rho0, quad1d, ProxParams(T=0.02, beta=1.0),
-                         "laplace_denominator")
+        p = ProxParams(T=0.02, beta=1.0)
+        a, _ = GridProxOperator(rho0.grid, quad1d, p, "quadrature").step(rho0)
+        b, _ = GridProxOperator(rho0.grid, quad1d, p, "laplace_denominator").step(rho0)
         assert np.max(np.abs(a.values - b.values)) < 2e-4
 
     def test_2d_heat_reduction(self):
         axes = (uniform_axis(-10, 10, 201), uniform_axis(-10, 10, 201))
         mesh = np.meshgrid(*axes, indexing="ij")
         rho0 = GridDensity(Grid(axes), np.exp(-(mesh[0] ** 2 + mesh[1] ** 2) / 2)).normalize()
-        rho_t, _ = prox_step(rho0, make_zero(2), ProxParams(T=0.5, beta=2.0))
+        op = GridProxOperator(rho0.grid, make_zero(2), ProxParams(T=0.5, beta=2.0))
+        rho_t, _ = op.step(rho0)
         ref = np.exp(-(mesh[0] ** 2 + mesh[1] ** 2) / 3) / (3 * np.pi)
         assert np.max(np.abs(rho_t.values - ref)) < 1e-4
 
@@ -217,18 +213,16 @@ class TestProxGradient:
     def test_symmetry_zero_at_origin(self, axis_default, zero1d):
         rho0 = gaussian_grid(axis_default, var=1.0)
         p = ProxParams(T=0.5, beta=2.0)
-        op = GridProxOperator(rho0.grid, zero1d, p)
-        rho_t, mass = op.step(rho0)
-        grads = op.gradient(rho0, mass)
+        rho_t, _, score = GridProxOperator(rho0.grid, zero1d, p).score_of_step(rho0)
+        grads = [s * rho_t.values for s in score]
         center = np.argmin(np.abs(axis_default))
         assert abs(grads[0][center]) < 1e-8
 
     def test_gaussian_analytic_gradient(self, axis_default, quad1d):
         rho0 = gaussian_grid(axis_default, var=4.0)
         p = ProxParams(T=0.05, beta=1.0)
-        op = GridProxOperator(rho0.grid, quad1d, p)
-        rho_t, mass = op.step(rho0)
-        grads = op.gradient(rho0, mass)
+        rho_t, _, score = GridProxOperator(rho0.grid, quad1d, p).score_of_step(rho0)
+        grads = [s * rho_t.values for s in score]
         var = prox_variance_oracle(4.0, 1, 1, 0.05)
         ref = -axis_default / var * rho_t.values
         assert np.max(np.abs(grads[0] - ref)) < 1e-4
@@ -236,9 +230,8 @@ class TestProxGradient:
     def test_consistent_with_finite_differences(self, axis_default, mix1d):
         rho0 = gaussian_grid(axis_default, var=2.0)
         p = ProxParams(T=0.05, beta=1.0)
-        op = GridProxOperator(rho0.grid, mix1d, p)
-        rho_t, mass = op.step(rho0)
-        grads = op.gradient(rho0, mass)
+        rho_t, _, score = GridProxOperator(rho0.grid, mix1d, p).score_of_step(rho0)
+        grads = [s * rho_t.values for s in score]
         dx = axis_default[1] - axis_default[0]
         fd = np.gradient(rho_t.values, dx)
         interior = slice(200, -200)
@@ -393,7 +386,8 @@ class TestOrderTwoConsistency:
         t_list = np.array([0.2, 0.1, 0.05, 0.025])
         errs = []
         for t_step in t_list:
-            rho_t, _ = prox_step(rho0, quad1d, ProxParams(T=t_step, beta=1.0))
+            op = GridProxOperator(rho0.grid, quad1d, ProxParams(T=t_step, beta=1.0))
+            rho_t, _ = op.step(rho0)
             foe = first_order_expansion(rho0, quad1d, 1.0, t_step)
             errs.append(np.max(np.abs(rho_t.values - foe.values)))
         slope = np.polyfit(np.log(t_list), np.log(errs), 1)[0]
@@ -416,7 +410,8 @@ class TestPureProxDecay:
     def test_one_step_drop_equals_fisher(self, axis_default, quad1d):
         t_step = 0.01
         g = gaussian_grid(axis_default, var=2.0)
-        g2, _ = prox_step(g, quad1d, ProxParams(T=t_step, beta=1.0))
+        op = GridProxOperator(g.grid, quad1d, ProxParams(T=t_step, beta=1.0))
+        g2, _ = op.step(g)
         drop = (kl_divergence(g, quad1d, 1.0) - kl_divergence(g2, quad1d, 1.0)) / t_step
         fi = fisher_information(g, quad1d, 1.0)
         assert drop == pytest.approx(fi, rel=0.2)
@@ -428,8 +423,8 @@ def test_params_validation():
     with pytest.raises(ParameterError):
         ProxParams(T=0.1, beta=-1.0)
     with pytest.raises(ParameterError):
-        prox_step(gaussian_grid(uniform_axis(-12, 12, 101)), make_quadratic(1.0, 1),
-                  ProxParams(T=0.1), backend="particle")
+        GridProxOperator(Grid((uniform_axis(-12, 12, 101),)), make_quadratic(1.0, 1),
+                         ProxParams(T=0.1), backend="particle")
 
 
 def test_gradient_2d_matches_finite_differences():
@@ -438,9 +433,8 @@ def test_gradient_2d_matches_finite_differences():
     rho0 = GridDensity(Grid(axes), np.exp(-(mesh[0] ** 2 + 2 * mesh[1] ** 2) / 4)).normalize()
     target = make_quadratic(1.0, 2)
     p = ProxParams(T=0.05, beta=1.0)
-    op = GridProxOperator(rho0.grid, target, p)
-    rho_t, mass = op.step(rho0)
-    grads = op.gradient(rho0, mass)
+    rho_t, _, score = GridProxOperator(rho0.grid, target, p).score_of_step(rho0)
+    grads = [s * rho_t.values for s in score]
     dx = axes[0][1] - axes[0][0]
     interior = (slice(40, -40), slice(40, -40))
     for i in range(2):
@@ -458,7 +452,18 @@ def test_score_of_step_matches_step_and_gradient(dim):
     op = GridProxOperator(rho0.grid, target, ProxParams(T=0.2, beta=1.0))
     ref_t, ref_mass = op.step(rho0)
     assert ref_t.grid is op.grid
-    ref_grads = op.gradient(rho0, ref_mass)
+    # reference: grad rho_T = -beta*(grad V/2 + x/(2T)) rho_T + (beta/2T) e_V Blur[y_i rho0/D],
+    # each field blurred on its own, divided by the mass
+    beta, T = op.p.beta, op.p.T
+    raw = op.e_v * op.apply_blur(rho0.values / op.denom)
+    ratio = rho0.values / op.denom
+    ref_grads = []
+    for i, x_i in enumerate(op.grid.mesh):
+        blurred = op.apply_blur(x_i * ratio)
+        gi = (-beta * (op.grad_v[:, i].reshape(raw.shape) / 2
+                       + x_i / (2 * T)) * raw
+              + beta / (2 * T) * op.e_v * blurred)
+        ref_grads.append(gi / ref_mass)
     blurs = []
     blur = op.apply_blur
     op.apply_blur = lambda vals: blurs.append(1) or blur(vals)

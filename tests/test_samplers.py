@@ -12,7 +12,7 @@ from brwplab.samplers import (DensityState, SamplerConfig, brwp_step,
                               initial_grid_density, interp_at, marginal_target, run,
                               ula_step)
 
-from conftest import gaussian_grid
+from conftest import gaussian_grid, prox_variance_oracle
 
 
 class ZeroNoise:
@@ -20,10 +20,6 @@ class ZeroNoise:
 
     def standard_normal(self, shape):
         return np.zeros(shape)
-
-
-def prox_variance_oracle(v, alpha, beta, T):
-    return (2 * alpha * T**2 + 2 * T + beta * v) / (beta * (1 + alpha * T) ** 2)
 
 
 class TestUlaStep:
@@ -97,7 +93,7 @@ class TestSuccessiveMode:
         for _ in range(50):
             v = prox_variance_oracle(v, 1.0, 1.0, h)
             w_oracle *= (1.0 - h * (1.0 - 1.0 / v)) ** 2
-            ens, state = brwp_step(ens, quad1d, cfg, state)
+            ens = brwp_step(ens, quad1d, cfg, state)
             assert ens.points.var() == pytest.approx(w_oracle, rel=0.05)
 
     def test_stationary_start_tiny_displacement(self, quad1d):
@@ -109,7 +105,7 @@ class TestSuccessiveMode:
         rng = np.random.default_rng(5)
         pts = rng.standard_normal((500, 1))
         ens = ParticleEnsemble(pts)
-        out, _ = brwp_step(ens, quad1d, cfg, DensityState(grid, chain=rs))
+        out = brwp_step(ens, quad1d, cfg, DensityState(grid, chain=rs))
         displacement = np.mean(np.abs(out.points - ens.points))
         assert displacement <= 2e-2 * h
 
@@ -194,7 +190,8 @@ class TestPerRunCaching:
         grid = Grid.uniform(cfg.grid)
         op = None
         for _ in range(cfg.n_steps):
-            ens, state = brwp_step(ens, mix1d, cfg, DensityState(grid, operator=op))
+            state = DensityState(grid, operator=op)
+            ens = brwp_step(ens, mix1d, cfg, state)
             op = state.operator
         assert np.array_equal(ens.points, every.ensemble.points)
         assert np.array_equal(ens.points, sparse.ensemble.points)
@@ -247,10 +244,10 @@ class TestPerRunCaching:
         res = run(cfg, quad1d)
         # one KDE per diagnostics row, which the following step reuses
         assert len(calls) == cfg.n_steps + 1
-        # the 3-argument form computes its own KDE and takes the same step
+        # with a fresh state per step it computes its own KDE and takes the same step
         ens = initial_ensemble(cfg, 1, np.random.default_rng(cfg.seed))
         for _ in range(cfg.n_steps):
-            ens = explicit_flow_step(ens, quad1d, cfg)
+            ens = explicit_flow_step(ens, quad1d, cfg, DensityState(Grid.uniform(cfg.grid)))
         assert np.array_equal(ens.points, res.ensemble.points)
 
 
@@ -261,9 +258,9 @@ class TestSynchronousUpdates:
         cfg = SamplerConfig(method="brwp_particle", h=0.02, n_particles=64,
                             n_steps=1, seed=9)
         grid = Grid.uniform(cfg.grid)
-        out, _ = brwp_step(ParticleEnsemble(pts), mix1d, cfg, DensityState(grid))
+        out = brwp_step(ParticleEnsemble(pts), mix1d, cfg, DensityState(grid))
         perm = rng.permutation(64)
-        out_p, _ = brwp_step(ParticleEnsemble(pts[perm]), mix1d, cfg, DensityState(grid))
+        out_p = brwp_step(ParticleEnsemble(pts[perm]), mix1d, cfg, DensityState(grid))
         assert np.allclose(out.points[perm], out_p.points, rtol=1e-12, atol=1e-12)
 
     def test_successive_mode_permutation_exact(self, quad1d):
@@ -274,9 +271,9 @@ class TestSynchronousUpdates:
         grid = Grid.uniform(cfg.grid)
         state_a = DensityState(grid, chain=gaussian_grid(grid.axes[0], var=1.0))
         state_b = DensityState(grid, chain=gaussian_grid(grid.axes[0], var=1.0))
-        out, _ = brwp_step(ParticleEnsemble(pts), quad1d, cfg, state_a)
+        out = brwp_step(ParticleEnsemble(pts), quad1d, cfg, state_a)
         perm = rng.permutation(50)
-        out_p, _ = brwp_step(ParticleEnsemble(pts[perm]), quad1d, cfg, state_b)
+        out_p = brwp_step(ParticleEnsemble(pts[perm]), quad1d, cfg, state_b)
         assert np.array_equal(out.points[perm], out_p.points)
 
 
@@ -314,9 +311,9 @@ class TestStationarity:
             if method == "ula":
                 ens = ula_step(ens, quad1d, cfg.h, cfg.beta, noise_rng)
             elif method == "explicit_flow":
-                ens = explicit_flow_step(ens, quad1d, cfg)
+                ens = explicit_flow_step(ens, quad1d, cfg, state)
             else:
-                ens, state = brwp_step(ens, quad1d, cfg, state)
+                ens = brwp_step(ens, quad1d, cfg, state)
             if k % 10 == 0:
                 kl = self._kde_kl(ens.points, grid, quad1d)
                 assert kl <= 2.0 * floor, (method, k, kl, floor)

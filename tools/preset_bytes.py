@@ -1,0 +1,135 @@
+"""Hash the output files of brwplab's CLI presets, to check that a refactor
+leaves every output byte unchanged.
+
+    python tools/preset_bytes.py run SRC OUT [--seed N] [--threads K]
+    python tools/preset_bytes.py compare OUT_A OUT_B
+
+``run`` runs every preset in PRESETS with the package of the source tree SRC
+(SRC/src on PYTHONPATH), one subprocess per preset, each writing to
+OUT/<preset>/. It then writes OUT/sha256.txt: the exit code of each preset
+and a sha256 of every file it wrote. Before hashing, the columns and keys
+that hold times or the checkout are removed: the ``wallclock_ms`` column of
+every CSV, and ``runtime_s`` and ``git_describe`` of ``manifest.json``.
+Without ``--threads`` the BLAS thread variables are removed from the
+environment, so the library picks its default threading; with it, the
+CLI's ``--threads`` pins them. ``compare`` lists the lines that differ
+between two such runs and exits 1 if there are any.
+
+Standard library only; the benchmark argv come from perfbench/workloads.py.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+sys.dont_write_bytecode = True           # leave no cache files in perfbench/
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402
+
+STRIPPED_KEYS = ("runtime_s", "git_describe")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+# preset name -> CLI argv without --out, --seed and --threads
+PRESETS = {
+    **{name: list(w.argv) + [f"--{w.steps_key}", str(w.steps), "--timing.record", "true"]
+       for name, w in WORKLOADS.items()},
+    "kde_2d": ["sample", "--target.id", "gaussian_mixture", "--target.dim", "2",
+               "--sampler.method", "brwp_kde", "--sampler.n_steps", "5"],
+    "successive_2d": ["sample", "--target.dim", "2", "--sampler.method", "brwp_successive",
+                      "--sampler.n_steps", "5"],
+    "explicit_flow": ["sample", "--sampler.method", "explicit_flow", "--sampler.n_steps", "10"],
+    "ula": ["sample", "--sampler.method", "ula", "--sampler.n_steps", "10"],
+    "kde_laplace": ["sample", "--target.id", "gaussian_mixture", "--sampler.method",
+                    "brwp_kde", "--sampler.backend", "laplace_denominator",
+                    "--sampler.n_steps", "10"],
+    "prox_evolve_1d": ["prox-evolve", "--prox.iters", "20", "--prox.save_every", "5"],
+    "prox_evolve_2d": ["prox-evolve", "--target.dim", "2", "--prox.iters", "10",
+                       "--prox.save_every", "5"],
+    "order_check": ["order-check"],
+    "denominator_check": ["denominator-check"],
+    "decay_check": ["decay-check"],
+    "sweep": ["stepsize-sweep"],
+}
+
+
+def stripped_bytes(path: Path) -> bytes:
+    """File bytes without the columns and keys that are not reproducible."""
+    data = path.read_bytes()
+    if path.name == "manifest.json":
+        manifest = json.loads(data)
+        for key in STRIPPED_KEYS:
+            manifest.pop(key, None)
+        return json.dumps(manifest, indent=1, sort_keys=True).encode()
+    if path.suffix == ".csv":
+        lines = data.split(b"\n")
+        header = lines[0].split(b",")
+        if b"wallclock_ms" in header:
+            col = header.index(b"wallclock_ms")
+            return b"\n".join(b",".join(c for i, c in enumerate(line.split(b",")) if i != col)
+                              for line in lines)
+    return data
+
+
+def run(src: Path, out: Path, seed: int, threads: int | None) -> Path:
+    env = dict(os.environ, PYTHONPATH=str(src.resolve() / "src"))
+    if threads is None:
+        for var in THREAD_VARS:
+            env.pop(var, None)
+    out.mkdir(parents=True, exist_ok=True)
+    lines = []
+    for name, argv in PRESETS.items():
+        cmd = [sys.executable, "-m", "brwplab.cli", *argv, "--out", name, "--seed", str(seed)]
+        if threads is not None:
+            cmd += ["--threads", str(threads)]
+        code = subprocess.run(cmd, cwd=out, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL).returncode
+        print(f"{name}: exit {code}", file=sys.stderr)
+        lines.append(f"exit {code}  {name}")
+        for path in sorted(p for p in (out / name).rglob("*") if p.is_file()):
+            digest = hashlib.sha256(stripped_bytes(path)).hexdigest()
+            lines.append(f"{digest}  {path.relative_to(out).as_posix()}")
+    listing = out / "sha256.txt"
+    listing.write_text("\n".join(lines) + "\n")
+    return listing
+
+
+def compare(a: Path, b: Path) -> list:
+    """Names whose hash or exit code differs, or that only one run has."""
+    def entries(d):
+        rows = (line.split("  ", 1) for line in (d / "sha256.txt").read_text().splitlines())
+        return {name: digest for digest, name in rows}
+    ea, eb = entries(a), entries(b)
+    return sorted(n for n in ea.keys() | eb.keys() if ea.get(n) != eb.get(n))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="mode", required=True)
+    p_run = sub.add_parser("run", help="run the presets and hash their files")
+    p_run.add_argument("src", type=Path, help="source tree holding src/brwplab")
+    p_run.add_argument("out", type=Path, help="directory for the outputs and sha256.txt")
+    p_run.add_argument("--seed", type=int, default=1)
+    p_run.add_argument("--threads", type=int, default=None)
+    p_cmp = sub.add_parser("compare", help="list the files that differ between two runs")
+    p_cmp.add_argument("a", type=Path)
+    p_cmp.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.mode == "run":
+        print(run(args.src, args.out, args.seed, args.threads))
+        return 0
+    diff = compare(args.a, args.b)
+    for name in diff:
+        print(name)
+    n_files = sum(1 for _ in (args.a / "sha256.txt").read_text().splitlines())
+    print(f"{len(diff)} of {n_files} entries differ", file=sys.stderr)
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
