@@ -252,7 +252,7 @@ def cmd_sample(cfg, outdir: Path) -> tuple:
     with open(outdir / "ensemble_final.csv", "w", newline="") as f:
         f.write(",".join(f"x{i}" for i in range(pts.shape[1])) + "\n")
         for row in pts:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+            f.write(",".join(map(repr, row.tolist())) + "\n")
     if cfg["plot"]:
         from .svgfig import histogram
         overlay = None

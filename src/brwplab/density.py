@@ -24,6 +24,7 @@ TAIL_MASS_TOL = 1e-8      # refused if more target mass than this lies off-grid
 GRID_EXTENSION = 0.25     # fractional span appended per side for the tail check
 LOG_FLOOR = 1e-300        # densities are clamped to this before taking logs
 KDE_BLOCK = 128           # grid rows per block of the 1-D KDE
+W2_QUANTILES = 512        # midpoint quantile levels w2_grids_1d couples
 
 
 def uniform_axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -438,8 +439,8 @@ def w2_to_target_1d(samples: np.ndarray, reference: GridDensity) -> float:
     return w2_1d(s, np.sort(q))
 
 
-def w2_grids_1d(g: GridDensity, other: GridDensity, n_quantiles: int = 512) -> float:
-    probs = (np.arange(n_quantiles) + 0.5) / n_quantiles
+def w2_grids_1d(g: GridDensity, other: GridDensity) -> float:
+    probs = (np.arange(W2_QUANTILES) + 0.5) / W2_QUANTILES
     qa = grid_quantiles(g, probs)
     qb = grid_quantiles(other, probs)
     return w2_1d(np.sort(qa), np.sort(qb))

@@ -80,12 +80,14 @@ class SamplerConfig:
 
 @dataclass
 class DensityState:
-    """Per-run cached grid machinery (and the chain for the successive mode).
+    """Per-run cached grid machinery and the density the run evolves.
 
-    grid is the run's Grid, Grid.uniform(cfg.grid), built once per run.
-    target is the diagnostics target on the measurement grid, truncation-checked
-    when first built, and target_grad its potential's gradient at the grid
-    points; w2_target is its first-axis 1-D marginal for W2. kde
+    grid is the run's Grid, Grid.uniform(cfg.grid), built once per run. chain
+    is the density the run evolves (the successive chain or evolve_law's law);
+    diagnostics measure it whenever it is set. target is the diagnostics target
+    on the measurement grid, truncation-checked when first built, target_grad
+    its potential's gradient there (the operator's grad_v on its grid), and
+    w2_target its first-axis marginal for W2 (target itself in 1-D). kde
     pairs the last ensemble object seen with its KDE on the run grid, so a
     brwp_kde or explicit_flow step reuses the KDE of the diagnostics row just
     written.
@@ -161,25 +163,31 @@ def brwp_step(ensemble: ParticleEnsemble, target: Potential, cfg: SamplerConfig,
               state: DensityState) -> ParticleEnsemble:
     """One synchronous semi-implicit update; score per cfg.method; updates state in place."""
     h, beta = cfg.h, cfg.beta
-    p = ProxParams(T=cfg.T, beta=beta)
     if cfg.method == "brwp_particle":
-        score, _ = prox_particle_score(ensemble, target, p)
+        score, _ = prox_particle_score(ensemble, target, ProxParams(T=cfg.T, beta=beta))
     else:
-        if state.operator is None:
-            state.operator = GridProxOperator(state.grid, target, p, cfg.grid_backend)
+        op = _grid_operator(cfg, target, state)
         if cfg.method == "brwp_successive":
             if state.chain is None:
                 raise ParameterError("successive mode needs an initial chain density")
-            rho_t, _, fields = state.operator.score_of_step(state.chain)
+            rho_t, _, fields = op.score_of_step(state.chain)
             state.chain = rho_t
         elif cfg.method == "brwp_kde":
             rho_k = _grid_kde(ensemble, cfg, state)
-            _, _, fields = state.operator.score_of_step(rho_k)
+            _, _, fields = op.score_of_step(rho_k)
         else:
             raise ParameterError(f"brwp_step cannot run method {cfg.method!r}")
         score = _interp_score(state.grid.axes, fields, ensemble.points)
     pts = ensemble.points - h * (target.grad_fn(ensemble.points) + score / beta)
     return ParticleEnsemble(pts, ensemble.step_index + 1)
+
+
+def _grid_operator(cfg: SamplerConfig, target: Potential, state: DensityState):
+    """The run's operator on state.grid, built on first use."""
+    if state.operator is None:
+        state.operator = GridProxOperator(state.grid, target, ProxParams(cfg.T, cfg.beta),
+                                          cfg.grid_backend)
+    return state.operator
 
 
 def _grid_kde(ensemble: ParticleEnsemble, cfg: SamplerConfig,
@@ -233,13 +241,12 @@ class RunResult:
     ensemble: Optional[ParticleEnsemble] = None
 
 
-def _diagnose(cfg: SamplerConfig, target: Potential, ensemble: ParticleEnsemble,
-              state: DensityState, k: int, t0: float,
-              bound_ctx: Optional[dict]) -> DiagnosticsReport:
+def _diagnose(cfg: SamplerConfig, target: Potential, ensemble: Optional[ParticleEnsemble],
+              state: DensityState, k: int, t0: float, bound_ctx: Optional[dict]):
+    """One diagnostics row; it measures state.chain when set, else the ensemble."""
     beta = cfg.beta
     marg1d = marginal_target(target)
-    # measurement density + matching target
-    if cfg.method == "brwp_successive":
+    if state.chain is not None:
         g, meas_target = state.chain, target
     elif target.dim == state.grid.dim:
         g, meas_target = _grid_kde(ensemble, cfg, state), target
@@ -251,19 +258,19 @@ def _diagnose(cfg: SamplerConfig, target: Potential, ensemble: ParticleEnsemble,
         return DiagnosticsReport(k, *([float("nan")] * 5))
     if state.target is None:
         state.target = target_density(meas_target, g.grid, beta)
-        state.target_grad = meas_target.grad_fn(g.grid.points)
+        op = state.operator
+        covered = op is not None and op.grid is g.grid      # built for this target
+        state.target_grad = op.grad_v if covered else meas_target.grad_fn(g.grid.points)
     kl, fi, m0, tv = divergences(g, state.target, state.target_grad, beta)
     # W2 in the first dimension, exact quantile coupling
     if marg1d is None:
         w2 = float("nan")
     else:
         if state.w2_target is None:
-            state.w2_target = target_density(marg1d, g.grid.marginal, beta,
-                                             check_truncation=False)
-        if cfg.method == "brwp_successive":
-            w2 = w2_grids_1d(g.marginal_first(), state.w2_target)
-        else:
-            w2 = w2_to_target_1d(ensemble.points[:, 0], state.w2_target)
+            state.w2_target = state.target if g.grid.dim == 1 else target_density(
+                marg1d, g.grid.marginal, beta, check_truncation=False)
+        w2 = (w2_grids_1d(g.marginal_first(), state.w2_target) if state.chain is not None
+              else w2_to_target_1d(ensemble.points[:, 0], state.w2_target))
     bound = float("nan")
     if bound_ctx is not None:
         if "inputs" not in bound_ctx:
@@ -289,7 +296,11 @@ def run(cfg: SamplerConfig, target: Potential,
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     if init_points is not None:
-        ens = ParticleEnsemble(np.array(init_points, dtype=float))
+        pts = np.array(init_points, dtype=float)
+        if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != target.dim:
+            raise ParameterError(f"init_points must have shape (n >= 2, {target.dim}), "
+                                 f"got {pts.shape}")
+        ens = ParticleEnsemble(pts)
     else:
         ens = initial_ensemble(cfg, target.dim, rng)
     state = DensityState(Grid.uniform(cfg.grid))
@@ -298,6 +309,8 @@ def run(cfg: SamplerConfig, target: Potential,
             raise ParameterError(f"successive mode needs a grid of the target's dimension: "
                                  f"target dim {target.dim}, grid dim {state.grid.dim}")
         state.chain = initial_grid_density(cfg, state.grid)
+    if cfg.method in ("brwp_kde", "brwp_successive"):
+        _grid_operator(cfg, target, state)
     bound_ctx = {} if target.alpha is not None else None
     result = RunResult()
     result.reports.append(_diagnose(cfg, target, ens, state, 0, t0, bound_ctx))
@@ -335,35 +348,25 @@ def evolve_law(cfg: SamplerConfig, target: Potential) -> LawTrace:
         raise ParameterError("evolve_law supports dim=1 grids only")
     grid = Grid.uniform(cfg.grid)
     x = grid.axes[0]
-    op = GridProxOperator(grid, target, ProxParams(T=cfg.T, beta=cfg.beta), cfg.grid_backend)
-    rho = initial_grid_density(cfg, grid)
-    grad_v = op.grad_v
-    # in 1-D the truncation-checked target is also the W2 reference
-    rs = target_density(target, grid, cfg.beta)
+    state = DensityState(grid, chain=initial_grid_density(cfg, grid))
+    op = _grid_operator(cfg, target, state)
     t0 = time.perf_counter()
-    reports = [_law_report(cfg, grad_v, rs, rho, 0, t0)]
+    reports = [_diagnose(cfg, target, None, state, 0, t0, None)]
     folded = False
     for k in range(1, cfg.n_steps + 1):
-        _, _, fields = op.score_of_step(rho)
-        m = x - cfg.h * (grad_v[:, 0] + fields[0] / cfg.beta)
+        _, _, fields = op.score_of_step(state.chain)
+        m = x - cfg.h * (op.grad_v[:, 0] + fields[0] / cfg.beta)
         dm = central_diff(m, grid.spacing[0], 0)
         if np.any(dm <= 0):
             folded = True
-        vals = np.where(np.abs(dm) > 1e-300, rho.values / np.abs(dm), 0.0)
+        vals = np.where(np.abs(dm) > 1e-300, state.chain.values / np.abs(dm), 0.0)
         order = np.argsort(m)
         new_vals = np.interp(x, m[order], vals[order], left=0.0, right=0.0)
         try:
-            rho = GridDensity(grid, np.maximum(new_vals, 0.0)).normalize()
+            state.chain = GridDensity(grid, np.maximum(new_vals, 0.0)).normalize()
         except DegenerateDensityError:
             folded = True
             break
         if k % cfg.diag_every == 0 or k == cfg.n_steps:
-            reports.append(_law_report(cfg, grad_v, rs, rho, k, t0))
-    return LawTrace(reports, rho, folded)
-
-
-def _law_report(cfg, grad_v, rs, rho, k, t0) -> DiagnosticsReport:
-    kl, fi, m0, tv = divergences(rho, rs, grad_v, cfg.beta)
-    w2 = w2_grids_1d(rho, rs)
-    ms = (time.perf_counter() - t0) * 1000.0 if cfg.record_timing else 0.0
-    return DiagnosticsReport(k, kl, fi, m0, tv, w2, float("nan"), ms)
+            reports.append(_diagnose(cfg, target, None, state, k, t0, None))
+    return LawTrace(reports, state.chain, folded)

@@ -1,5 +1,6 @@
 """Property tests of the grid operator: the 1-D FFT blur with dense repair,
-and the score of a step against the closed form for quadratic V."""
+the step against the heat kernel for V = 0, and the score of a step against
+the closed form for quadratic V."""
 
 import numpy as np
 from hypothesis import given, seed, settings, strategies as st
@@ -63,3 +64,27 @@ def test_score_of_step_gaussian_closed_form(dim, alpha, beta, T, frac):
     assert again_mass == mass
     assert np.array_equal(again_t.values, rho_t.values)
     assert all(np.array_equal(a, s) for a, s in zip(again_score, score))
+
+
+@seed(20261019)
+@settings(max_examples=30, deadline=None, database=None)
+@given(dim=st.sampled_from([1, 2, 3]), T=st.floats(0.01, 1.0), beta=st.floats(0.2, 5.0),
+       ratio=st.floats(0.5, 2.0))
+def test_step_is_heat_kernel_for_zero_potential(dim, T, beta, ratio):
+    # V = 0 and rho0 = N(0, v0 I) give rho_T = N(0, (v0 + 2T/beta) I). The grid
+    # resolves the narrower of the kernel and rho0 and reaches 8 (d = 3: 6)
+    # output standard deviations; d = 3 keeps to at most 29 points per axis.
+    kern = 2 * T / beta
+    v0 = ratio * kern
+    var_t = v0 + kern
+    dx = (0.75 if dim == 3 else 0.5) * np.sqrt(min(kern, v0))
+    half = (6 if dim == 3 else 8) * np.sqrt(var_t)
+    axis = uniform_axis(-half, half, 2 * int(np.ceil(half / dx)) + 1)
+    grid = Grid((axis,) * dim)
+    sq = sum(m**2 for m in grid.mesh)
+    rho0 = GridDensity(grid, np.exp(-sq / (2 * v0))).normalize()
+    rho_t, mass = GridProxOperator(grid, make_zero(dim), ProxParams(T=T, beta=beta)).step(rho0)
+    exact = np.exp(-sq / (2 * var_t)) / (2 * np.pi * var_t) ** (dim / 2)
+    assert np.all(rho_t.values >= 0)
+    assert abs(mass - 1.0) <= MASS_TOL
+    assert np.max(np.abs(rho_t.values - exact)) <= 1e-6 * exact.max()

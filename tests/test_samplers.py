@@ -176,6 +176,14 @@ class TestRun:
         with pytest.raises(ParameterError):
             SamplerConfig(method="hamiltonian")
 
+    @pytest.mark.parametrize("method, dim, shape", [
+        ("ula", 10, (50, 12)), ("brwp_successive", 1, (50, 2)),
+        ("brwp_kde", 1, (50,)), ("ula", 2, (1, 2))])
+    def test_init_points_shape_checked(self, method, dim, shape):
+        cfg = SamplerConfig(method=method, n_steps=2, n_particles=50)
+        with pytest.raises(ParameterError, match="init_points"):
+            run(cfg, make_quadratic(1.0, dim), init_points=np.zeros(shape))
+
 
 class TestPerRunCaching:
     def test_kde_reuse_matches_fresh_kde(self, mix1d):
@@ -209,9 +217,23 @@ class TestPerRunCaching:
                quad1d)
             return len(calls)
 
+        # on a 1-D grid the truncation-checked target is also the W2 reference
         for fn, method in ((run, "brwp_successive"), (run, "brwp_kde"),
                            (evolve_law, "brwp_successive")):
-            assert builds(fn, method, 2) == builds(fn, method, 6) > 0
+            assert builds(fn, method, 2) == builds(fn, method, 6) == 1
+
+    @pytest.mark.parametrize("method", ["brwp_kde", "brwp_successive"])
+    @pytest.mark.parametrize("grid", [((-12.0, 12.0, 2401),), ((-8.0, 8.0, 41),) * 2])
+    def test_diagnostics_reuse_operator_grad_v(self, method, grid):
+        # grad V on the grid comes from the operator alone; particles are off the grid
+        target = make_quadratic(1.0, len(grid))
+        cfg = SamplerConfig(method=method, n_steps=3, n_particles=100, seed=0, grid=grid)
+        sizes = []
+        counted = dataclasses.replace(
+            target, grad_fn=lambda x: sizes.append(x.shape[0]) or target.grad_fn(x))
+        rows = [r.csv_row() for r in run(cfg, counted).reports]
+        assert sizes.count(Grid.uniform(grid).points.shape[0]) == 1
+        assert rows == [r.csv_row() for r in run(cfg, target).reports]
 
     def test_law_reuses_operator_grad_v(self, quad1d):
         sizes = []

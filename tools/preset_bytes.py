@@ -48,6 +48,15 @@ PRESETS = {
     "kde_laplace": ["sample", "--target.id", "gaussian_mixture", "--sampler.method",
                     "brwp_kde", "--sampler.backend", "laplace_denominator",
                     "--sampler.n_steps", "10"],
+    # grid KDE, no operator
+    "particle_2d": ["sample", "--target.id", "gaussian_mixture", "--target.dim", "2",
+                    "--sampler.method", "brwp_particle", "--sampler.n_steps", "5"],
+    # no catalog marginal: W2 is NaN
+    "kde_l1_l12_2d": ["sample", "--target.id", "l1_l12", "--target.dim", "2",
+                      "--sampler.method", "brwp_kde", "--sampler.n_steps", "5"],
+    # 4-D target on a 3-D grid without a marginal: every diagnostic is NaN
+    "ula_gauss_laplace_4d": ["sample", "--target.id", "gauss_laplace", "--target.dim", "4",
+                             "--sampler.method", "ula", "--sampler.n_steps", "5"],
     "prox_evolve_1d": ["prox-evolve", "--prox.iters", "20", "--prox.save_every", "5"],
     "prox_evolve_2d": ["prox-evolve", "--target.dim", "2", "--prox.iters", "10",
                        "--prox.save_every", "5"],
