@@ -3,14 +3,16 @@
 Subcommands: prox-evolve, sample, order-check, denominator-check,
 decay-check, stepsize-sweep. Configuration is a flat key-value file with
 dotted section keys (e.g. ``sampler.h = 0.02``); any key can be overridden
-on the command line as ``--sampler.h 0.02``.
+on the command line as ``--sampler.h 0.02``. A key not in DEFAULTS is a
+configuration error.
 
 Exit codes: 0 success / assertion pass, 1 assertion fail,
 2 configuration error, 3 numerical abort.
 
-Heavy imports happen inside main() so that --threads can pin the BLAS
-thread count before numpy loads. A rerun at the same thread count gives
-identical bytes; a different count may change the last digits of sums.
+Neither this module nor the package root imports numpy at load time; the
+heavy imports happen inside main(), after --threads has pinned the BLAS
+thread count. A rerun at the same thread count gives identical bytes; a
+different count may change the last digits of sums.
 """
 
 from __future__ import annotations
@@ -109,9 +111,11 @@ def load_config(path) -> dict:
 def resolve_config(args, overrides) -> dict:
     cfg = dict(DEFAULTS)
     if args.config:
-        for k, v in load_config(args.config).items():
-            cfg[k] = v
+        cfg.update(load_config(args.config))
     cfg.update(overrides)
+    unknown = sorted(set(cfg) - set(DEFAULTS))
+    if unknown:
+        raise _config_error(f"unknown config key(s) {', '.join(unknown)}")
     if args.seed is not None:
         cfg["sampler.seed"] = args.seed
     return cfg
@@ -180,6 +184,18 @@ def sampler_config(cfg, dim: int):
         record_timing=bool(cfg["timing.record"]))
 
 
+def _write_csv(path: Path, header: str, rows):
+    """Comma-separated rows: bool as true/false, int with str, else repr(float(v))."""
+    def field(v) -> str:
+        if isinstance(v, bool):
+            return str(v).lower()
+        return str(v) if isinstance(v, int) else repr(float(v))
+    with open(path, "w", newline="") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(map(field, row)) + "\n")
+
+
 def write_run_csv(path: Path, reports):
     from .density import DiagnosticsReport
     with open(path, "w", newline="") as f:
@@ -219,10 +235,7 @@ def cmd_prox_evolve(cfg, outdir: Path) -> tuple:
         rows.append((k, l1, relative_entropy(rho, rs), mass))
         if k % save_every == 0 or k == iters:
             rho.to_csv(outdir / f"density_iter_{k:04d}.csv")
-    with open(outdir / "l1_error.csv", "w", newline="") as f:
-        f.write("iter,l1,kl,prenorm_mass\n")
-        for row in rows:
-            f.write(",".join([str(row[0])] + [repr(v) for v in row[1:]]) + "\n")
+    _write_csv(outdir / "l1_error.csv", "iter,l1,kl,prenorm_mass", rows)
     if cfg["plot"]:
         from .svgfig import line_plot
         gm = rho.marginal_first()
@@ -249,10 +262,8 @@ def cmd_sample(cfg, outdir: Path) -> tuple:
     result = run(scfg, target)
     write_run_csv(outdir / "run.csv", result.reports)
     pts = result.ensemble.points
-    with open(outdir / "ensemble_final.csv", "w", newline="") as f:
-        f.write(",".join(f"x{i}" for i in range(pts.shape[1])) + "\n")
-        for row in pts:
-            f.write(",".join(map(repr, row.tolist())) + "\n")
+    _write_csv(outdir / "ensemble_final.csv", ",".join(f"x{i}" for i in range(pts.shape[1])),
+               (row.tolist() for row in pts))
     if cfg["plot"]:
         from .svgfig import histogram
         overlay = None
@@ -288,10 +299,7 @@ def cmd_order_check(cfg, outdir: Path) -> tuple:
         foe = first_order_expansion(rho0, target, beta, t_step)
         rows.append((t_step, float(np.max(np.abs(rho_t.values - foe.values)))))
     slope = _fit_slope([r[0] for r in rows], [r[1] for r in rows])
-    with open(outdir / "order_check.csv", "w", newline="") as f:
-        f.write("T,max_err\n")
-        for t_step, err in rows:
-            f.write(f"{t_step!r},{err!r}\n")
+    _write_csv(outdir / "order_check.csv", "T,max_err", rows)
     if cfg["plot"]:
         from .svgfig import line_plot
         line_plot(outdir / "order_check.svg",
@@ -324,10 +332,7 @@ def cmd_denominator_check(cfg, outdir: Path) -> tuple:
             errs.append(abs(exact - lap))
             rows.append((y, t_step, exact, lap, errs[-1]))
         slopes[y] = _fit_slope(t_list, errs)
-    with open(outdir / "denominator_check.csv", "w", newline="") as f:
-        f.write("y,T,exact,laplace,abs_err\n")
-        for row in rows:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(outdir / "denominator_check.csv", "y,T,exact,laplace,abs_err", rows)
     ok = all(s >= float(cfg["order.min_slope"]) for s in slopes.values())
     for y, s in slopes.items():
         print(f"denominator-check y={y}: slope={s:.3f}")
@@ -385,10 +390,8 @@ def cmd_stepsize_sweep(cfg, outdir: Path) -> tuple:
             and kls[-1] <= kls[0] and not trace.folded
         summary.append((h, hit, stable, kls[-1], min(kls)))
         write_run_csv(outdir / f"law_h_{h:.6g}.csv", trace.reports)
-    with open(outdir / "sweep.csv", "w", newline="") as f:
-        f.write("h,steps_to_threshold,stable,terminal_kl,min_kl\n")
-        for h, hit, stable, term, lo in summary:
-            f.write(f"{h!r},{hit},{str(stable).lower()},{term!r},{lo!r}\n")
+    _write_csv(outdir / "sweep.csv", "h,steps_to_threshold,stable,terminal_kl,min_kl",
+               summary)
     for h, hit, stable, term, _ in summary:
         print(f"sweep h={h:.4f}: steps_to_{threshold:g}={hit} stable={stable} "
               f"terminal_kl={term:.3e}")
@@ -425,14 +428,20 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # honor --threads before numpy is imported anywhere; it overrides the
     # thread variables the process inherited
-    if "--threads" in argv:
-        i = argv.index("--threads")
-        if i + 1 >= len(argv) or argv[i + 1].startswith("--"):
+    for i, tok in enumerate(argv):
+        name, eq, value = tok.partition("=")
+        if name != "--threads":
+            continue
+        if not eq:
+            value = argv[i + 1] if i + 1 < len(argv) else ""
+        if not value or value.startswith("--"):
             print("missing value for --threads", file=sys.stderr)
             return EXIT_CONFIG
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = argv[i + 1]
-    parser = argparse.ArgumentParser(prog="brwplab", description=__doc__)
+            os.environ[var] = value
+    # no abbreviations: "--thr 1" must not reach --threads past the pin above
+    parser = argparse.ArgumentParser(prog="brwplab", description=__doc__,
+                                     allow_abbrev=False)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--out", default="out", help="artifact directory")

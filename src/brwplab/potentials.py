@@ -1,9 +1,8 @@
 """Target potentials V defining rho* ∝ exp(-beta*V), with gradients and Laplacians.
 
-Every potential is vectorized over batches of points: callables accept an
-(N, d) array and return (N,) for scalar fields or (N, d) for gradients.
-The public methods also accept a bare scalar (d=1) or a single (d,) point
-and return correspondingly squeezed results.
+Every potential is vectorized over batches of points: eval_fn, grad_fn and
+laplacian_fn take an (N, d) array and return (N,) for scalar fields or (N, d)
+for gradients.
 """
 
 from __future__ import annotations
@@ -30,6 +29,8 @@ class Potential:
 
     alpha is the strong log-concavity constant (Hessian >= alpha*I) when
     known; samplers and theory read it for stepsize limits and KL bounds.
+    Without a laplacian_fn, the Laplacian is a finite-difference stencil
+    on eval_fn.
     """
 
     dim: int
@@ -40,52 +41,9 @@ class Potential:
     name: str = "potential"
     params: dict = field(default_factory=dict)
 
-    def _as_batch(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        if scalar:
-            if self.dim != 1:
-                raise ParameterError(f"scalar input requires dim=1, have dim={self.dim}")
-            x = x.reshape(1, 1)
-        elif x.ndim == 1:
-            if x.size == self.dim:
-                x = x.reshape(1, self.dim)
-            elif self.dim == 1:
-                x = x.reshape(-1, 1)
-                return x, "vector1d"
-            else:
-                raise ParameterError(f"point of size {x.size} does not match dim={self.dim}")
-        elif x.ndim != 2 or x.shape[1] != self.dim:
-            raise ParameterError(f"expected (N,{self.dim}) array, got shape {x.shape}")
-        return x, ("scalar" if scalar else ("point" if x.shape[0] == 1 else "batch"))
-
-    def eval(self, x):
-        xb, kind = self._as_batch(x)
-        v = self.eval_fn(xb)
-        if kind in ("scalar", "point"):
-            return float(v[0])
-        return v
-
-    def grad(self, x):
-        xb, kind = self._as_batch(x)
-        g = self.grad_fn(xb)
-        if kind == "scalar":
-            return float(g[0, 0])
-        if kind == "point":
-            return g[0]
-        if kind == "vector1d":
-            return g[:, 0]
-        return g
-
-    def laplacian(self, x):
-        xb, kind = self._as_batch(x)
-        if self.laplacian_fn is not None:
-            lap = self.laplacian_fn(xb)
-        else:
-            lap = self._fd_laplacian(xb)
-        if kind in ("scalar", "point"):
-            return float(lap[0])
-        return lap
+    def __post_init__(self):
+        if self.laplacian_fn is None:
+            self.laplacian_fn = self._fd_laplacian
 
     def _fd_laplacian(self, xb):
         """Central-difference Laplacian, median over three shifted centers.
@@ -271,32 +229,10 @@ def make_nonsmooth_mixture(kind: str, sigma: float = 1.0, b: float = 0.25,
         dim=dim,
         eval_fn=eval_fn,
         grad_fn=grad_fn,
-        laplacian_fn=None,
         name=kind,
         params={"sigma": float(sigma), "b": float(b), "dim": dim,
                 "beta": float(beta), "eps": float(eps)},
     )
-
-
-def make_tabulated(xs, values) -> Potential:
-    """1-D potential interpolated linearly from a table of (x, V(x)) pairs."""
-    xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if xs.ndim != 1 or xs.size < 2 or xs.shape != values.shape:
-        raise ParameterError("tabulated potential needs matching 1-D arrays with >= 2 rows")
-    if np.any(np.diff(xs) <= 0):
-        raise ParameterError("tabulated abscissae must be strictly increasing")
-    slopes = np.diff(values) / np.diff(xs)
-
-    def eval_fn(x):
-        return np.interp(x[:, 0], xs, values)
-
-    def grad_fn(x):
-        idx = np.clip(np.searchsorted(xs, x[:, 0]) - 1, 0, slopes.size - 1)
-        return slopes[idx][:, None]
-
-    return Potential(dim=1, eval_fn=eval_fn, grad_fn=grad_fn, name="tabulated",
-                     params={"n_table": int(xs.size)})
 
 
 CATALOG = {

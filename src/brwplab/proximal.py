@@ -96,7 +96,7 @@ def denominator_laplace(y, target: Potential, p: ProxParams) -> float:
 def _log_denominator_laplace(ys: np.ndarray, target: Potential, p: ProxParams):
     """log D at each row of ys by the Laplace form, with its T*Lap V guards."""
     s = ys - p.T * target.grad_fn(ys)
-    lap = np.atleast_1d(target.laplacian(s))
+    lap = target.laplacian_fn(s)
     corr = 1.0 + (p.T / 2) * lap
     if np.any(corr <= LAPLACE_GUARD):
         raise StepsizeError(
@@ -325,7 +325,7 @@ def first_order_expansion(rho0: GridDensity, target: Potential, beta: float,
     pts = rho0.grid.points
     v0 = -np.log(rho0.values) / beta
     grad_v = target.grad_fn(pts)
-    lap_v = target.laplacian(pts).reshape(shape)
+    lap_v = target.laplacian_fn(pts).reshape(shape)
     cross = np.zeros(shape)
     lap_v0 = np.zeros(shape)
     for i, dx in enumerate(rho0.grid.spacing):

@@ -242,8 +242,11 @@ class RunResult:
 
 
 def _diagnose(cfg: SamplerConfig, target: Potential, ensemble: Optional[ParticleEnsemble],
-              state: DensityState, k: int, t0: float, bound_ctx: Optional[dict]):
-    """One diagnostics row; it measures state.chain when set, else the ensemble."""
+              state: DensityState, k: int, t0: float):
+    """One diagnostics row; it measures state.chain when set, else the ensemble.
+
+    Its kl_bound is NaN; run fills it in when the target's alpha is known.
+    """
     beta = cfg.beta
     marg1d = marginal_target(target)
     if state.chain is not None:
@@ -271,15 +274,8 @@ def _diagnose(cfg: SamplerConfig, target: Potential, ensemble: Optional[Particle
                 marg1d, g.grid.marginal, beta, check_truncation=False)
         w2 = (w2_grids_1d(g.marginal_first(), state.w2_target) if state.chain is not None
               else w2_to_target_1d(ensemble.points[:, 0], state.w2_target))
-    bound = float("nan")
-    if bound_ctx is not None:
-        if "inputs" not in bound_ctx:
-            bound_ctx["inputs"] = theory.BoundInputs(
-                alpha=target.alpha, beta=beta, h=cfg.h, s=cfg.T / cfg.h,
-                kl0=max(kl, 0.0), m0=max(m0, 0.0))
-        bound = theory.kl_k_bound(k, bound_ctx["inputs"])
     ms = (time.perf_counter() - t0) * 1000.0 if cfg.record_timing else 0.0
-    return DiagnosticsReport(k, kl, fi, m0, tv, w2, bound, ms)
+    return DiagnosticsReport(k, kl, fi, m0, tv, w2, wallclock_ms=ms)
 
 
 def run(cfg: SamplerConfig, target: Potential,
@@ -311,9 +307,8 @@ def run(cfg: SamplerConfig, target: Potential,
         state.chain = initial_grid_density(cfg, state.grid)
     if cfg.method in ("brwp_kde", "brwp_successive"):
         _grid_operator(cfg, target, state)
-    bound_ctx = {} if target.alpha is not None else None
     result = RunResult()
-    result.reports.append(_diagnose(cfg, target, ens, state, 0, t0, bound_ctx))
+    result.reports.append(_diagnose(cfg, target, ens, state, 0, t0))
     for k in range(1, cfg.n_steps + 1):
         if cfg.method == "ula":
             ens = ula_step(ens, target, cfg.h, cfg.beta, rng)
@@ -322,7 +317,14 @@ def run(cfg: SamplerConfig, target: Potential,
         else:
             ens = brwp_step(ens, target, cfg, state)
         if k % cfg.diag_every == 0 or k == cfg.n_steps:
-            result.reports.append(_diagnose(cfg, target, ens, state, k, t0, bound_ctx))
+            result.reports.append(_diagnose(cfg, target, ens, state, k, t0))
+    if target.alpha is not None:
+        row0 = result.reports[0]
+        inputs = theory.BoundInputs(alpha=target.alpha, beta=cfg.beta, h=cfg.h,
+                                    s=cfg.T / cfg.h, kl0=max(row0.kl, 0.0),
+                                    m0=max(row0.m0, 0.0))
+        for r in result.reports:
+            r.kl_bound = theory.kl_k_bound(r.iter, inputs)
     result.ensemble = ens
     return result
 
@@ -351,7 +353,7 @@ def evolve_law(cfg: SamplerConfig, target: Potential) -> LawTrace:
     state = DensityState(grid, chain=initial_grid_density(cfg, grid))
     op = _grid_operator(cfg, target, state)
     t0 = time.perf_counter()
-    reports = [_diagnose(cfg, target, None, state, 0, t0, None)]
+    reports = [_diagnose(cfg, target, None, state, 0, t0)]
     folded = False
     for k in range(1, cfg.n_steps + 1):
         _, _, fields = op.score_of_step(state.chain)
@@ -368,5 +370,5 @@ def evolve_law(cfg: SamplerConfig, target: Potential) -> LawTrace:
             folded = True
             break
         if k % cfg.diag_every == 0 or k == cfg.n_steps:
-            reports.append(_diagnose(cfg, target, None, state, k, t0, None))
+            reports.append(_diagnose(cfg, target, None, state, k, t0))
     return LawTrace(reports, state.chain, folded)

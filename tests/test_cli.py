@@ -1,10 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-import os
-
+import brwplab
 from brwplab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, load_config, main,
                          parse_value)
 
@@ -50,6 +53,20 @@ class TestConfigParsing:
         assert code == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["sampler.n_steps"] == 3
+
+    def test_unknown_override_key_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli("order-check", "--out", str(out), "--order.tlist", "0.2,0.1")
+        assert code == EXIT_CONFIG
+        assert "unknown config key(s) order.tlist" in capsys.readouterr().err
+        assert not (out / "order_check.csv").exists()
+
+    def test_unknown_file_key_is_config_error(self, tmp_path, capsys):
+        cfg_file = tmp_path / "typo.cfg"
+        cfg_file.write_text("sampler.h = 0.02\nsampler.nsteps = 3\n")
+        code = run_cli("sample", "--config", str(cfg_file), "--out", str(tmp_path / "o"))
+        assert code == EXIT_CONFIG
+        assert "unknown config key(s) sampler.nsteps" in capsys.readouterr().err
 
 
 class TestSample:
@@ -126,6 +143,31 @@ class TestThreads:
                        "--target.id", "swiss_roll")
         assert code == EXIT_CONFIG
         assert [os.environ[var] for var in self.VARS] == ["1", "1", "1"]
+
+    def test_equals_form_pins_thread_variables(self, tmp_path, monkeypatch):
+        for var in self.VARS:
+            monkeypatch.setenv(var, "7")
+        code = run_cli("sample", "--threads=1", "--out", str(tmp_path / "t"),
+                       "--target.id", "swiss_roll")
+        assert code == EXIT_CONFIG
+        assert [os.environ[var] for var in self.VARS] == ["1", "1", "1"]
+
+    def test_abbreviation_is_not_threads(self, tmp_path, monkeypatch, capsys):
+        for var in self.VARS:
+            monkeypatch.setenv(var, "7")
+        assert run_cli("sample", "--thr", "1", "--out", str(tmp_path / "t")) == EXIT_CONFIG
+        assert "unknown config key(s) thr" in capsys.readouterr().err
+        assert [os.environ[var] for var in self.VARS] == ["7", "7", "7"]
+
+    def test_cli_import_leaves_numpy_unloaded(self, tmp_path):
+        # a fresh interpreter: --threads can only pin BLAS if numpy loads after it
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env["PYTHONPATH"] = str(Path(brwplab.__file__).resolve().parents[1])
+        child = ("import sys, brwplab.cli\n"
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+        out = subprocess.run([sys.executable, "-c", child], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestOrderCheck:

@@ -2,29 +2,28 @@ import numpy as np
 import pytest
 
 from brwplab.errors import ParameterError
-from brwplab.potentials import (from_catalog, make_gaussian_mixture,
-                                make_nonsmooth_mixture, make_quadratic,
-                                make_tabulated, make_zero)
+from brwplab.potentials import (Potential, from_catalog, make_gaussian_mixture,
+                                make_nonsmooth_mixture, make_quadratic, make_zero)
+
+
+def rows(*xs):
+    """Points as an (N, d) batch: each argument is one point (a number when d = 1)."""
+    return np.array([np.atleast_1d(x) for x in xs], dtype=float)
 
 
 def fd_gradient(pot, x, delta=1e-6):
-    """Independent central-difference gradient oracle."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = delta
-        g[i] = (pot.eval(x + e) - pot.eval(x - e)) / (2 * delta)
-    return g
+    """Independent central-difference gradient oracle at one (d,) point."""
+    steps = delta * np.eye(x.size)
+    return (pot.eval_fn(x + steps) - pot.eval_fn(x - steps)) / (2 * delta)
 
 
 class TestQuadratic:
     def test_eval_grad_laplacian(self):
         v = make_quadratic(1.0, 1)
-        assert v.eval(2.0) == 2.0
-        assert v.grad(2.0) == 2.0
+        assert v.eval_fn(rows(2.0)).tolist() == [2.0]
+        assert v.grad_fn(rows(2.0)).tolist() == [[2.0]]
         v2 = make_quadratic(3.0, 2)
-        assert v2.laplacian(np.array([0.3, -1.2])) == 6.0
+        assert v2.laplacian_fn(rows([0.3, -1.2], [1.0, 2.0])).tolist() == [6.0, 6.0]
 
     def test_nonpositive_alpha_rejected(self):
         with pytest.raises(ParameterError):
@@ -40,7 +39,8 @@ class TestQuadratic:
             x, y = rng.uniform(-3, 3, d), rng.uniform(-3, 3, d)
             if np.allclose(x, y):
                 continue
-            q = np.dot(v.grad(x) - v.grad(y), x - y) / np.dot(x - y, x - y)
+            gx, gy = v.grad_fn(rows(x, y))
+            q = np.dot(gx - gy, x - y) / np.dot(x - y, x - y)
             assert q == pytest.approx(alpha, abs=1e-13)
 
 
@@ -48,10 +48,11 @@ class TestGaussianMixture:
     def test_symmetric_gradient_zero_at_origin(self):
         for d in (1, 2, 10):
             v = make_gaussian_mixture(2.0, 1.0, dim=d)
-            assert np.allclose(v.grad(np.zeros(d)), 0.0, atol=1e-14)
+            assert np.allclose(v.grad_fn(np.zeros((1, d))), 0.0, atol=1e-14)
 
     def test_mode_below_saddle(self, mix1d):
-        assert mix1d.eval(2.0) < mix1d.eval(0.0)
+        at_mode, at_saddle = mix1d.eval_fn(rows(2.0, 0.0))
+        assert at_mode < at_saddle
 
     def test_density_normalized(self, mix1d):
         # trapezoid quadrature oracle on a wide 1-D grid
@@ -59,7 +60,7 @@ class TestGaussianMixture:
         w = np.full(x.size, x[1] - x[0])
         w[0] *= 0.5
         w[-1] *= 0.5
-        mass = np.sum(w * np.exp(-mix1d.eval(x)))
+        mass = np.sum(w * np.exp(-mix1d.eval_fn(x[:, None])))
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     def test_analytic_laplacian_matches_fd(self, mix1d):
@@ -67,14 +68,15 @@ class TestGaussianMixture:
         for _ in range(20):
             x = rng.uniform(-4, 4)
             d = 1e-5
-            fd = (mix1d.eval(x + d) - 2 * mix1d.eval(x) + mix1d.eval(x - d)) / d**2
-            assert mix1d.laplacian(x) == pytest.approx(fd, rel=1e-4, abs=1e-4)
+            vp, v0, vm = mix1d.eval_fn(rows(x + d, x, x - d))
+            fd = (vp - 2 * v0 + vm) / d**2
+            assert mix1d.laplacian_fn(rows(x))[0] == pytest.approx(fd, rel=1e-4, abs=1e-4)
 
     def test_vector_a_and_scalar_a_agree(self):
         va = make_gaussian_mixture(np.array([2.0, 0.0]), 1.0)
         vs = make_gaussian_mixture(2.0, 1.0, dim=2)
-        pt = np.array([0.7, -0.3])
-        assert va.eval(pt) == pytest.approx(vs.eval(pt), rel=1e-14)
+        pt = rows([0.7, -0.3])
+        assert va.eval_fn(pt)[0] == pytest.approx(vs.eval_fn(pt)[0], rel=1e-14)
 
 
 class TestGradConsistency:
@@ -90,7 +92,7 @@ class TestGradConsistency:
         rng = np.random.default_rng(42)
         for _ in range(100):
             x = rng.uniform(-3, 3, pot.dim)
-            g = np.atleast_1d(pot.grad(x))
+            g = pot.grad_fn(x[None, :])[0]
             fd = fd_gradient(pot, x)
             assert np.max(np.abs(fd - g)) <= 1e-5 * (1 + np.linalg.norm(g))
 
@@ -103,7 +105,7 @@ class TestNonsmoothMixtures:
         # direct two-branch evaluation with the analytic normalization
         z = sigma * np.sqrt(2 * np.pi) + 4 * b
         expected = -np.log((np.exp(0.0) + np.exp(-abs(x + 2) / (2 * b))) / z)
-        assert v.eval(x) == pytest.approx(expected, rel=1e-12)
+        assert v.eval_fn(rows(x))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_gauss_laplace_density_normalized(self):
         v = make_nonsmooth_mixture("gauss_laplace", sigma=1.0, b=0.25, dim=1)
@@ -111,15 +113,14 @@ class TestNonsmoothMixtures:
         w = np.full(x.size, x[1] - x[0])
         w[0] *= 0.5
         w[-1] *= 0.5
-        assert np.sum(w * np.exp(-v.eval(x))) == pytest.approx(1.0, abs=1e-5)
+        assert np.sum(w * np.exp(-v.eval_fn(x[:, None]))) == pytest.approx(1.0, abs=1e-5)
 
     def test_l1_subgradient_sign_convention(self):
         v = make_nonsmooth_mixture("l1_l12", dim=2)
         # at (-1, 0) the L1 branch dominates; its first component is sign(1) = +1
-        g = v.grad(np.array([-1.0, 0.0]))
+        g, g_kink = v.grad_fn(rows([-1.0, 0.0], [-2.0, 0.0]))
         assert g[0] == pytest.approx(1.0, abs=5e-3)
         # exactly at the L1 kink the subgradient component is 0
-        g_kink = v.grad(np.array([-2.0, 0.0]))
         assert abs(g_kink[0]) < 1e-6
 
     def test_l1_l12_1d_normalized(self):
@@ -128,12 +129,19 @@ class TestNonsmoothMixtures:
         w = np.full(x.size, x[1] - x[0])
         w[0] *= 0.5
         w[-1] *= 0.5
-        assert np.sum(w * np.exp(-v.eval(x))) == pytest.approx(1.0, abs=1e-5)
+        assert np.sum(w * np.exp(-v.eval_fn(x[:, None]))) == pytest.approx(1.0, abs=1e-5)
 
     def test_fd_laplacian_stable_near_kink(self):
         v = make_nonsmooth_mixture("gauss_laplace", dim=1)
         # shifted-median stencil keeps the curvature finite at the kink
-        assert abs(v.laplacian(-2.0)) < 10.0
+        assert abs(v.laplacian_fn(rows(-2.0))[0]) < 10.0
+
+    @pytest.mark.parametrize("alpha,d", [(1.0, 1), (2.5, 2), (0.5, 3)])
+    def test_missing_laplacian_falls_back_to_fd(self, alpha, d):
+        v = Potential(dim=d, eval_fn=lambda x: 0.5 * alpha * np.sum(x * x, axis=1),
+                      grad_fn=lambda x: alpha * x)
+        pts = np.random.default_rng(5).uniform(-3, 3, (20, d))
+        assert np.max(np.abs(v.laplacian_fn(pts) - alpha * d)) <= 1e-4
 
     def test_bad_params_rejected(self):
         with pytest.raises(ParameterError):
@@ -153,9 +161,3 @@ class TestCatalog:
     def test_a_mode_ones(self):
         pot = from_catalog("gaussian_mixture", {"dim": 3, "a": 2.0, "a_mode": "ones"})
         assert pot.params["a"] == [2.0, 2.0, 2.0]
-
-    def test_tabulated_escape_hatch(self):
-        xs = np.linspace(-5, 5, 201)
-        v = make_tabulated(xs, 0.5 * xs**2)
-        assert v.eval(1.0) == pytest.approx(0.5, abs=1e-3)
-        assert v.grad(1.0) == pytest.approx(1.0, abs=0.05)

@@ -399,8 +399,9 @@ def test_marginal_target_product_structure():
     t10 = make_gaussian_mixture(2.0, 1.0, dim=10)
     m = marginal_target(t10)
     assert m.dim == 1
-    assert m.eval(0.0) == pytest.approx(
-        make_gaussian_mixture(2.0, 1.0, dim=1).eval(0.0), rel=1e-12)
+    origin = np.zeros((1, 1))
+    assert m.eval_fn(origin)[0] == pytest.approx(
+        make_gaussian_mixture(2.0, 1.0, dim=1).eval_fn(origin)[0], rel=1e-12)
     tq = make_quadratic(2.0, 4)
     assert marginal_target(tq).params["alpha"] == 2.0
 

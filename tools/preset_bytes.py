@@ -11,9 +11,11 @@ and a sha256 of every file it wrote. Before hashing, the columns and keys
 that hold times or the checkout are removed: the ``wallclock_ms`` column of
 every CSV, and ``runtime_s`` and ``git_describe`` of ``manifest.json``.
 Without ``--threads`` the BLAS thread variables are removed from the
-environment, so the library picks its default threading; with it, the
-CLI's ``--threads`` pins them. ``compare`` lists the lines that differ
-between two such runs and exits 1 if there are any.
+environment, so the library picks its default threading. With
+``--threads K`` each child gets all three variables set to K and the CLI
+option ``--threads K``, so a source tree whose CLI imports numpy before it
+reads its options runs at K threads too. ``compare`` lists the lines that
+differ between two such runs and exits 1 if there are any.
 
 Standard library only; the benchmark argv come from perfbench/workloads.py.
 """
@@ -87,9 +89,11 @@ def stripped_bytes(path: Path) -> bytes:
 
 def run(src: Path, out: Path, seed: int, threads: int | None) -> Path:
     env = dict(os.environ, PYTHONPATH=str(src.resolve() / "src"))
-    if threads is None:
-        for var in THREAD_VARS:
+    for var in THREAD_VARS:
+        if threads is None:
             env.pop(var, None)
+        else:
+            env[var] = str(threads)
     out.mkdir(parents=True, exist_ok=True)
     lines = []
     for name, argv in PRESETS.items():
