@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -118,6 +119,14 @@ def resolve_config(args, overrides) -> dict:
         raise _config_error(f"unknown config key(s) {', '.join(unknown)}")
     if args.seed is not None:
         cfg["sampler.seed"] = args.seed
+    for key, value in cfg.items():
+        entries = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+            raise _config_error(f"{key} must be finite, got {value!r}")
+        int_key = type(DEFAULTS[key]) is int or key == "grid.n" and value is not None
+        integral = type(value) is int or isinstance(value, float) and value.is_integer()
+        if int_key and not integral:
+            raise _config_error(f"{key} must be an integer, got {value!r}")
     return cfg
 
 
@@ -223,7 +232,7 @@ def cmd_prox_evolve(cfg, outdir: Path) -> tuple:
     grid = Grid.uniform(scfg.grid)
     rho = initial_grid_density(scfg, grid)
     op = GridProxOperator(grid, target, ProxParams(T=float(cfg["prox.T"]), beta=scfg.beta),
-                          scfg.grid_backend)
+                          scfg.backend)
     rs = target_density(target, grid, scfg.beta)
     iters = int(cfg["prox.iters"])
     save_every = max(1, int(cfg["prox.save_every"]))
@@ -246,10 +255,11 @@ def cmd_prox_evolve(cfg, outdir: Path) -> tuple:
                   title=f"kernel-proximal evolution, T={cfg['prox.T']}, "
                         f"{iters} iterations",
                   xlabel="x", ylabel="density")
-        line_plot(outdir / "l1_error.svg",
-                  [([r[0] for r in rows], [r[1] for r in rows], "L1 error")],
-                  title="L1 distance to target", xlabel="iteration",
-                  ylabel="log10 L1", logy=True)
+        if rows:
+            line_plot(outdir / "l1_error.svg",
+                      [([r[0] for r in rows], [r[1] for r in rows], "L1 error")],
+                      title="L1 distance to target", xlabel="iteration",
+                      ylabel="log10 L1", logy=True)
     return EXIT_OK, {"final_l1": rows[-1][1] if rows else None}
 
 
@@ -294,7 +304,8 @@ def cmd_order_check(cfg, outdir: Path) -> tuple:
     beta = float(cfg["target.beta"])
     rows = []
     for t_step in t_list:
-        op = GridProxOperator(rho0.grid, target, ProxParams(T=t_step, beta=beta))
+        op = GridProxOperator(rho0.grid, target, ProxParams(T=t_step, beta=beta),
+                              scfg.backend)
         rho_t, _ = op.step(rho0)
         foe = first_order_expansion(rho0, target, beta, t_step)
         rows.append((t_step, float(np.max(np.abs(rho_t.values - foe.values)))))

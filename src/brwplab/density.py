@@ -206,7 +206,6 @@ class ParticleEnsemble:
     """N weighted-equal particles in R^d."""
 
     points: np.ndarray
-    step_index: int = 0
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)

@@ -7,7 +7,7 @@ for gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -17,20 +17,15 @@ from .errors import ParameterError
 FD_REL_STEP = 1e-4  # stencil width factor: delta = FD_REL_STEP * (1 + |x|)
 
 
-def _logsumexp(a, axis=None):
-    m = np.max(a, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True))
-    return np.squeeze(out, axis=axis)
-
-
 @dataclass
 class Potential:
     """A potential V with gradient, Laplacian and convexity metadata.
 
     alpha is the strong log-concavity constant (Hessian >= alpha*I) when
     known; samplers and theory read it for stepsize limits and KL bounds.
-    Without a laplacian_fn, the Laplacian is a finite-difference stencil
-    on eval_fn.
+    marginal is the exact 1-D potential of the first-axis marginal, when
+    known and dim > 1. Without a laplacian_fn, the Laplacian is a
+    finite-difference stencil on eval_fn.
     """
 
     dim: int
@@ -38,8 +33,7 @@ class Potential:
     grad_fn: Callable[[np.ndarray], np.ndarray]
     laplacian_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     alpha: Optional[float] = None
-    name: str = "potential"
-    params: dict = field(default_factory=dict)
+    marginal: Optional[Potential] = None
 
     def __post_init__(self):
         if self.laplacian_fn is None:
@@ -79,8 +73,7 @@ def make_quadratic(alpha: float, dim: int) -> Potential:
         grad_fn=lambda x: alpha * x,
         laplacian_fn=lambda x: np.full(x.shape[0], alpha * dim),
         alpha=float(alpha),
-        name="quadratic",
-        params={"alpha": float(alpha), "dim": dim},
+        marginal=make_quadratic(alpha, 1) if dim > 1 else None,
     )
 
 
@@ -91,9 +84,30 @@ def make_zero(dim: int) -> Potential:
         eval_fn=lambda x: np.zeros(x.shape[0]),
         grad_fn=lambda x: np.zeros_like(x),
         laplacian_fn=lambda x: np.zeros(x.shape[0]),
-        name="zero",
-        params={"dim": dim},
     )
+
+
+def _mixture_fns(exponents, grads, log_norm: float, beta: float, scale: float = 1.0):
+    """eval_fn, grad_fn and weights of V = -(log(e^e1 + e^e2) - log_norm)/beta.
+
+    exponents(x) gives (e1, e2) and grads(x) (g1, g2), g_i/scale = grad(-e_i).
+    weights(x) is (m, w1, w2): m = max(e1, e2) and w_i = exp(e_i - m).
+    """
+    def weights(x):
+        e1, e2 = exponents(x)
+        m = np.maximum(e1, e2)
+        return m, np.exp(e1 - m), np.exp(e2 - m)
+
+    def eval_fn(x):
+        m, w1, w2 = weights(x)
+        return -(m + np.log(w1 + w2) - log_norm) / beta
+
+    def grad_fn(x):
+        _, w1, w2 = weights(x)
+        g1, g2 = grads(x)
+        return (w1[:, None] * g1 + w2[:, None] * g2) / ((w1 + w2)[:, None] * scale * beta)
+
+    return eval_fn, grad_fn, weights
 
 
 def make_gaussian_mixture(a, sigma: float = 1.0, dim: Optional[int] = None,
@@ -120,28 +134,16 @@ def make_gaussian_mixture(a, sigma: float = 1.0, dim: Optional[int] = None,
     log_norm = np.log(2.0) + 0.5 * d * np.log(2.0 * np.pi * s2)
     a_sq = float(np.dot(a_vec, a_vec))
 
-    def _branches(x):
+    def exponents(x):
         e1 = -np.sum((x - a_vec) ** 2, axis=1) / (2 * s2)
         e2 = -np.sum((x + a_vec) ** 2, axis=1) / (2 * s2)
         return e1, e2
 
-    def eval_fn(x):
-        e1, e2 = _branches(x)
-        return -(_logsumexp(np.stack([e1, e2]), axis=0) - log_norm) / beta
-
-    def grad_fn(x):
-        e1, e2 = _branches(x)
-        m = np.maximum(e1, e2)
-        w1 = np.exp(e1 - m)
-        w2 = np.exp(e2 - m)
-        num = w1[:, None] * (x - a_vec) + w2[:, None] * (x + a_vec)
-        return num / ((w1 + w2)[:, None] * s2 * beta)
+    eval_fn, grad_fn, weights = _mixture_fns(
+        exponents, lambda x: (x - a_vec, x + a_vec), log_norm, beta, scale=s2)
 
     def laplacian_fn(x):
-        e1, e2 = _branches(x)
-        m = np.maximum(e1, e2)
-        w1 = np.exp(e1 - m)
-        w2 = np.exp(e2 - m)
+        _, w1, w2 = weights(x)
         ww = w1 * w2 / (w1 + w2) ** 2
         return (d / s2 - ww * 4.0 * a_sq / s2**2) / beta
 
@@ -150,8 +152,7 @@ def make_gaussian_mixture(a, sigma: float = 1.0, dim: Optional[int] = None,
         eval_fn=eval_fn,
         grad_fn=grad_fn,
         laplacian_fn=laplacian_fn,
-        name="gaussian_mixture",
-        params={"a": a_vec.tolist(), "sigma": float(sigma), "beta": float(beta)},
+        marginal=make_gaussian_mixture(a_vec[0], sigma, dim=1, beta=beta) if d > 1 else None,
     )
 
 
@@ -170,7 +171,7 @@ def make_nonsmooth_mixture(kind: str, sigma: float = 1.0, b: float = 0.25,
 
     Gradients are subgradients (sign(0)=0 at kinks); the L_{1/2} quasi-norm
     uses |t|^{1/2} -> (t^2+eps^2)^{1/4}. Laplacians fall back to the shifted
-    finite-difference stencil of Potential.
+    finite-difference stencil of Potential. No marginal is given.
     """
     if sigma <= 0 or b <= 0 or eps <= 0:
         raise ParameterError("sigma, b, eps must all be positive")
@@ -213,32 +214,15 @@ def make_nonsmooth_mixture(kind: str, sigma: float = 1.0, b: float = 0.25,
     else:
         raise ParameterError(f"unknown nonsmooth mixture kind {kind!r}")
 
-    def eval_fn(x):
-        e1, e2 = branch_exponents(x)
-        return -(_logsumexp(np.stack([e1, e2]), axis=0) - log_norm) / beta
-
-    def grad_fn(x):
-        e1, e2 = branch_exponents(x)
-        m = np.maximum(e1, e2)
-        w1 = np.exp(e1 - m)
-        w2 = np.exp(e2 - m)
-        gr1, gr2 = branch_grads(x)
-        return (w1[:, None] * gr1 + w2[:, None] * gr2) / ((w1 + w2)[:, None] * beta)
-
-    return Potential(
-        dim=dim,
-        eval_fn=eval_fn,
-        grad_fn=grad_fn,
-        name=kind,
-        params={"sigma": float(sigma), "b": float(b), "dim": dim,
-                "beta": float(beta), "eps": float(eps)},
-    )
+    eval_fn, grad_fn, _ = _mixture_fns(branch_exponents, branch_grads, log_norm, beta)
+    return Potential(dim=dim, eval_fn=eval_fn, grad_fn=grad_fn)
 
 
 CATALOG = {
     "quadratic": lambda p: make_quadratic(alpha=p.get("alpha", 1.0), dim=int(p.get("dim", 1))),
     "gaussian_mixture": lambda p: make_gaussian_mixture(
-        a=p["a_vec"] if "a_vec" in p else p.get("a", 2.0),
+        a=[p.get("a", 2.0)] * int(p.get("dim", 1)) if p.get("a_mode") == "ones"
+        else p.get("a", 2.0),
         sigma=p.get("sigma", 1.0),
         dim=int(p.get("dim", 1)),
         beta=p.get("beta", 1.0)),
@@ -256,8 +240,4 @@ def from_catalog(target_id: str, params: Optional[dict] = None) -> Potential:
     if target_id not in CATALOG:
         raise ParameterError(
             f"unknown target id {target_id!r}; known: {sorted(CATALOG)}")
-    p = dict(params or {})
-    if target_id == "gaussian_mixture" and p.get("a_mode") == "ones":
-        d = int(p.get("dim", 1))
-        p["a_vec"] = [float(p.get("a", 2.0))] * d
-    return CATALOG[target_id](p)
+    return CATALOG[target_id](params or {})

@@ -8,18 +8,18 @@ The operator maps a density rho0 to
 where G_T is the heat kernel with variance 2T/beta per axis. Both integrals
 use the same Gaussian blur, which factorizes across axes. GridProxOperator's
 step gives rho_T; its score_of_step also gives grad log rho_T, one more blur
-per axis. The grid backend builds the blur from one Toeplitz kernel vector
+per axis. The operator builds the blur from one Toeplitz kernel vector
 per axis, with its subnormal entries set to 0, and caches the denominator.
 For d >= 2 it lays out one trapezoid blur matrix per axis, so a step costs
 O(d * G * n) instead of O(G^2). In 1-D the blur is an FFT convolution with
 the kernel's cached spectrum; its small entries are recomputed by
 correlating the kernel vector with the input, and no G x G matrix is held.
 
-Backends: "quadrature" computes D by grid quadrature (exact up to trapezoid
-error), "laplace_denominator" uses the second-order closed form
-D ~ exp(-(beta/2)(V(s)+|s-y|^2/(2T))) / (1 + (T/2)*Lap V(s)), s = y - T*grad V(y),
-and "particle" evaluates the kernel on an empirical rho0 with the Laplace
-denominator (the only dimension-scalable variant).
+BACKENDS of the operator: "quadrature" computes D by grid quadrature (exact
+up to trapezoid error), "laplace_denominator" uses the second-order closed form
+D ~ exp(-(beta/2)(V(s)+|s-y|^2/(2T))) / (1 + (T/2)*Lap V(s)), s = y - T*grad V(y).
+prox_particle_score is not a backend: it evaluates the kernel on an empirical
+rho0 with the Laplace denominator (the only dimension-scalable variant).
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ from .errors import (DegenerateDensityError, IsolatedParticleError,
                      ParameterError, StepsizeError, TruncationError)
 from .potentials import Potential
 
-BACKENDS = ("quadrature", "laplace_denominator", "particle")
+BACKENDS = ("quadrature", "laplace_denominator")
 DENOM_TAIL_TOL = 1e-10        # pointwise denominator: boundary integrand vs peak
 LAPLACE_GUARD = 0.1           # refuse when 1 + (T/2)*Lap V(s) <= this
 LAPLACE_WARN = 0.5            # warn when T * sup Lap V over query points exceeds this
 MASS_TOL = 5e-3               # pre-renormalization mass must stay within 1 +/- this
-LOG_UNDERFLOW = np.log(1e-300)
 SCORE_BLOCK = 128             # query rows per block of the particle score
 BLUR_EXACT_BELOW = 1e-6       # 1-D FFT blur: recompute densely below this share of the peak
 
@@ -119,9 +118,8 @@ class GridProxOperator:
 
     def __init__(self, grid: Grid, target: Potential, p: ProxParams,
                  backend: str = "quadrature"):
-        if backend not in ("quadrature", "laplace_denominator"):
-            raise ParameterError(f"grid backend must be quadrature or "
-                                 f"laplace_denominator, got {backend!r}")
+        if backend not in BACKENDS:
+            raise ParameterError(f"unknown backend {backend!r}; known: {BACKENDS}")
         if target.dim != grid.dim:
             raise ParameterError(f"potential dim {target.dim} != grid dim {grid.dim}")
         self.grid = grid
@@ -256,7 +254,7 @@ def prox_particle_score(ensemble: ParticleEnsemble, target: Potential,
 
         score(x) = -beta/2 * grad V(x) + (beta/2T) * (sum_j w_j y_j / sum_j w_j - x).
 
-    Also returns log rho_T at the query points; underflow below 1e-300
+    Also returns log rho_T at the query points; underflow below LOG_FLOOR
     raises IsolatedParticleError. The weights are formed SCORE_BLOCK query
     rows at a time, so memory is O(SCORE_BLOCK * N), not O(N^2). Per block,
     one matrix product gives the log-weights up to the row constant
@@ -299,7 +297,7 @@ def prox_particle_score(ensemble: ParticleEnsemble, target: Potential,
     log_rho = (m - c * np.sum(x * x, axis=1) + np.log(sw) - np.log(ensemble.n)
                - beta / 2 * target.eval_fn(x)
                + 0.5 * d * np.log(beta / (4 * np.pi * T)))
-    if np.any(log_rho < LOG_UNDERFLOW):
+    if np.any(log_rho < np.log(LOG_FLOOR)):
         i = int(np.argmin(log_rho))
         raise IsolatedParticleError(
             f"density underflow at query {i}: log rho_T = {log_rho[i]:.1f} "

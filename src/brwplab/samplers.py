@@ -32,7 +32,7 @@ from .density import (DiagnosticsReport, Grid, GridDensity, ParticleEnsemble,
                       central_diff, divergences, kde, w2_grids_1d, w2_to_target_1d,
                       target_density)
 from .errors import DegenerateDensityError, EvaluationError, ParameterError
-from .potentials import Potential, make_gaussian_mixture, make_quadratic
+from .potentials import Potential
 from .proximal import BACKENDS, GridProxOperator, ProxParams, prox_particle_score
 
 METHODS = ("brwp_kde", "brwp_successive", "brwp_particle", "ula", "explicit_flow")
@@ -63,6 +63,9 @@ class SamplerConfig:
             raise ParameterError(f"unknown backend {self.backend!r}; known: {BACKENDS}")
         if self.h <= 0:
             raise ParameterError(f"h must be positive, got {self.h}")
+        if not (self.beta > 0 and self.init_sigma_sq > 0):
+            raise ParameterError(f"beta and init_sigma_sq must be positive, got "
+                                 f"beta={self.beta}, init_sigma_sq={self.init_sigma_sq}")
         if self.T is None:
             self.T = self.h
         if not (0.0 < self.T <= self.h):
@@ -71,11 +74,6 @@ class SamplerConfig:
             raise ParameterError("n_steps must be >= 0 and n_particles >= 2")
         if self.diag_every < 1:
             raise ParameterError("diag_every must be >= 1")
-
-    @property
-    def grid_backend(self) -> str:
-        """Backend of the grid operator; the particle backend's grid form is quadrature."""
-        return "quadrature" if self.backend == "particle" else self.backend
 
 
 @dataclass
@@ -110,7 +108,7 @@ def ula_step(ensemble: ParticleEnsemble, target: Potential, h: float,
     noise = rng.standard_normal(ensemble.points.shape)
     pts = ensemble.points - h * target.grad_fn(ensemble.points) \
         + np.sqrt(2.0 * h / beta) * noise
-    return ParticleEnsemble(pts, ensemble.step_index + 1)
+    return ParticleEnsemble(pts)
 
 
 def interp_at(axes, fields, pts: np.ndarray):
@@ -179,14 +177,14 @@ def brwp_step(ensemble: ParticleEnsemble, target: Potential, cfg: SamplerConfig,
             raise ParameterError(f"brwp_step cannot run method {cfg.method!r}")
         score = _interp_score(state.grid.axes, fields, ensemble.points)
     pts = ensemble.points - h * (target.grad_fn(ensemble.points) + score / beta)
-    return ParticleEnsemble(pts, ensemble.step_index + 1)
+    return ParticleEnsemble(pts)
 
 
 def _grid_operator(cfg: SamplerConfig, target: Potential, state: DensityState):
     """The run's operator on state.grid, built on first use."""
     if state.operator is None:
         state.operator = GridProxOperator(state.grid, target, ProxParams(cfg.T, cfg.beta),
-                                          cfg.grid_backend)
+                                          cfg.backend)
     return state.operator
 
 
@@ -207,7 +205,7 @@ def explicit_flow_step(ensemble: ParticleEnsemble, target: Potential,
     rho_k = _grid_kde(ensemble, cfg, state)
     score = _interp_score(state.grid.axes, rho_k.score(), ensemble.points)
     pts = ensemble.points - cfg.h * (target.grad_fn(ensemble.points) + score / cfg.beta)
-    return ParticleEnsemble(pts, ensemble.step_index + 1)
+    return ParticleEnsemble(pts)
 
 
 def initial_ensemble(cfg: SamplerConfig, dim: int, rng) -> ParticleEnsemble:
@@ -223,16 +221,8 @@ def initial_grid_density(cfg: SamplerConfig, grid: Grid) -> GridDensity:
 
 
 def marginal_target(target: Potential) -> Optional[Potential]:
-    """1-D first-axis marginal of a product-structured catalog target."""
-    if target.dim == 1:
-        return target
-    if target.name == "quadratic":
-        return make_quadratic(target.params["alpha"], 1)
-    if target.name == "gaussian_mixture":
-        a = target.params["a"]
-        return make_gaussian_mixture(a[0], target.params["sigma"], dim=1,
-                                     beta=target.params["beta"])
-    return None
+    """1-D first-axis marginal of the target: itself in 1-D, else target.marginal."""
+    return target if target.dim == 1 else target.marginal
 
 
 @dataclass
@@ -254,7 +244,7 @@ def _diagnose(cfg: SamplerConfig, target: Potential, ensemble: Optional[Particle
     elif target.dim == state.grid.dim:
         g, meas_target = _grid_kde(ensemble, cfg, state), target
     elif marg1d is not None:
-        marg = ParticleEnsemble(ensemble.points[:, :1], ensemble.step_index)
+        marg = ParticleEnsemble(ensemble.points[:, :1])
         g = kde(marg, cfg.kde_bandwidth, state.grid.marginal)
         meas_target = marg1d
     else:
@@ -334,7 +324,6 @@ def run(cfg: SamplerConfig, target: Potential,
 @dataclass
 class LawTrace:
     reports: list
-    density: GridDensity
     folded: bool          # particle map lost monotonicity at some step
 
 
@@ -371,4 +360,4 @@ def evolve_law(cfg: SamplerConfig, target: Potential) -> LawTrace:
             break
         if k % cfg.diag_every == 0 or k == cfg.n_steps:
             reports.append(_diagnose(cfg, target, None, state, k, t0))
-    return LawTrace(reports, state.chain, folded)
+    return LawTrace(reports, folded)

@@ -25,7 +25,6 @@ class BoundInputs:
     s: float
     kl0: float
     m0: float
-    delta: float = 0.01
 
     def __post_init__(self):
         if min(self.alpha, self.beta, self.h) <= 0 or self.kl0 < 0 or self.m0 < 0:

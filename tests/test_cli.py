@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,24 @@ class TestConfigParsing:
         assert code == EXIT_CONFIG
         assert "unknown config key(s) sampler.nsteps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, key", [
+        (("sample", "--target.alpha", "nan"), "target.alpha"),
+        (("sample", "--target.beta", "inf"), "target.beta"),
+        (("sample", "--target.id", "gaussian_mixture", "--target.sigma", "nan"), "target.sigma"),
+        (("sample", "--target.id", "gauss_laplace", "--target.b", "inf"), "target.b"),
+        (("sample", "--sampler.init_mean", "nan"), "sampler.init_mean"),
+        (("prox-evolve", "--prox.T", "nan"), "prox.T"),
+        (("denominator-check", "--denominator.t_list", "0.1,0.05,nan"), "denominator.t_list"),
+        (("sample", "--sampler.n_steps", "2.7"), "sampler.n_steps"),
+        (("sample", "--target.dim", "2.5"), "target.dim"),
+        (("sample", "--grid.n", "241.5"), "grid.n"),
+    ])
+    def test_nonfinite_or_nonintegral_value_is_config_error(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "v"
+        assert run_cli(*argv, "--out", str(out), "--plot", "false") == EXIT_CONFIG
+        assert f"configuration error: {key} must be" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 
 class TestSample:
     def test_artifacts_and_schema(self, tmp_path):
@@ -110,13 +129,16 @@ class TestSample:
                        "--target.id", "swiss_roll")
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("method", ["ula", "brwp_particle"])
-    def test_unknown_backend_is_config_error(self, tmp_path, method, capsys):
+    @pytest.mark.parametrize("method, backend", [
+        pytest.param("ula", "bogus", id="ula"),
+        pytest.param("brwp_particle", "bogus", id="brwp_particle"),
+        pytest.param("brwp_kde", "particle", id="particle_backend")])
+    def test_unknown_backend_is_config_error(self, tmp_path, method, backend, capsys):
         code = run_cli("sample", "--out", str(tmp_path / "b"), "--sampler.method", method,
-                       "--sampler.backend", "bogus", "--sampler.n_steps", "1",
+                       "--sampler.backend", backend, "--sampler.n_steps", "1",
                        "--sampler.n_particles", "16", "--plot", "false")
         assert code == EXIT_CONFIG
-        assert "unknown backend 'bogus'" in capsys.readouterr().err
+        assert f"unknown backend '{backend}'" in capsys.readouterr().err
 
     def test_narrow_grid_is_numerical_abort(self, tmp_path, capsys):
         code = run_cli("sample", "--out", str(tmp_path / "n"), "--target.id", "quadratic",
@@ -184,6 +206,19 @@ class TestOrderCheck:
         code = run_cli("order-check", "--out", str(tmp_path / "oc1"),
                        "--order.t_list", "0.1")
         assert code == EXIT_CONFIG
+
+    def test_runs_the_configured_backend(self, tmp_path):
+        tables = []
+        for backend in ("quadrature", "laplace_denominator"):
+            out = tmp_path / backend
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")     # Laplace mass drift at T = 0.2
+                code = run_cli("order-check", "--out", str(out), "--plot", "false",
+                               "--sampler.backend", backend)
+            assert code == EXIT_OK
+            assert json.loads((out / "manifest.json").read_text())["backend"] == backend
+            tables.append((out / "order_check.csv").read_text())
+        assert tables[0] != tables[1]
 
 
 class TestDenominatorCheck:
@@ -254,6 +289,13 @@ class TestProxEvolve:
         # every pre-normalization mass within the contract window
         masses = [float(r.split(",")[3]) for r in rows[1:]]
         assert all(abs(m - 1.0) <= 5e-3 for m in masses)
+
+    def test_zero_iterations_plot_overlay_only(self, tmp_path):
+        out = tmp_path / "pe0"
+        assert run_cli("prox-evolve", "--out", str(out), "--prox.iters", "0") == EXIT_OK
+        assert (out / "overlay.svg").exists()
+        assert not (out / "l1_error.svg").exists()
+        assert (out / "l1_error.csv").read_text() == "iter,l1,kl,prenorm_mass\n"
 
     def test_density_csv_roundtrip(self, tmp_path):
         from brwplab.density import GridDensity

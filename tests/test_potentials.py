@@ -160,4 +160,23 @@ class TestCatalog:
 
     def test_a_mode_ones(self):
         pot = from_catalog("gaussian_mixture", {"dim": 3, "a": 2.0, "a_mode": "ones"})
-        assert pot.params["a"] == [2.0, 2.0, 2.0]
+        x = np.random.default_rng(2).uniform(-4, 4, (10, 3))
+        assert pot.eval_fn(x).tolist() == make_gaussian_mixture([2, 2, 2]).eval_fn(x).tolist()
+
+    @pytest.mark.parametrize("tid, params, alpha, a0", [
+        ("quadratic", {"dim": 4, "alpha": 2.0}, 2.0, None),
+        ("gaussian_mixture", {"dim": 3, "a": 1.5, "a_mode": "ones", "sigma": 0.8}, None, 1.5)])
+    def test_marginal_is_first_axis_of_target(self, tid, params, alpha, a0):
+        m = from_catalog(tid, params).marginal
+        assert m.dim == 1 and m.alpha == alpha and m.marginal is None
+        expected = make_quadratic(alpha, 1) if a0 is None else \
+            make_gaussian_mixture(a0, sigma=params["sigma"], dim=1)
+        x = rows(-2.0, 0.0, 0.7, 3.0)
+        assert m.eval_fn(x).tolist() == expected.eval_fn(x).tolist()
+        assert m.grad_fn(x).tolist() == expected.grad_fn(x).tolist()
+
+    @pytest.mark.parametrize("pot", [
+        from_catalog("l1_l12", {"dim": 2}), from_catalog("gauss_laplace", {"dim": 2}),
+        make_zero(2), make_quadratic(1.0, 1), make_gaussian_mixture(2.0)])
+    def test_no_marginal_without_closed_form_or_in_1d(self, pot):
+        assert pot.marginal is None

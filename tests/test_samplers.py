@@ -27,7 +27,6 @@ class TestUlaStep:
         ens = ParticleEnsemble(np.array([[1.0], [2.0]]))
         out = ula_step(ens, quad1d, 0.1, 1.0, ZeroNoise())
         assert np.allclose(out.points[:, 0], [0.9, 1.8])
-        assert out.step_index == 1
 
     def test_pure_noise_variance(self, zero1d):
         rng = np.random.default_rng(0)
@@ -175,6 +174,12 @@ class TestRun:
     def test_unknown_method_rejected(self):
         with pytest.raises(ParameterError):
             SamplerConfig(method="hamiltonian")
+
+    @pytest.mark.parametrize("key", ["beta", "init_sigma_sq"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_nonpositive_beta_and_init_variance_rejected(self, key, value):
+        with pytest.raises(ParameterError, match=f"{key}={value}"):
+            SamplerConfig(method="ula", **{key: value})
 
     @pytest.mark.parametrize("method, dim, shape", [
         ("ula", 10, (50, 12)), ("brwp_successive", 1, (50, 2)),
@@ -403,7 +408,7 @@ def test_marginal_target_product_structure():
     assert m.eval_fn(origin)[0] == pytest.approx(
         make_gaussian_mixture(2.0, 1.0, dim=1).eval_fn(origin)[0], rel=1e-12)
     tq = make_quadratic(2.0, 4)
-    assert marginal_target(tq).params["alpha"] == 2.0
+    assert marginal_target(tq).alpha == 2.0
 
 
 def test_high_dim_particle_run_reports_marginal_diagnostics():

@@ -43,6 +43,10 @@ PRESETS = {
        for name, w in WORKLOADS.items()},
     "kde_2d": ["sample", "--target.id", "gaussian_mixture", "--target.dim", "2",
                "--sampler.method", "brwp_kde", "--sampler.n_steps", "5"],
+    # sigma != 1: pins the float order of the mixture gradient's divisions
+    "mixture_sigma_2d": ["sample", "--target.id", "gaussian_mixture", "--target.dim", "2",
+                         "--target.sigma", "0.8", "--sampler.method", "brwp_kde",
+                         "--sampler.n_steps", "5"],
     "successive_2d": ["sample", "--target.dim", "2", "--sampler.method", "brwp_successive",
                       "--sampler.n_steps", "5"],
     "explicit_flow": ["sample", "--sampler.method", "explicit_flow", "--sampler.n_steps", "10"],
