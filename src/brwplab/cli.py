@@ -3,8 +3,8 @@
 Subcommands: prox-evolve, sample, order-check, denominator-check,
 decay-check, stepsize-sweep. Configuration is a flat key-value file with
 dotted section keys (e.g. ``sampler.h = 0.02``); any key can be overridden
-on the command line as ``--sampler.h 0.02``. A key not in DEFAULTS is a
-configuration error.
+on the command line as ``--sampler.h 0.02``. A key not in DEFAULTS, or a
+value not of its default's type (see _typed), is a configuration error.
 
 Exit codes: 0 success / assertion pass, 1 assertion fail,
 2 configuration error, 3 numerical abort.
@@ -18,13 +18,15 @@ different count may change the last digits of sums.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+
+from .errors import NumericalError, ParameterError
 
 EXIT_OK, EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERIC = 0, 1, 2, 3
 
@@ -74,6 +76,7 @@ GRID_PRESETS = {
     "l1_l12": (-24.0, 24.0, 4801),
 }
 GRID_N_BY_DIM = {1: None, 2: 161, 3: 41}
+_VECTOR_KEYS = ("target.a", "sampler.kde_bandwidth")   # may also be lists of numbers
 
 
 def parse_value(text: str):
@@ -116,18 +119,34 @@ def resolve_config(args, overrides) -> dict:
     cfg.update(overrides)
     unknown = sorted(set(cfg) - set(DEFAULTS))
     if unknown:
-        raise _config_error(f"unknown config key(s) {', '.join(unknown)}")
+        raise ParameterError(f"unknown config key(s) {', '.join(unknown)}")
     if args.seed is not None:
         cfg["sampler.seed"] = args.seed
-    for key, value in cfg.items():
-        entries = value if isinstance(value, list) else [value]
-        if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
-            raise _config_error(f"{key} must be finite, got {value!r}")
-        int_key = type(DEFAULTS[key]) is int or key == "grid.n" and value is not None
-        integral = type(value) is int or isinstance(value, float) and value.is_integer()
-        if int_key and not integral:
-            raise _config_error(f"{key} must be an integer, got {value!r}")
-    return cfg
+    return {key: _typed(key, value) for key, value in cfg.items()}
+
+
+def _typed(key: str, value, kind=None):
+    """value in the type of key's default (or kind); a ParameterError naming key otherwise.
+
+    Numbers are finite, int keys and grid.n integral; a None default admits a
+    number. A list key takes one number as a one-entry list.
+    """
+    default = DEFAULTS[key]
+    kind = kind or (int if key == "grid.n" else type(default))
+    if isinstance(value, list) and (kind is list or key in _VECTOR_KEYS):
+        return [_typed(key, v, float) for v in value]
+    if kind is list:
+        return [_typed(key, value, float)]
+    if kind in (bool, str) and type(value) is kind or value is default is None:
+        return value
+    if kind is bool or kind is str and key not in _VECTOR_KEYS:
+        want = "true or false" if kind is bool else "a string"
+        raise ParameterError(f"{key} must be {want}, got {value!r}")
+    if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+        raise ParameterError(f"{key} must be a finite number, got {value!r}")
+    if kind is int and not float(value).is_integer():
+        raise ParameterError(f"{key} must be an integer, got {value!r}")
+    return int(value) if kind is int else float(value)
 
 
 def _git_describe() -> str:
@@ -158,17 +177,6 @@ def write_manifest(outdir: Path, cfg: dict, command: str, extra=None):
         f.write("\n")
 
 
-def build_target(cfg):
-    from .potentials import from_catalog
-    tid = cfg["target.id"]
-    params = {
-        "alpha": cfg["target.alpha"], "a": cfg["target.a"],
-        "a_mode": cfg["target.a_mode"], "sigma": cfg["target.sigma"],
-        "b": cfg["target.b"], "dim": cfg["target.dim"], "beta": cfg["target.beta"],
-    }
-    return from_catalog(tid, params)
-
-
 def grid_spec(cfg, dim: int) -> tuple:
     lo, hi, n = cfg["grid.lo"], cfg["grid.hi"], cfg["grid.n"]
     plo, phi, pn = GRID_PRESETS.get(cfg["target.id"], (-12.0, 12.0, 2401))
@@ -176,21 +184,21 @@ def grid_spec(cfg, dim: int) -> tuple:
     hi = phi if hi is None else hi
     if n is None:
         n = pn if dim == 1 else GRID_N_BY_DIM.get(dim, 41)
-    return tuple((float(lo), float(hi), int(n)) for _ in range(min(dim, 3)))
+    return tuple((lo, hi, n) for _ in range(min(dim, 3)))
 
 
-def sampler_config(cfg, dim: int):
+def _setup(cfg) -> tuple:
+    """The command's target and SamplerConfig. The target.* keys are the
+    catalog id and parameters; each sampler.* key is the SamplerConfig field
+    of its name, beta is target.beta and record_timing timing.record."""
+    from . import potentials
     from .samplers import SamplerConfig
-    return SamplerConfig(
-        method=cfg["sampler.method"], h=float(cfg["sampler.h"]),
-        T=None if cfg["sampler.T"] is None else float(cfg["sampler.T"]),
-        beta=float(cfg["target.beta"]), n_particles=int(cfg["sampler.n_particles"]),
-        n_steps=int(cfg["sampler.n_steps"]), seed=int(cfg["sampler.seed"]),
-        backend=cfg["sampler.backend"], kde_bandwidth=cfg["sampler.kde_bandwidth"],
-        init_mean=float(cfg["sampler.init_mean"]),
-        init_sigma_sq=float(cfg["sampler.init_sigma_sq"]),
-        grid=grid_spec(cfg, dim), diag_every=int(cfg["sampler.diag_every"]),
-        record_timing=bool(cfg["timing.record"]))
+    params = {k.partition(".")[2]: v for k, v in cfg.items() if k.startswith("target.")}
+    fields = {k.partition(".")[2]: v for k, v in cfg.items() if k.startswith("sampler.")}
+    target = potentials.from_catalog(params.pop("id"), params)
+    return target, SamplerConfig(**fields, beta=cfg["target.beta"],
+                                 grid=grid_spec(cfg, target.dim),
+                                 record_timing=cfg["timing.record"])
 
 
 def _write_csv(path: Path, header: str, rows):
@@ -225,17 +233,17 @@ def cmd_prox_evolve(cfg, outdir: Path) -> tuple:
     from .density import Grid, relative_entropy, target_density
     from .proximal import GridProxOperator, ProxParams
     from .samplers import initial_grid_density
-    target = build_target(cfg)
+    target, scfg = _setup(cfg)
     if target.dim > 3:
-        raise _config_error("prox-evolve needs a full grid (target.dim <= 3)")
-    scfg = sampler_config(cfg, target.dim)
+        raise ParameterError("prox-evolve needs a full grid (target.dim <= 3)")
+    iters, save_every = cfg["prox.iters"], cfg["prox.save_every"]
+    if iters < 0 or save_every < 1:
+        raise ParameterError("prox.iters must be >= 0 and prox.save_every >= 1")
     grid = Grid.uniform(scfg.grid)
     rho = initial_grid_density(scfg, grid)
-    op = GridProxOperator(grid, target, ProxParams(T=float(cfg["prox.T"]), beta=scfg.beta),
+    op = GridProxOperator(grid, target, ProxParams(T=cfg["prox.T"], beta=scfg.beta),
                           scfg.backend)
     rs = target_density(target, grid, scfg.beta)
-    iters = int(cfg["prox.iters"])
-    save_every = max(1, int(cfg["prox.save_every"]))
     rows = []
     rho.to_csv(outdir / "density_iter_0000.csv")
     for k in range(1, iters + 1):
@@ -267,8 +275,7 @@ def cmd_sample(cfg, outdir: Path) -> tuple:
     import numpy as np
     from .density import Grid, target_density, uniform_axis
     from .samplers import marginal_target, run
-    target = build_target(cfg)
-    scfg = sampler_config(cfg, target.dim)
+    target, scfg = _setup(cfg)
     result = run(scfg, target)
     write_run_csv(outdir / "run.csv", result.reports)
     pts = result.ensemble.points
@@ -295,19 +302,17 @@ def cmd_order_check(cfg, outdir: Path) -> tuple:
     from .density import Grid
     from .proximal import GridProxOperator, ProxParams, first_order_expansion
     from .samplers import initial_grid_density
-    target = build_target(cfg)
-    t_list = _as_float_list(cfg["order.t_list"])
+    target, scfg = _setup(cfg)
+    t_list = cfg["order.t_list"]
     if len(t_list) < 3:
-        raise _config_error("order-check needs at least 3 stepsizes to fit a slope")
-    scfg = sampler_config(cfg, target.dim)
+        raise ParameterError("order-check needs at least 3 stepsizes to fit a slope")
     rho0 = initial_grid_density(scfg, Grid.uniform(scfg.grid))
-    beta = float(cfg["target.beta"])
     rows = []
     for t_step in t_list:
-        op = GridProxOperator(rho0.grid, target, ProxParams(T=t_step, beta=beta),
+        op = GridProxOperator(rho0.grid, target, ProxParams(T=t_step, beta=scfg.beta),
                               scfg.backend)
         rho_t, _ = op.step(rho0)
-        foe = first_order_expansion(rho0, target, beta, t_step)
+        foe = first_order_expansion(rho0, target, scfg.beta, t_step)
         rows.append((t_step, float(np.max(np.abs(rho_t.values - foe.values)))))
     slope = _fit_slope([r[0] for r in rows], [r[1] for r in rows])
     _write_csv(outdir / "order_check.csv", "T,max_err", rows)
@@ -317,7 +322,7 @@ def cmd_order_check(cfg, outdir: Path) -> tuple:
                   [([r[0] for r in rows], [r[1] for r in rows], "max err")],
                   title=f"order check, slope={slope:.3f}", xlabel="T",
                   ylabel="log10 err", logy=True)
-    ok = slope >= float(cfg["order.min_slope"])
+    ok = slope >= cfg["order.min_slope"]
     print(f"order-check slope={slope:.3f} (pass iff >= {cfg['order.min_slope']}): "
           f"{'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_ASSERT, {"slope": slope, "pass": ok}
@@ -326,25 +331,23 @@ def cmd_order_check(cfg, outdir: Path) -> tuple:
 def cmd_denominator_check(cfg, outdir: Path) -> tuple:
     from .density import Grid
     from .proximal import ProxParams, denominator_exact, denominator_laplace
-    target = build_target(cfg)
-    y_list = _as_float_list(cfg["denominator.y_list"])
-    t_list = _as_float_list(cfg["denominator.t_list"])
+    target, scfg = _setup(cfg)
+    t_list = cfg["denominator.t_list"]
     if len(t_list) < 3:
-        raise _config_error("denominator-check needs at least 3 stepsizes")
-    grid = Grid.uniform(grid_spec(cfg, target.dim))
-    beta = float(cfg["target.beta"])
+        raise ParameterError("denominator-check needs at least 3 stepsizes")
+    grid = Grid.uniform(scfg.grid)
     rows, slopes = [], {}
-    for y in y_list:
+    for y in cfg["denominator.y_list"]:
         errs = []
         for t_step in t_list:
-            p = ProxParams(T=t_step, beta=beta)
+            p = ProxParams(T=t_step, beta=scfg.beta)
             exact = denominator_exact([y] * target.dim, target, p, grid)
             lap = denominator_laplace([y] * target.dim, target, p)
             errs.append(abs(exact - lap))
             rows.append((y, t_step, exact, lap, errs[-1]))
         slopes[y] = _fit_slope(t_list, errs)
     _write_csv(outdir / "denominator_check.csv", "y,T,exact,laplace,abs_err", rows)
-    ok = all(s >= float(cfg["order.min_slope"]) for s in slopes.values())
+    ok = all(s >= cfg["order.min_slope"] for s in slopes.values())
     for y, s in slopes.items():
         print(f"denominator-check y={y}: slope={s:.3f}")
     return (EXIT_OK if ok else EXIT_ASSERT,
@@ -353,15 +356,14 @@ def cmd_denominator_check(cfg, outdir: Path) -> tuple:
 
 def cmd_decay_check(cfg, outdir: Path) -> tuple:
     from .samplers import run
-    target = build_target(cfg)
-    if target.alpha is None:
-        raise _config_error("decay-check needs a target with known alpha")
     cfg["sampler.method"] = "brwp_successive"   # in place: the manifest records it
-    scfg = sampler_config(cfg, target.dim)
+    target, scfg = _setup(cfg)
+    if target.alpha is None:
+        raise ParameterError("decay-check needs a target with known alpha")
     result = run(scfg, target)
     write_run_csv(outdir / "run.csv", result.reports)
     kl0 = result.reports[0].kl
-    slack = float(cfg["decay.slack_factor"]) * kl0 * scfg.h
+    slack = cfg["decay.slack_factor"] * kl0 * scfg.h
     violations = [r.iter for r in result.reports if r.kl > r.kl_bound + slack]
     if cfg["plot"]:
         from .svgfig import line_plot
@@ -380,21 +382,17 @@ def cmd_decay_check(cfg, outdir: Path) -> tuple:
 
 def cmd_stepsize_sweep(cfg, outdir: Path) -> tuple:
     from .samplers import evolve_law
-    target = build_target(cfg)
-    h_list = _as_float_list(cfg["sweep.h_list"])
+    target, scfg = _setup(cfg)
+    h_list = cfg["sweep.h_list"]
     if not h_list:
-        raise _config_error("stepsize-sweep needs a nonempty h list")
+        raise ParameterError("stepsize-sweep needs a nonempty h list")
     if target.dim != 1:
-        raise _config_error("stepsize-sweep runs on 1-D targets")
-    threshold = float(cfg["sweep.threshold"])
+        raise ParameterError("stepsize-sweep runs on 1-D targets")
+    threshold = cfg["sweep.threshold"]
     summary = []
     for h in h_list:
-        c = dict(cfg)
-        c["sampler.h"] = h
-        c["sampler.T"] = h
-        c["sampler.n_steps"] = int(cfg["sweep.n_steps"])
-        scfg = sampler_config(c, 1)
-        trace = evolve_law(scfg, target)
+        trace = evolve_law(dataclasses.replace(scfg, h=h, T=h, n_steps=cfg["sweep.n_steps"]),
+                           target)
         kls = [r.kl for r in trace.reports]
         hit = next((r.iter for r in trace.reports if r.kl <= threshold), -1)
         stable = all(k == k and k != float("inf") for k in kls) \
@@ -408,19 +406,6 @@ def cmd_stepsize_sweep(cfg, outdir: Path) -> tuple:
               f"terminal_kl={term:.3e}")
     return EXIT_OK, {"summary": [{"h": h, "steps_to_threshold": hit, "stable": stable,
                                   "terminal_kl": term} for h, hit, stable, term, _ in summary]}
-
-
-def _as_float_list(value) -> list:
-    if value is None:
-        return []
-    if isinstance(value, list):
-        return [float(v) for v in value]
-    return [float(value)]
-
-
-def _config_error(msg: str):
-    from .errors import ParameterError
-    return ParameterError(msg)
 
 
 # each command returns (exit code, its manifest entries); main() writes the
@@ -480,7 +465,6 @@ def main(argv=None) -> int:
         overrides[key] = parse_value(val)
         i += 1
 
-    from .errors import NumericalError, ParameterError
     try:
         cfg = resolve_config(args, overrides)
         outdir = Path(args.out)
@@ -489,7 +473,7 @@ def main(argv=None) -> int:
         code, extra = COMMANDS[args.command](cfg, outdir)
         runtime_s = time.perf_counter() - t_start
         write_manifest(outdir, cfg, args.command, {**extra, "runtime_s": runtime_s})
-        if bool(cfg.get("timing.record")):
+        if cfg["timing.record"]:
             print(f"total {1000 * runtime_s:.0f} ms")
         return code
     except (ParameterError, ValueError, OSError) as exc:

@@ -151,12 +151,16 @@ class GridDensity:
             raise DegenerateDensityError(f"cannot normalize density with mass {m}")
         return GridDensity(self.grid, self.values / m)
 
+    @cached_property
     def log_values(self) -> np.ndarray:
-        return np.log(np.maximum(self.values, LOG_FLOOR))
+        """log(values floored at LOG_FLOOR), taken once: values is never reassigned."""
+        logv = np.log(np.maximum(self.values, LOG_FLOOR))
+        logv.flags.writeable = False
+        return logv
 
     def score(self) -> list:
         """Per-axis central-difference gradient of log(density)."""
-        logv = self.log_values()
+        logv = self.log_values
         return [central_diff(logv, dx, i) for i, dx in enumerate(self.grid.spacing)]
 
     def marginal_first(self) -> "GridDensity":
@@ -288,8 +292,6 @@ def kde(ensemble: ParticleEnsemble, bandwidth, query_axes: Grid) -> GridDensity:
     rule (4/(d+2))^{1/(d+4)} N^{-1/(d+4)} * per-axis sample std, which in
     1-D is exactly (4/(3N))^{1/5} * std.
     """
-    if ensemble.n < 2:
-        raise ParameterError("kde needs at least 2 particles")
     axes = query_axes.axes
     d = len(axes)
     if ensemble.dim != d:
@@ -368,7 +370,7 @@ def divergences(g: GridDensity, rs: GridDensity, grad_v: np.ndarray,
 
 def relative_entropy(g: GridDensity, rs: GridDensity) -> float:
     """KL(g || rs) of two densities on the same grid."""
-    ratio_log = g.log_values() - rs.log_values()
+    ratio_log = g.log_values - rs.log_values
     integrand = np.where(g.values > 0, g.values * ratio_log, 0.0)
     return float(np.sum(g.grid.weights * integrand))
 

@@ -218,14 +218,18 @@ def make_nonsmooth_mixture(kind: str, sigma: float = 1.0, b: float = 0.25,
     return Potential(dim=dim, eval_fn=eval_fn, grad_fn=grad_fn)
 
 
+def _catalog_mixture(p: dict) -> Potential:
+    """Modes at ±a*e_1 (a_mode "e1"; ±a for a vector a) or at ±a*(1,...,1) ("ones")."""
+    a_mode, a, dim = p.get("a_mode", "e1"), p.get("a", 2.0), int(p.get("dim", 1))
+    if a_mode not in ("e1", "ones"):
+        raise ParameterError(f"a_mode must be 'e1' or 'ones', got {a_mode!r}")
+    return make_gaussian_mixture(a=[a] * dim if a_mode == "ones" else a,
+                                 sigma=p.get("sigma", 1.0), dim=dim, beta=p.get("beta", 1.0))
+
+
 CATALOG = {
     "quadratic": lambda p: make_quadratic(alpha=p.get("alpha", 1.0), dim=int(p.get("dim", 1))),
-    "gaussian_mixture": lambda p: make_gaussian_mixture(
-        a=[p.get("a", 2.0)] * int(p.get("dim", 1)) if p.get("a_mode") == "ones"
-        else p.get("a", 2.0),
-        sigma=p.get("sigma", 1.0),
-        dim=int(p.get("dim", 1)),
-        beta=p.get("beta", 1.0)),
+    "gaussian_mixture": _catalog_mixture,
     "l1_l12": lambda p: make_nonsmooth_mixture(
         "l1_l12", dim=int(p.get("dim", 1)), beta=p.get("beta", 1.0),
         eps=p.get("eps", 1e-6)),

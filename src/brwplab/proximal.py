@@ -263,8 +263,6 @@ def prox_particle_score(ensemble: ParticleEnsemble, target: Potential,
     and a second gives sum_j w_j [y_j, 1]; only the row max, the shift and
     exp are elementwise passes.
     """
-    if ensemble.n < 2:
-        raise ParameterError("particle score needs at least 2 particles")
     y = ensemble.points
     x = y if query is None else np.asarray(query, dtype=float)
     if x.ndim == 1:

@@ -88,6 +88,33 @@ class TestConfigParsing:
         assert not (out / "manifest.json").exists()
 
 
+    MIXTURE_2D = ("--target.id", "gaussian_mixture", "--target.dim", "2")
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("sample", "--target.alpha", "abc"), EXIT_CONFIG, "target.alpha must be"),
+        (("sample", "--target.id", "gaussian_mixture", "--target.sigma", "abc"),
+         EXIT_CONFIG, "target.sigma must be"),
+        (("sample", "--target.id", "gauss_laplace", "--target.b", "abc"),
+         EXIT_CONFIG, "target.b must be"),
+        (("sample", "--target.alpha", "1,2"), EXIT_CONFIG, "target.alpha must be"),
+        (("sample", "--sampler.h", "0.1,0.2"), EXIT_CONFIG, "sampler.h must be"),
+        (("sample", "--plot", "maybe"), EXIT_CONFIG, "plot must be true or false"),
+        (("denominator-check", "--sampler.backend", "bogus"), EXIT_CONFIG,
+         "unknown backend 'bogus'"),
+        (("sample", *MIXTURE_2D, "--target.a", "1,2"), EXIT_OK, ""),
+        (("sample", *MIXTURE_2D, "--sampler.method", "brwp_kde",
+          "--sampler.kde_bandwidth", "0.3,0.4"), EXIT_OK, ""),
+        (("stepsize-sweep", "--sweep.h_list", "0.5", "--sweep.n_steps", "5"), EXIT_OK, ""),
+        (("sample", "--grid.n", "241"), EXIT_OK, ""),
+    ])
+    def test_value_takes_the_type_of_its_default(self, tmp_path, capsys, argv, code, message):
+        out = tmp_path / "t"
+        steps = ("--sampler.n_steps", "2", "--sampler.n_particles", "64")
+        assert run_cli(argv[0], "--out", str(out), "--plot", "false", *steps,
+                       *argv[1:]) == code
+        assert message in capsys.readouterr().err
+        assert (out / "manifest.json").exists() == (code == EXIT_OK)
+
 class TestSample:
     def test_artifacts_and_schema(self, tmp_path):
         out = tmp_path / "run"
@@ -296,6 +323,13 @@ class TestProxEvolve:
         assert (out / "overlay.svg").exists()
         assert not (out / "l1_error.svg").exists()
         assert (out / "l1_error.csv").read_text() == "iter,l1,kl,prenorm_mass\n"
+
+    @pytest.mark.parametrize("argv", [("--prox.iters", "-3"), ("--prox.save_every", "0")])
+    def test_bad_count_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "pe_bad"
+        assert run_cli("prox-evolve", "--out", str(out), *argv) == EXIT_CONFIG
+        assert "prox.iters must be >= 0 and prox.save_every >= 1" in capsys.readouterr().err
+        assert not (out / "l1_error.csv").exists()
 
     def test_density_csv_roundtrip(self, tmp_path):
         from brwplab.density import GridDensity

@@ -169,6 +169,26 @@ def test_fused_divergences_equal_standalone(dim, n):
                      fourth_moment_m0(g, target, beta), tv_distance(g, target, beta))
 
 
+def test_each_density_is_logged_once(monkeypatch):
+    # two diagnostics rows against one run-constant target: the row densities
+    # and the target each take one log pass, shared by the KL and the score
+    target = make_quadratic(1.0, 1)
+    grid = Grid((uniform_axis(-8.0, 8.0, 241),))
+    rs = target_density(target, grid, 1.0)
+    grad = target.grad_fn(grid.points)
+    rows = [gaussian_grid(grid.axes[0], var=v) for v in (1.5, 2.0)]
+    real_log, passes = np.log, []
+
+    def counting_log(x, *args, **kwargs):
+        if np.shape(x) == grid.shape:
+            passes.append(x)
+        return real_log(x, *args, **kwargs)
+    monkeypatch.setattr(np, "log", counting_log)
+    first = [divergences(g, rs, grad, 1.0) for g in rows]
+    assert len(passes) == 3
+    assert [divergences(g, rs, grad, 1.0) for g in rows] == first
+    assert len(passes) == 3
+
 class TestFisher:
     def test_zero_at_target(self, axis_default, quad1d):
         rs = target_density(quad1d, Grid((axis_default,)), 1.0)

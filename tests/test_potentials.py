@@ -163,6 +163,10 @@ class TestCatalog:
         x = np.random.default_rng(2).uniform(-4, 4, (10, 3))
         assert pot.eval_fn(x).tolist() == make_gaussian_mixture([2, 2, 2]).eval_fn(x).tolist()
 
+    def test_unknown_a_mode_rejected(self):
+        with pytest.raises(ParameterError, match="a_mode must be 'e1' or 'ones'"):
+            from_catalog("gaussian_mixture", {"dim": 2, "a_mode": "onez"})
+
     @pytest.mark.parametrize("tid, params, alpha, a0", [
         ("quadratic", {"dim": 4, "alpha": 2.0}, 2.0, None),
         ("gaussian_mixture", {"dim": 3, "a": 1.5, "a_mode": "ones", "sigma": 0.8}, None, 1.5)])

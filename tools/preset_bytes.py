@@ -60,6 +60,9 @@ PRESETS = {
     # no catalog marginal: W2 is NaN
     "kde_l1_l12_2d": ["sample", "--target.id", "l1_l12", "--target.dim", "2",
                       "--sampler.method", "brwp_kde", "--sampler.n_steps", "5"],
+    # nonsmooth target under the Laplace denominator: the finite-difference Laplacian
+    "particle_l1_l12": ["sample", "--target.id", "l1_l12", "--sampler.method",
+                        "brwp_particle", "--sampler.n_steps", "5"],
     # 4-D target on a 3-D grid without a marginal: every diagnostic is NaN
     "ula_gauss_laplace_4d": ["sample", "--target.id", "gauss_laplace", "--target.dim", "4",
                              "--sampler.method", "ula", "--sampler.n_steps", "5"],
