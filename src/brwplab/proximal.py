@@ -257,14 +257,23 @@ def prox_particle_score(ensemble: ParticleEnsemble, target: Potential,
     Also returns log rho_T at the query points; underflow below LOG_FLOOR
     raises IsolatedParticleError. The weights are formed SCORE_BLOCK query
     rows at a time, so memory is O(SCORE_BLOCK * N), not O(N^2). Per block,
-    one matrix product gives the log-weights up to the row constant
-    c|x|^2 (c = beta/(4T)), which cancels in the softmax,
-    [x, 1] . [2c y, -c|y|^2 - log D(y)] = -c|x - y|^2 - log D(y) + c|x|^2,
-    and a second gives sum_j w_j [y_j, 1]; only the row max, the shift and
-    exp are elementwise passes.
+    one matrix product gives the log-weights plus a row constant r_i, which
+    cancels in the softmax (c = beta/(4T), l = log D):
+
+        [x, 1, r - c|x|^2] . [2c y, -c|y|^2 - l(y), 1] = -c|x - y|^2 - l(y) + r,
+
+    and a second gives sum_j w_j [y_j, 1]. For the ensemble r_i = l(x_i), so
+    each row's own exponent is 0; it is set to exactly 0, as the product
+    leaves a rounding error of order eps*c|x|^2 there. Its weight exp(0) = 1
+    keeps every row sum at 1 or more, and exp is the only elementwise pass.
+    Where log D rises steeply (beta*T*|grad V|^2/4 past about 709) a
+    neighbour's exponent can overflow; a block whose sums are not finite is
+    recomputed with its row max subtracted before exp. Off-ensemble queries
+    have no own term: r = 0, and every block takes that row-max path.
     """
     y = ensemble.points
-    x = y if query is None else np.asarray(query, dtype=float)
+    own = query is None
+    x = y if own else np.asarray(query, dtype=float)
     if x.ndim == 1:
         x = x[:, None] if ensemble.dim == 1 else x[None, :]
     d = ensemble.dim
@@ -276,23 +285,33 @@ def prox_particle_score(ensemble: ParticleEnsemble, target: Potential,
     c = beta / (4 * T)
     log_d = _log_denominator_laplace(y, target, p)
     n_q = x.shape[0]
-    xa = np.hstack((x, np.ones((n_q, 1))))
-    ya = np.hstack((2 * c * y, (-c * np.sum(y * y, axis=1) - log_d)[:, None]))
+    r = log_d if own else np.zeros(n_q)
+    xa = np.hstack((x, np.ones((n_q, 1)), (r - c * np.sum(x * x, axis=1))[:, None]))
+    ya = np.hstack((2 * c * y, (-c * np.sum(y * y, axis=1) - log_d)[:, None],
+                    np.ones((ensemble.n, 1))))
     y1 = np.hstack((y, np.ones((ensemble.n, 1))))
-    m = np.empty(n_q)
+    m = np.zeros(n_q)                     # row max subtracted before exp, if any
     acc = np.empty((n_q, d + 1))          # [sum_j w_j y_j, sum_j w_j] per query
     buf = np.empty((min(SCORE_BLOCK, n_q), ensemble.n))
     for lo in range(0, n_q, SCORE_BLOCK):
         hi = min(lo + SCORE_BLOCK, n_q)
         b = buf[:hi - lo]
         np.matmul(xa[lo:hi], ya.T, out=b)
+        if own:
+            b.reshape(-1)[lo::ensemble.n + 1] = 0.0     # entry (i, lo + i): own term
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.exp(b, out=b)
+                np.matmul(b, y1, out=acc[lo:hi])
+            if np.all(np.isfinite(acc[lo:hi])):
+                continue
+            np.matmul(xa[lo:hi], ya.T, out=b)           # a neighbour's weight overflowed
         np.max(b, axis=1, out=m[lo:hi])
         b -= m[lo:hi, None]
         np.exp(b, out=b)
         np.matmul(b, y1, out=acc[lo:hi])
     sw = acc[:, d]
     ybar = acc[:, :d] / sw[:, None]
-    log_rho = (m - c * np.sum(x * x, axis=1) + np.log(sw) - np.log(ensemble.n)
+    log_rho = (m - r + np.log(sw) - np.log(ensemble.n)
                - beta / 2 * target.eval_fn(x)
                + 0.5 * d * np.log(beta / (4 * np.pi * T)))
     if np.any(log_rho < np.log(LOG_FLOOR)):

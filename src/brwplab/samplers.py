@@ -70,6 +70,8 @@ class SamplerConfig:
             self.T = self.h
         if not (0.0 < self.T <= self.h):
             raise ParameterError(f"T must lie in (0, h], got T={self.T}, h={self.h}")
+        if self.seed < 0:
+            raise ParameterError(f"sampler.seed must be >= 0, got {self.seed}")
         if self.n_steps < 0 or self.n_particles < 2:
             raise ParameterError("n_steps must be >= 0 and n_particles >= 2")
         if self.diag_every < 1:
@@ -275,6 +277,11 @@ def run(cfg: SamplerConfig, target: Potential,
     Deterministic for a fixed config: the RNG is seeded from cfg.seed and
     the semi-implicit modes draw no noise after initialization.
     """
+    # a KDE is made on the target's grid when dim <= 3, else of the first axis
+    n_bw = 1 if isinstance(cfg.kde_bandwidth, str) else np.size(cfg.kde_bandwidth)
+    if n_bw not in (1, target.dim if target.dim <= 3 else 1):
+        raise ParameterError(f"sampler.kde_bandwidth has {n_bw} entries; give one, or one "
+                             f"per axis when target.dim <= 3 (target.dim = {target.dim})")
     if target.alpha is not None and cfg.h > theory.max_stepsize(target.alpha):
         warnings.warn(f"h={cfg.h} exceeds the maximum stable stepsize "
                       f"2/(3*alpha)={theory.max_stepsize(target.alpha):.4f}",

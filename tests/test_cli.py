@@ -106,6 +106,13 @@ class TestConfigParsing:
           "--sampler.kde_bandwidth", "0.3,0.4"), EXIT_OK, ""),
         (("stepsize-sweep", "--sweep.h_list", "0.5", "--sweep.n_steps", "5"), EXIT_OK, ""),
         (("sample", "--grid.n", "241"), EXIT_OK, ""),
+        (("sample", "--sampler.method", "brwp_kde", "--sampler.kde_bandwidth", "0.3,0.4"),
+         EXIT_CONFIG, "sampler.kde_bandwidth has 2 entries"),
+        (("sample", "--target.id", "gaussian_mixture", "--target.dim", "4",
+          "--sampler.method", "ula", "--sampler.kde_bandwidth", "0.3,0.3,0.3,0.3"),
+         EXIT_CONFIG, "sampler.kde_bandwidth has 4 entries"),
+        (("sample", "--seed", "-1"), EXIT_CONFIG, "sampler.seed must be >= 0"),
+        (("sample", "--sampler.seed", "-1"), EXIT_CONFIG, "sampler.seed must be >= 0"),
     ])
     def test_value_takes_the_type_of_its_default(self, tmp_path, capsys, argv, code, message):
         out = tmp_path / "t"

@@ -1,12 +1,14 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from brwplab.density import (LOG_FLOOR, Grid, GridDensity, ParticleEnsemble, fp_rhs, kde,
                              kl_divergence, fisher_information, target_density,
                              trapezoid_weights, uniform_axis)
-from brwplab.errors import (DegenerateDensityError, IsolatedParticleError,
+from brwplab.errors import (DegenerateDensityError, IsolatedParticleError, NumericalError,
                             ParameterError, StepsizeError, TruncationError)
 from brwplab.potentials import Potential, make_gaussian_mixture, make_quadratic, make_zero
 from brwplab.proximal import (BLUR_EXACT_BELOW, SCORE_BLOCK, GridProxOperator, ProxParams,
@@ -24,15 +26,18 @@ def denominator_oracle(y, alpha, beta, T):
 
 
 def dense_particle_score(ensemble, target, p, query=None):
-    """The particle score with its whole N x N weight matrix, as a reference."""
+    """The particle score with its whole N x N weight matrix, as a reference.
+
+    Distances are formed as |x - y|^2 directly, and each row is shifted by
+    its max weight.
+    """
     y = ensemble.points
     x = y if query is None else np.asarray(query, dtype=float)
     if x.ndim == 1:
         x = x[:, None] if ensemble.dim == 1 else x[None, :]
     beta, T = p.beta, p.T
     log_d = _log_denominator_laplace(y, target, p)
-    d2 = np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)[None, :] - 2.0 * (x @ y.T)
-    np.maximum(d2, 0.0, out=d2)
+    d2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
     logw = -beta * d2 / (4 * T) - log_d[None, :]
     m = logw.max(axis=1, keepdims=True)
     wt = np.exp(logw - m)
@@ -41,8 +46,25 @@ def dense_particle_score(ensemble, target, p, query=None):
     log_rho = (m[:, 0] + np.log(sw) - np.log(ensemble.n)
                - beta / 2 * target.eval_fn(x)
                + 0.5 * ensemble.dim * np.log(beta / (4 * np.pi * T)))
+    if np.any(log_rho < np.log(LOG_FLOOR)):
+        raise IsolatedParticleError("density underflow")
     score = -beta / 2 * target.grad_fn(x) + beta / (2 * T) * (ybar - x)
     return score, log_rho
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class of the NumericalError it raises.
+
+    Warnings about the Laplace denominator's accuracy are ignored; any other
+    warning is an error.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "T\\*LapV", UserWarning)
+        try:
+            return fn(*args)
+        except NumericalError as e:
+            return type(e)
 
 
 def assert_blur_matches_dense(op, vals):
@@ -310,15 +332,50 @@ class TestParticleScore:
     @pytest.mark.parametrize("centre", [0.0, 4.0, 8.0])
     def test_matches_extended_precision_reference(self, dim, centre):
         # |x - y|^2 formed directly in long double; the error of the float64
-        # score grows with |x|^2 (expanded distances), hence the shifted clouds
+        # score grows with |x|^2 (expanded distances), hence the shifted clouds.
+        # Under the mixture log D varies, so a row's max weight is not its own.
         y = np.random.default_rng(dim).standard_normal((600, dim)) + centre
-        p = ProxParams(T=0.05, beta=1.0)
-        score, _ = prox_particle_score(ParticleEnsemble(y), make_zero(dim), p)
         yl = y.astype(np.longdouble)
-        logw = -p.beta * np.sum((yl[:, None, :] - yl[None, :, :]) ** 2, axis=2) / (4 * p.T)
-        w = np.exp(logw - logw.max(axis=1, keepdims=True))
-        ref = p.beta / (2 * p.T) * ((w @ yl) / w.sum(axis=1)[:, None] - yl)
-        assert np.max(np.abs(score - ref)) <= 1e-10 * np.max(np.abs(ref))
+        d2 = np.sum((yl[:, None, :] - yl[None, :, :]) ** 2, axis=2)
+        p = ProxParams(T=0.05, beta=1.0)
+        for target in (make_zero(dim), make_gaussian_mixture(2.0, 1.0, dim=dim)):
+            score, _ = prox_particle_score(ParticleEnsemble(y), target, p)
+            log_d = _log_denominator_laplace(y, target, p).astype(np.longdouble)
+            logw = -p.beta * d2 / (4 * p.T) - log_d[None, :]
+            w = np.exp(logw - logw.max(axis=1, keepdims=True))
+            ref = (-p.beta / 2 * target.grad_fn(y)
+                   + p.beta / (2 * p.T) * ((w @ yl) / w.sum(axis=1)[:, None] - yl))
+            assert np.max(np.abs(score - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_neighbour_overflow_takes_row_max_path(self):
+        # log D(y) = -(1 - T + T^2)|y|^2/4 - log 2 here, so with each row shifted
+        # by its own term the rows at 15 and 16 see an exponent near 7000
+        # towards 105: exp overflows, and the block is recomputed
+        ens = ParticleEnsemble(np.array([[15.0], [105.0], [16.0]]))
+        target, p = make_quadratic(1.0, 1), ProxParams(T=2.0, beta=1.0)
+        score, log_rho = outcome(prox_particle_score, ens, target, p)
+        ref_score, ref_log_rho = outcome(dense_particle_score, ens, target, p)
+        assert np.all(np.isfinite(score)) and np.all(np.isfinite(log_rho))
+        assert_rel_close(score, ref_score, 1e-12)
+        assert_rel_close(log_rho, ref_log_rho, 1e-12)
+        assert_rel_close(score, np.array([[15.0], [-52.5], [14.25]]), 1e-12)
+
+    @seed(20241018)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(n=st.integers(2, 300), dim=st.sampled_from([1, 2, 10]),
+           beta=st.floats(0.5, 40.0), T=st.floats(0.01, 0.5), mixture=st.booleans(),
+           spread=st.floats(0.1, 3.0), rng_seed=st.integers(0, 2**32 - 1))
+    def test_ensemble_matches_dense(self, n, dim, beta, T, mixture, spread, rng_seed):
+        # the own-term shift against the row-max dense reference, or the same error
+        y = np.random.default_rng(rng_seed).standard_normal((n, dim)) * spread
+        target = make_gaussian_mixture(2.0, 1.0, dim=dim) if mixture else make_quadratic(1.0, dim)
+        args = (ParticleEnsemble(y), target, ProxParams(T=T, beta=beta))
+        got, ref = outcome(prox_particle_score, *args), outcome(dense_particle_score, *args)
+        if isinstance(ref, type) or isinstance(got, type):
+            assert got is ref
+        else:
+            assert_rel_close(got[0], ref[0], 1e-12)
+            assert_rel_close(got[1], ref[1], 1e-12)
 
     @pytest.mark.parametrize("query", [
         np.array([[0.0, np.nan, 1.0]]),        # non-finite coordinate

@@ -15,7 +15,11 @@ environment, so the library picks its default threading. With
 ``--threads K`` each child gets all three variables set to K and the CLI
 option ``--threads K``, so a source tree whose CLI imports numpy before it
 reads its options runs at K threads too. ``compare`` lists the lines that
-differ between two such runs and exits 1 if there are any.
+differ between two such runs and exits 1 if there are any. For each
+differing CSV or ``manifest.json`` that both runs wrote with the same shape
+it also prints, to stderr, the largest absolute and relative difference over
+the numeric cells or keys (``wallclock_ms`` and the stripped keys left out),
+which bounds an intended change of bytes.
 
 Standard library only; the benchmark argv come from perfbench/workloads.py.
 """
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -128,6 +133,68 @@ def compare(a: Path, b: Path) -> list:
     return sorted(n for n in ea.keys() | eb.keys() if ea.get(n) != eb.get(n))
 
 
+def _leaves(value, path=()):
+    """(path, leaf) for every leaf of nested JSON dicts and lists."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, path + (i,))
+    else:
+        yield path, value
+
+
+def cells(path: Path) -> dict:
+    """The file's values by position: (row, column) of a CSV without its
+    wallclock_ms column, or the key path of a manifest without STRIPPED_KEYS."""
+    if path.name == "manifest.json":
+        manifest = json.loads(path.read_text())
+        for key in STRIPPED_KEYS:
+            manifest.pop(key, None)
+        return dict(_leaves(manifest))
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    skip = rows[0].index("wallclock_ms") if rows and "wallclock_ms" in rows[0] else None
+    return {(i, j): cell for i, row in enumerate(rows) for j, cell in enumerate(row)
+            if j != skip}
+
+
+def _number(value):
+    """value as a float, or None when it is not a number."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def max_difference(a: Path, b: Path):
+    """(largest absolute difference, largest relative difference, count of
+    differing non-numeric cells) between two files of the same shape, or
+    None when their shapes differ. A cell's relative difference is taken
+    against the larger magnitude of the pair; NaN against a number is inf."""
+    ca, cb = cells(a), cells(b)
+    if ca.keys() != cb.keys():
+        return None
+    abs_d = rel_d = 0.0
+    other = 0
+    for key, va in ca.items():
+        vb = cb[key]
+        if va == vb:
+            continue
+        x, y = _number(va), _number(vb)
+        if x is None or y is None:
+            other += 1
+            continue
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        d = abs(x - y)
+        rel = d / max(abs(x), abs(y)) if math.isfinite(d) else math.inf
+        abs_d, rel_d = max(abs_d, d if math.isfinite(d) else math.inf), max(rel_d, rel)
+    return abs_d, rel_d, other
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="mode", required=True)
@@ -146,6 +213,19 @@ def main(argv=None) -> int:
     diff = compare(args.a, args.b)
     for name in diff:
         print(name)
+    for name in diff:
+        fa, fb = args.a / name, args.b / name
+        if not (fa.is_file() and fb.is_file()
+                and (fa.suffix == ".csv" or fa.name == "manifest.json")):
+            continue
+        bound = max_difference(fa, fb)
+        if bound is None:
+            print(f"{name}: shapes differ", file=sys.stderr)
+            continue
+        abs_d, rel_d, other = bound
+        note = f", {other} non-numeric cells differ" if other else ""
+        print(f"{name}: max abs diff {abs_d:.3g}, max rel diff {rel_d:.3g}{note}",
+              file=sys.stderr)
     n_files = sum(1 for _ in (args.a / "sha256.txt").read_text().splitlines())
     print(f"{len(diff)} of {n_files} entries differ", file=sys.stderr)
     return 1 if diff else 0
