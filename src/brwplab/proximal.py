@@ -41,7 +41,7 @@ DENOM_TAIL_TOL = 1e-10        # pointwise denominator: boundary integrand vs pea
 LAPLACE_GUARD = 0.1           # refuse when 1 + (T/2)*Lap V(s) <= this
 LAPLACE_WARN = 0.5            # warn when T * sup Lap V over query points exceeds this
 MASS_TOL = 5e-3               # pre-renormalization mass must stay within 1 +/- this
-SCORE_BLOCK = 128             # query rows per block of the particle score
+SCORE_BLOCK = 128             # particle rows per block of the particle score
 BLUR_EXACT_BELOW = 1e-6       # 1-D FFT blur: recompute densely below this share of the peak
 
 
@@ -245,79 +245,65 @@ class GridProxOperator:
         return rho_t, mass, score
 
 
-def prox_particle_score(ensemble: ParticleEnsemble, target: Potential,
-                        p: ProxParams, query: Optional[np.ndarray] = None):
-    """Scores grad log rho_T at query points for empirical rho0 = mean of deltas.
+def prox_particle_score(ensemble: ParticleEnsemble, target: Potential, p: ProxParams):
+    """Scores grad log rho_T at the particles for empirical rho0 = mean of deltas.
 
-    Query defaults to the ensemble itself. The softmax structure of the
-    score cancels exp(-beta V(x)/2): with w_j(x) = exp(-beta|x-y_j|^2/(4T))/D(y_j),
+    The softmax structure of the score cancels exp(-beta V(x)/2): with
+    w_j(x) = exp(-beta|x-y_j|^2/(4T))/D(y_j),
 
         score(x) = -beta/2 * grad V(x) + (beta/2T) * (sum_j w_j y_j / sum_j w_j - x).
 
-    Also returns log rho_T at the query points; underflow below LOG_FLOOR
-    raises IsolatedParticleError. The weights are formed SCORE_BLOCK query
-    rows at a time, so memory is O(SCORE_BLOCK * N), not O(N^2). Per block,
-    one matrix product gives the log-weights plus a row constant r_i, which
-    cancels in the softmax (c = beta/(4T), l = log D):
+    Also returns log rho_T at the particles; underflow below LOG_FLOOR
+    raises IsolatedParticleError. The weights are formed SCORE_BLOCK rows at
+    a time, so memory is O(SCORE_BLOCK * N), not O(N^2). Per block, one
+    matrix product gives the log-weights shifted by each row's own term
+    (c = beta/(4T), l = log D):
 
-        [x, 1, r - c|x|^2] . [2c y, -c|y|^2 - l(y), 1] = -c|x - y|^2 - l(y) + r,
+        [x, 1, l(x) - c|x|^2] . [2c y, -c|y|^2 - l(y), 1] = -c|x - y|^2 - l(y) + l(x),
 
-    and a second gives sum_j w_j [y_j, 1]. For the ensemble r_i = l(x_i), so
-    each row's own exponent is 0; it is set to exactly 0, as the product
-    leaves a rounding error of order eps*c|x|^2 there. Its weight exp(0) = 1
-    keeps every row sum at 1 or more, and exp is the only elementwise pass.
-    Where log D rises steeply (beta*T*|grad V|^2/4 past about 709) a
-    neighbour's exponent can overflow; a block whose sums are not finite is
-    recomputed with its row max subtracted before exp. Off-ensemble queries
-    have no own term: r = 0, and every block takes that row-max path.
+    and a second gives sum_j w_j [y_j, 1]. Each row's own exponent is set to
+    exactly 0, as the product leaves a rounding error of order eps*c|x|^2
+    there. Its weight exp(0) = 1 keeps every row sum at 1 or more, and exp is
+    the only elementwise pass. Where log D rises steeply (beta*T*|grad V|^2/4
+    past about 709) a neighbour's exponent can overflow; a block whose sums
+    are not finite is recomputed with its row max subtracted before exp.
     """
-    y = ensemble.points
-    own = query is None
-    x = y if own else np.asarray(query, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None] if ensemble.dim == 1 else x[None, :]
-    d = ensemble.dim
-    if x.ndim != 2 or x.shape[1] != d:
-        raise ParameterError(f"query of shape {x.shape} does not match ensemble dim {d}")
-    if not np.all(np.isfinite(x)):
-        raise ParameterError("query points must be finite")
+    x = ensemble.points
+    n, d = x.shape
     beta, T = p.beta, p.T
     c = beta / (4 * T)
-    log_d = _log_denominator_laplace(y, target, p)
-    n_q = x.shape[0]
-    r = log_d if own else np.zeros(n_q)
-    xa = np.hstack((x, np.ones((n_q, 1)), (r - c * np.sum(x * x, axis=1))[:, None]))
-    ya = np.hstack((2 * c * y, (-c * np.sum(y * y, axis=1) - log_d)[:, None],
-                    np.ones((ensemble.n, 1))))
-    y1 = np.hstack((y, np.ones((ensemble.n, 1))))
-    m = np.zeros(n_q)                     # row max subtracted before exp, if any
-    acc = np.empty((n_q, d + 1))          # [sum_j w_j y_j, sum_j w_j] per query
-    buf = np.empty((min(SCORE_BLOCK, n_q), ensemble.n))
-    for lo in range(0, n_q, SCORE_BLOCK):
-        hi = min(lo + SCORE_BLOCK, n_q)
+    log_d = _log_denominator_laplace(x, target, p)
+    sq = np.sum(x * x, axis=1)
+    xa = np.hstack((x, np.ones((n, 1)), (log_d - c * sq)[:, None]))
+    ya = np.hstack((2 * c * x, (-c * sq - log_d)[:, None], np.ones((n, 1))))
+    y1 = np.hstack((x, np.ones((n, 1))))
+    m = np.zeros(n)                       # row max subtracted before exp, if any
+    acc = np.empty((n, d + 1))            # [sum_j w_j y_j, sum_j w_j] per particle
+    buf = np.empty((min(SCORE_BLOCK, n), n))
+    for lo in range(0, n, SCORE_BLOCK):
+        hi = min(lo + SCORE_BLOCK, n)
         b = buf[:hi - lo]
         np.matmul(xa[lo:hi], ya.T, out=b)
-        if own:
-            b.reshape(-1)[lo::ensemble.n + 1] = 0.0     # entry (i, lo + i): own term
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.exp(b, out=b)
-                np.matmul(b, y1, out=acc[lo:hi])
-            if np.all(np.isfinite(acc[lo:hi])):
-                continue
-            np.matmul(xa[lo:hi], ya.T, out=b)           # a neighbour's weight overflowed
+        b.reshape(-1)[lo::n + 1] = 0.0                  # entry (i, lo + i): own term
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.exp(b, out=b)
+            np.matmul(b, y1, out=acc[lo:hi])
+        if np.all(np.isfinite(acc[lo:hi])):
+            continue
+        np.matmul(xa[lo:hi], ya.T, out=b)               # a neighbour's weight overflowed
         np.max(b, axis=1, out=m[lo:hi])
         b -= m[lo:hi, None]
         np.exp(b, out=b)
         np.matmul(b, y1, out=acc[lo:hi])
     sw = acc[:, d]
     ybar = acc[:, :d] / sw[:, None]
-    log_rho = (m - r + np.log(sw) - np.log(ensemble.n)
+    log_rho = (m - log_d + np.log(sw) - np.log(n)
                - beta / 2 * target.eval_fn(x)
                + 0.5 * d * np.log(beta / (4 * np.pi * T)))
     if np.any(log_rho < np.log(LOG_FLOOR)):
         i = int(np.argmin(log_rho))
         raise IsolatedParticleError(
-            f"density underflow at query {i}: log rho_T = {log_rho[i]:.1f} "
+            f"density underflow at particle {i}: log rho_T = {log_rho[i]:.1f} "
             "(particle too far from the ensemble)")
     score = -beta / 2 * target.grad_fn(x) + beta / (2 * T) * (ybar - x)
     return score, log_rho

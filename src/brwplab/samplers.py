@@ -282,6 +282,11 @@ def run(cfg: SamplerConfig, target: Potential,
     if n_bw not in (1, target.dim if target.dim <= 3 else 1):
         raise ParameterError(f"sampler.kde_bandwidth has {n_bw} entries; give one, or one "
                              f"per axis when target.dim <= 3 (target.dim = {target.dim})")
+    grid = Grid.uniform(cfg.grid)
+    if (cfg.method in ("brwp_kde", "brwp_successive", "explicit_flow")
+            and target.dim != grid.dim):
+        raise ParameterError(f"{cfg.method} needs a grid of the target's dimension: "
+                             f"target dim {target.dim}, grid dim {grid.dim}")
     if target.alpha is not None and cfg.h > theory.max_stepsize(target.alpha):
         warnings.warn(f"h={cfg.h} exceeds the maximum stable stepsize "
                       f"2/(3*alpha)={theory.max_stepsize(target.alpha):.4f}",
@@ -296,11 +301,8 @@ def run(cfg: SamplerConfig, target: Potential,
         ens = ParticleEnsemble(pts)
     else:
         ens = initial_ensemble(cfg, target.dim, rng)
-    state = DensityState(Grid.uniform(cfg.grid))
+    state = DensityState(grid)
     if cfg.method == "brwp_successive":
-        if target.dim != state.grid.dim:
-            raise ParameterError(f"successive mode needs a grid of the target's dimension: "
-                                 f"target dim {target.dim}, grid dim {state.grid.dim}")
         state.chain = initial_grid_density(cfg, state.grid)
     if cfg.method in ("brwp_kde", "brwp_successive"):
         _grid_operator(cfg, target, state)

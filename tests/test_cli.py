@@ -174,6 +174,18 @@ class TestSample:
         assert code == EXIT_CONFIG
         assert f"unknown backend '{backend}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["brwp_kde", "brwp_successive", "explicit_flow"])
+    def test_grid_method_needs_target_dim_grid(self, tmp_path, method, capsys):
+        # a 4-D target gets a 3-D grid: refused before the first diagnostics row
+        out = tmp_path / "g"
+        code = run_cli("sample", "--out", str(out), "--target.dim", "4",
+                       "--sampler.method", method, "--sampler.n_steps", "1",
+                       "--sampler.n_particles", "16", "--plot", "false")
+        assert code == EXIT_CONFIG
+        assert f"{method} needs a grid of the target's dimension: target dim 4, grid dim 3" \
+            in capsys.readouterr().err
+        assert not (out / "run.csv").exists()
+
     def test_narrow_grid_is_numerical_abort(self, tmp_path, capsys):
         code = run_cli("sample", "--out", str(tmp_path / "n"), "--target.id", "quadratic",
                        "--grid.lo", "-3", "--grid.hi", "3", "--grid.n", "241",

@@ -90,32 +90,34 @@ class TestKde:
         with pytest.raises(ParameterError):
             kde(ParticleEnsemble(pts), -0.5, Grid((uniform_axis(-5, 5, 101),)))
 
-    @pytest.mark.parametrize("dim, n, half", [
-        pytest.param(1, KDE_BLOCK - 1, 8.0, id="1-127"),
-        pytest.param(1, KDE_BLOCK, 8.0, id="1-128"),
-        pytest.param(1, 2 * KDE_BLOCK + 1, 8.0, id="1-257"),
-        pytest.param(1, 2401, 8.0, id="1-2401"),
-        pytest.param(1, 4801, 24.0, id="1-4801-wide"),
-        pytest.param(3, 41, 8.0, id="3-41")])
-    def test_in_place_kernels_bit_identical(self, dim, n, half):
-        """kde against the exact-distance kernels: d = 3 bit for bit; d = 1,
-        whose exponent comes from one GEMM of the expanded square, within
-        1e-12 relative (1e-300 absolute where the kernels underflow)."""
+    @pytest.mark.parametrize("dim, n, half, bandwidth", [
+        pytest.param(1, KDE_BLOCK - 1, 8.0, "auto", id="1-127"),
+        pytest.param(1, KDE_BLOCK, 8.0, "auto", id="1-128"),
+        pytest.param(1, 2 * KDE_BLOCK + 1, 8.0, "auto", id="1-257"),
+        pytest.param(1, 2401, 8.0, "auto", id="1-2401"),
+        pytest.param(1, 4801, 24.0, "auto", id="1-4801-wide"),
+        pytest.param(2, 161, 8.0, "auto", id="2-161"),
+        pytest.param(3, 41, 8.0, "auto", id="3-41"),
+        # a different bandwidth per axis: each axis must use its own
+        pytest.param(2, 161, 12.0, (0.3, 0.8), id="2-161-per-axis"),
+        pytest.param(3, 41, 12.0, (0.5, 0.9, 1.4), id="3-41-per-axis")])
+    def test_in_place_kernels_bit_identical(self, dim, n, half, bandwidth):
+        """kde against the exact-distance kernels, within 1e-12 relative
+        (1e-300 absolute where the kernels underflow): every axis takes its
+        exponent from one GEMM of the expanded square."""
         rng = np.random.default_rng(dim)
         ens = ParticleEnsemble(rng.standard_normal((300, dim)) * 1.3)
         axes = tuple(uniform_axis(-half, half, n) for _ in range(dim))
         grid = Grid(axes)
-        bw = silverman_bandwidth(ens.points)
+        bw = (silverman_bandwidth(ens.points) if bandwidth == "auto"
+              else np.asarray(bandwidth))
         kernels = [np.exp(-(axes[i][:, None] - ens.points[None, :, i]) ** 2
                           / (2 * bw[i] ** 2)) / (bw[i] * np.sqrt(2 * np.pi))
                    for i in range(dim)]
-        got = kde(ens, "auto", grid).values
-        if dim == 1:
-            ref = GridDensity(grid, kernels[0].mean(axis=1)).normalize().values
-            assert np.all(np.abs(got - ref) <= 1e-12 * ref + 1e-300)
-        else:
-            vals = np.einsum("aj,bj,cj->abc", *kernels) / ens.n
-            assert np.array_equal(got, GridDensity(grid, vals).normalize().values)
+        spec = ("aj->a", "aj,bj->ab", "aj,bj,cj->abc")[dim - 1]
+        ref = GridDensity(grid, np.einsum(spec, *kernels) / ens.n).normalize().values
+        got = kde(ens, bandwidth, grid).values
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref + 1e-300)
 
     def test_2d_kde_mass(self):
         rng = np.random.default_rng(2)

@@ -25,16 +25,13 @@ def denominator_oracle(y, alpha, beta, T):
     return (1 + alpha * T) ** -0.5 * np.exp(-beta * alpha * y**2 / (4 * (1 + alpha * T)))
 
 
-def dense_particle_score(ensemble, target, p, query=None):
+def dense_particle_score(ensemble, target, p):
     """The particle score with its whole N x N weight matrix, as a reference.
 
     Distances are formed as |x - y|^2 directly, and each row is shifted by
     its max weight.
     """
-    y = ensemble.points
-    x = y if query is None else np.asarray(query, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None] if ensemble.dim == 1 else x[None, :]
+    x = y = ensemble.points
     beta, T = p.beta, p.T
     log_d = _log_denominator_laplace(y, target, p)
     d2 = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
@@ -270,9 +267,9 @@ class TestParticleScore:
 
     def test_two_particle_symmetry(self, zero1d):
         ens = ParticleEnsemble(np.array([[-1.0], [1.0]]))
-        score, _ = prox_particle_score(ens, zero1d, ProxParams(T=0.1, beta=1.0),
-                                       query=np.array([[0.0]]))
-        assert abs(score[0, 0]) < 1e-14
+        score, _ = prox_particle_score(ens, zero1d, ProxParams(T=0.1, beta=1.0))
+        assert score[0, 0] > 0
+        assert abs(score[0, 0] + score[1, 0]) < 1e-14
 
     def test_matches_grid_backend_on_gaussian_cloud(self, zero1d):
         rng = np.random.default_rng(5)
@@ -291,40 +288,23 @@ class TestParticleScore:
         assert np.mean(np.abs(score[:, 0] + pts[:, 0] / 2.0)) <= 0.1
 
     def test_isolated_query_detected(self, quad1d):
-        ens = ParticleEnsemble(np.zeros((30, 1))
-                               + np.linspace(-0.1, 0.1, 30)[:, None])
-        with pytest.raises(IsolatedParticleError):
-            prox_particle_score(ens, quad1d, ProxParams(T=0.01, beta=1.0),
-                                query=np.array([[60.0]]))
+        # a particle at 600 keeps its own weight, but rho_T there is exp(-9e4)
+        pts = np.append(np.linspace(-0.1, 0.1, 30), 600.0)[:, None]
+        with pytest.raises(IsolatedParticleError, match="particle 30:"):
+            prox_particle_score(ParticleEnsemble(pts), quad1d, ProxParams(T=0.01, beta=1.0))
 
     @pytest.mark.parametrize("dim", [1, 10])
-    @pytest.mark.parametrize("n, n_query", [
-        (2 * SCORE_BLOCK + 37, None),          # N not a multiple of the block
-        (50, None),                            # N smaller than one block
-        (300, 77),                             # fewer queries than particles
-        (60, 2 * SCORE_BLOCK + 5),             # more queries than particles
+    @pytest.mark.parametrize("n", [
+        pytest.param(2 * SCORE_BLOCK + 37, id="293-None"),     # N not a multiple of the block
+        pytest.param(50, id="50-None"),                        # N smaller than one block
     ])
-    def test_streamed_matches_dense(self, dim, n, n_query):
+    def test_streamed_matches_dense(self, dim, n):
         rng = np.random.default_rng(n + dim)
         ens = ParticleEnsemble(rng.standard_normal((n, dim)) * 1.5)
-        query = None if n_query is None else rng.standard_normal((n_query, dim)) * 2.0
         target = make_gaussian_mixture(2.0, 1.0, dim=dim)
         p = ProxParams(T=0.05, beta=1.5)
-        score, log_rho = prox_particle_score(ens, target, p, query)
-        ref_score, ref_log_rho = dense_particle_score(ens, target, p, query)
-        assert_rel_close(score, ref_score, 1e-12)
-        assert_rel_close(log_rho, ref_log_rho, 1e-12)
-
-    @pytest.mark.parametrize("dim, query", [(1, np.linspace(-2.0, 2.0, 9)),
-                                            (10, np.full(10, 0.3))])
-    def test_streamed_matches_dense_on_query_vector(self, dim, query):
-        rng = np.random.default_rng(dim)
-        ens = ParticleEnsemble(rng.standard_normal((SCORE_BLOCK + 3, dim)))
-        target = make_quadratic(1.0, dim)
-        p = ProxParams(T=0.04, beta=1.0)
-        score, log_rho = prox_particle_score(ens, target, p, query)
-        ref_score, ref_log_rho = dense_particle_score(ens, target, p, query)
-        assert score.shape == (query.size if dim == 1 else 1, dim)
+        score, log_rho = prox_particle_score(ens, target, p)
+        ref_score, ref_log_rho = dense_particle_score(ens, target, p)
         assert_rel_close(score, ref_score, 1e-12)
         assert_rel_close(log_rho, ref_log_rho, 1e-12)
 
@@ -377,23 +357,13 @@ class TestParticleScore:
             assert_rel_close(got[0], ref[0], 1e-12)
             assert_rel_close(got[1], ref[1], 1e-12)
 
-    @pytest.mark.parametrize("query", [
-        np.array([[0.0, np.nan, 1.0]]),        # non-finite coordinate
-        np.zeros((4, 2)),                      # trailing size is not the dim
-        np.zeros((2, 2, 3)),                   # not a list of points
-    ])
-    def test_bad_query_rejected(self, query):
-        ens = ParticleEnsemble(np.random.default_rng(0).standard_normal((20, 3)))
-        with pytest.raises(ParameterError, match="query"):
-            prox_particle_score(ens, make_quadratic(1.0, 3), ProxParams(T=0.05), query)
-
     def test_isolated_query_in_last_block_detected(self, quad1d):
-        ens = ParticleEnsemble(np.linspace(-0.1, 0.1, 30)[:, None])
-        query = np.zeros((2 * SCORE_BLOCK + 3, 1))
-        query[-1, 0] = 60.0
-        prox_particle_score(ens, quad1d, ProxParams(T=0.01, beta=1.0), query[:-1])
-        with pytest.raises(IsolatedParticleError, match=f"query {query.shape[0] - 1}:"):
-            prox_particle_score(ens, quad1d, ProxParams(T=0.01, beta=1.0), query)
+        pts = np.linspace(-0.1, 0.1, 2 * SCORE_BLOCK + 3)[:, None]
+        pts[-1, 0] = 600.0
+        p = ProxParams(T=0.01, beta=1.0)
+        prox_particle_score(ParticleEnsemble(pts[:-1]), quad1d, p)
+        with pytest.raises(IsolatedParticleError, match=f"particle {pts.shape[0] - 1}:"):
+            prox_particle_score(ParticleEnsemble(pts), quad1d, p)
 
     def test_memory_stays_below_one_dense_matrix(self):
         n, dim = 4000, 10

@@ -52,6 +52,9 @@ PRESETS = {
     "mixture_sigma_2d": ["sample", "--target.id", "gaussian_mixture", "--target.dim", "2",
                          "--target.sigma", "0.8", "--sampler.method", "brwp_kde",
                          "--sampler.n_steps", "5"],
+    # the d = 3 KDE on the default 41^3 grid
+    "kde_3d": ["sample", "--target.dim", "3", "--sampler.method", "brwp_kde",
+               "--sampler.n_steps", "3"],
     "successive_2d": ["sample", "--target.dim", "2", "--sampler.method", "brwp_successive",
                       "--sampler.n_steps", "5"],
     "explicit_flow": ["sample", "--sampler.method", "explicit_flow", "--sampler.n_steps", "10"],
