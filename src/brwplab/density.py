@@ -24,6 +24,7 @@ TAIL_MASS_TOL = 1e-8      # refused if more target mass than this lies off-grid
 GRID_EXTENSION = 0.25     # fractional span appended per side for the tail check
 LOG_FLOOR = 1e-300        # densities are clamped to this before taking logs
 KDE_BLOCK = 128           # axis-0 grid rows per block of the KDE
+SLAB_POINTS = 1 << 14     # widened-grid points per slab of the truncation check
 W2_QUANTILES = 512        # midpoint quantile levels w2_grids_1d couples
 
 
@@ -255,21 +256,17 @@ class DiagnosticsReport:
 def target_density(target: Potential, grid: Grid, beta: float,
                    check_truncation: bool = True) -> GridDensity:
     """exp(-beta*V)/Z on the grid; refuses grids that truncate target mass."""
-    vals = _unnormalized_target(target, grid, beta)
+    v = target.eval_fn(grid.points)
+    v_min = v.min()     # stabilizes the exponential; cancels in normalization
+    vals = np.exp(-beta * (v - v_min)).reshape(grid.shape)
     z = float(np.sum(grid.weights * vals))
     if not np.isfinite(z) or z <= 0:
         raise DegenerateDensityError("target has non-finite or zero grid mass")
     if check_truncation:
-        ext_axes = []
-        for a in grid.axes:
-            dx = a[1] - a[0]
-            extra = int(np.ceil(GRID_EXTENSION * (a[-1] - a[0]) / dx))
-            lo = a[0] - extra * dx
-            ext_axes.append(np.linspace(lo, a[-1] + extra * dx, a.size + 2 * extra))
-        ext = Grid(tuple(ext_axes))
-        # values before weights: keeps the weights out of the potential's peak memory
-        vals_ext = _unnormalized_target(target, ext, beta)
-        z_ext = float(np.sum(ext.weights * vals_ext))
+        z_ext = _extended_mass(target, grid, beta, v_min)
+        if not np.isfinite(z_ext):
+            raise TruncationError("target mass on the widened grid is not finite; "
+                                  "widen the grid")
         if (z_ext - z) / z_ext > TAIL_MASS_TOL:
             raise TruncationError(
                 f"target mass outside grid is {(z_ext - z) / z_ext:.3e} "
@@ -277,10 +274,36 @@ def target_density(target: Potential, grid: Grid, beta: float,
     return GridDensity(grid, vals / z)
 
 
-def _unnormalized_target(target: Potential, grid: Grid, beta: float) -> np.ndarray:
-    v = target.eval_fn(grid.points)
-    v = v - v.min()  # stabilize the exponential; cancels in normalization
-    return np.exp(-beta * v).reshape(grid.shape)
+def _extended_mass(target: Potential, grid: Grid, beta: float, v_min: float) -> float:
+    """Trapezoid mass of exp(-beta*(V - v_min)) on the grid widened by GRID_EXTENSION.
+
+    v_min is the grid's own minimum of V, so the mass shares the grid's
+    normalization; it is inf where V dips far below v_min off the grid. V is
+    evaluated over slabs of about SLAB_POINTS points, whole axis-0 rows each,
+    never on the whole widened grid.
+    """
+    ext_axes = []
+    for a in grid.axes:
+        dx = a[1] - a[0]
+        extra = int(np.ceil(GRID_EXTENSION * (a[-1] - a[0]) / dx))
+        ext_axes.append(np.linspace(a[0] - extra * dx, a[-1] + extra * dx, a.size + 2 * extra))
+    if len(ext_axes) > 1:
+        rest = Grid(tuple(ext_axes[1:]))
+        rest_pts, rest_w = rest.points, rest.weights.ravel()
+    else:
+        rest_pts, rest_w = np.empty((1, 0)), np.ones(1)
+    axis0, w0 = ext_axes[0], trapezoid_weights(ext_axes[0])
+    rows = max(1, SLAB_POINTS // rest_w.size)
+    z_ext = 0.0
+    for lo in range(0, axis0.size, rows):
+        slab = axis0[lo:lo + rows]
+        pts = np.empty((slab.size, rest_w.size, grid.dim))
+        pts[:, :, 0] = slab[:, None]
+        pts[:, :, 1:] = rest_pts
+        v = target.eval_fn(pts.reshape(-1, grid.dim)).reshape(slab.size, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z_ext += float(w0[lo:lo + rows] @ (np.exp(-beta * (v - v_min)) @ rest_w))
+    return z_ext
 
 
 # ------------------------------------------------------------ estimators

@@ -7,13 +7,15 @@ The operator maps a density rho0 to
 
 where G_T is the heat kernel with variance 2T/beta per axis. Both integrals
 use the same Gaussian blur, which factorizes across axes. GridProxOperator's
-step gives rho_T; its score_of_step also gives grad log rho_T, one more blur
-per axis. The operator builds the blur from one Toeplitz kernel vector
-per axis, with its subnormal entries set to 0, and caches the denominator.
-For d >= 2 it lays out one trapezoid blur matrix per axis, so a step costs
-O(d * G * n) instead of O(G^2). In 1-D the blur is an FFT convolution with
-the kernel's cached spectrum; its small entries are recomputed by
-correlating the kernel vector with the input, and no G x G matrix is held.
+step gives rho_T; its score_of_step also gives grad log rho_T from the blur
+with one axis's kernel replaced by its derivative, so the score needs no
+second term to cancel. The operator builds the blur from one Toeplitz kernel
+vector per axis, with its subnormal entries set to 0, and caches the
+denominator. For d >= 2 it lays out one trapezoid blur matrix per axis and
+its derivative, so a step costs O(d * G * n) instead of O(G^2). In 1-D the
+blur is an FFT convolution with the kernel's cached spectrum; its small
+entries are recomputed by correlating the kernel vector with the input, and
+no G x G matrix is held.
 
 BACKENDS of the operator: "quadrature" computes D by grid quadrature (exact
 up to trapezoid error), "laplace_denominator" uses the second-order closed form
@@ -129,12 +131,18 @@ class GridProxOperator:
         self.grad_v.flags.writeable = False
         self.e_v = np.exp(-p.beta / 2 * target.eval_fn(pts)).reshape(grid.shape)
         if grid.dim == 1:
-            g = grid.shape[0]
-            self._kern = self._toeplitz_kernel(grid.axes[0])
+            axis = grid.axes[0]
+            g = axis.size
+            off = axis - axis[0]
+            self._kern = self._toeplitz_kernel(axis)
+            self._dkern = self._derivative(np.concatenate((-off[:0:-1], off)), self._kern)
             self._fft_len = 1 << (3 * g - 3).bit_length()     # power of two >= 3G - 2
             self._kern_hat = np.fft.rfft(self._kern, self._fft_len)
+            self._dkern_hat = np.fft.rfft(self._dkern, self._fft_len)
         else:
             self._blur = [self._blur_matrix(a) for a in grid.axes]
+            self._dblur = [self._derivative(np.subtract.outer(a, a), b)
+                           for a, b in zip(grid.axes, self._blur)]
         if backend == "quadrature":
             self.denom = self.apply_blur(self.e_v)
         else:
@@ -167,6 +175,15 @@ class GridProxOperator:
         blur[blur < np.finfo(float).tiny] = 0.0
         return blur
 
+    def _derivative(self, diff, kern):
+        """The x-derivative -beta*(x - y)/(2T) * kern of a blur kernel, given x - y.
+
+        kern is already flushed; entries whose product is below tiny are 0 too.
+        """
+        dkern = -self.p.beta / (2 * self.p.T) * diff * kern
+        dkern[np.abs(dkern) < np.finfo(float).tiny] = 0.0
+        return dkern
+
     def apply_blur(self, vals: np.ndarray) -> np.ndarray:
         """Trapezoid Gaussian blur of grid values, axis by axis.
 
@@ -187,21 +204,34 @@ class GridProxOperator:
         """
         if self.grid.dim > 1:
             for i, blur in enumerate(self._blur):
-                vals = np.moveaxis(np.tensordot(blur, vals, axes=(1, i)), 0, i)
+                vals = _axis_pass(blur, vals, i)
             return vals
+        return self._fft_blur(vals, ((self._kern, self._kern_hat),))[0]
+
+    def _fft_blur(self, vals, kernels):
+        """1-D blurs of vals with each (Toeplitz vector, spectrum) pair; one forward FFT.
+
+        The entries recomputed exactly are those where the first blur is below
+        BLUR_EXACT_BELOW of its peak, for every kernel alike. The score divides
+        a derivative blur by that blur: elsewhere the derivative's absolute
+        FFT error, about 1e-16 of its peak, moves the quotient by about
+        1e-10 * max|derivative| / max(blur) at most.
+        """
         g, n = vals.size, self._fft_len
         u = vals * self.grid.weights
-        out = np.fft.irfft(np.fft.rfft(u, n) * self._kern_hat, n)[g - 1:2 * g - 1]
-        mag = np.abs(out)
+        u_hat = np.fft.rfft(u, n)
+        outs = [np.fft.irfft(u_hat * k_hat, n)[g - 1:2 * g - 1] for _, k_hat in kernels]
+        mag = np.abs(outs[0])
         low = np.zeros(g + 2, dtype=bool)        # padded: every run has both edges
         np.less(mag, BLUR_EXACT_BELOW * mag.max(), out=low[1:-1])
         runs = np.flatnonzero(low[1:] != low[:-1]).reshape(-1, 2)    # [start, stop) rows
         if runs.size:
-            # out[i] = sum_j kern[G-1-i+j] u[j]; kern is symmetric
+            # out[i] = sum_j kern[G-1+i-j] u[j], which is the convolution
             u_rev = u[::-1].copy()
             for a, b in runs:
-                out[a:b] = np.correlate(self._kern[a:b - 1 + g], u_rev, "valid")
-        return out
+                for out, (kern, _) in zip(outs, kernels):
+                    out[a:b] = np.correlate(kern[a:b - 1 + g], u_rev, "valid")
+        return outs
 
     def step(self, rho0: GridDensity, raw: Optional[np.ndarray] = None):
         """One proximal step; returns (normalized rho_T, pre-normalization mass).
@@ -225,24 +255,55 @@ class GridProxOperator:
     def score_of_step(self, rho0: GridDensity):
         """(rho_T normalized, pre-mass, per-axis score grad log rho_T).
 
-        One blur of rho0/D gives the output, and one blur per axis its gradient
+        With r = rho0/D, rho_T is e_V * Blur[r] / mass, and differentiating the
+        kernel gives
 
-            grad rho_T = -beta*(grad V/2 + x/(2T)) rho_T
-                         + (beta/2T) * e_V * Blur[y_i * rho0/D],
+            score_i = -(beta/2) * d_i V + Blur_i'[r] / Blur[r],
 
-        which is divided by the mass and by rho_T floored at LOG_FLOOR.
+        where Blur_i' is the blur with axis i's kernel K replaced by
+        -beta*(x - y)/(2T) * K. No two terms of size beta*|x|/(2T) * rho_T
+        cancel, so the blur's absolute rounding is not amplified by |x|/(2T).
+        Where Blur[r] is 0 the score is 0. For d >= 2 the passes share their
+        partial blurs P_k = K_{k-1} ... K_0 r, taken in apply_blur's axis
+        order, so Blur[r] and rho_T are apply_blur's bytes: d = 3 takes 9
+        per-axis passes and d = 2 takes 5. In 1-D both blurs share one
+        forward FFT.
         """
-        beta, T = self.p.beta, self.p.T
-        ratio = rho0.values / self.denom
-        raw = self.e_v * self.apply_blur(ratio)
-        rho_t, mass = self.step(rho0, raw)
-        floor = np.maximum(rho_t.values, LOG_FLOOR)
-        score = []
-        for i, x_i in enumerate(self.grid.mesh):
-            grad = (-beta * (self.grad_v[:, i].reshape(raw.shape) / 2 + x_i / (2 * T)) * raw
-                    + beta / (2 * T) * self.e_v * self.apply_blur(x_i * ratio))
-            score.append(grad / mass / floor)
+        r = rho0.values / self.denom
+        if self.grid.dim == 1:
+            blur, dblur = self._fft_blur(r, ((self._kern, self._kern_hat),
+                                             (self._dkern, self._dkern_hat)))
+            score = [dblur]
+        else:
+            partial = [r]
+            for i, mat in enumerate(self._blur):
+                partial.append(_axis_pass(mat, partial[-1], i))
+            blur = partial[-1]
+            score = []
+            for i, dmat in enumerate(self._dblur):
+                out = _axis_pass(dmat, partial[i], i)
+                for k in range(i + 1, self.grid.dim):
+                    out = _axis_pass(self._blur[k], out, k)
+                score.append(out)
+        rho_t, mass = self.step(rho0, self.e_v * blur)
+        # Each Blur_i'[r] becomes score_i in place. A quotient per axis, not
+        # one reciprocal: 1/Blur[r] overflows where Blur[r] is subnormal.
+        pos = blur > 0
+        dead = ~pos
+        # -(beta/2) d_i V, laid out in memory like the blurs (for d >= 2 they
+        # are axis-permuted views), so that each pass below is contiguous
+        drift = np.empty_like(blur)
+        for i, s in enumerate(score):
+            np.multiply(self.grad_v[:, i].reshape(blur.shape), -self.p.beta / 2, out=drift)
+            np.divide(s, blur, out=s, where=pos)
+            s += drift
+            s[dead] = 0.0
         return rho_t, mass, score
+
+
+def _axis_pass(mat, vals, i):
+    """mat applied along axis i of vals."""
+    return np.moveaxis(np.tensordot(mat, vals, axes=(1, i)), 0, i)
 
 
 def prox_particle_score(ensemble: ParticleEnsemble, target: Potential, p: ProxParams):

@@ -1,14 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from brwplab.density import (KDE_BLOCK, DiagnosticsReport, Grid, GridDensity,
                              ParticleEnsemble, divergences, fisher_information,
                              fourth_moment_m0, fp_rhs, kde, kl_divergence,
-                             silverman_bandwidth, target_density, tv_distance,
-                             uniform_axis, w2_1d)
+                             _extended_mass, silverman_bandwidth, target_density,
+                             tv_distance, uniform_axis, w2_1d)
 from brwplab.errors import (DegenerateDensityError, ParameterError,
                             TruncationError)
-from brwplab.potentials import make_quadratic, make_zero
+from brwplab.potentials import Potential, make_quadratic, make_zero
 
 from conftest import gaussian_grid
 
@@ -153,6 +155,47 @@ class TestKl:
         g = gaussian_grid(ax, var=1.0)
         with pytest.raises(TruncationError):
             kl_divergence(g, quad1d, 1.0)
+
+
+class TestTruncationCheck:
+    """The widened-grid mass, summed slab by slab under the grid's own normalization."""
+
+    @staticmethod
+    def well(depth):
+        # x^2/2 with a narrow well of this depth at x = 15: off the +-12 grid,
+        # inside its +-18 widening
+        def eval_fn(x):
+            return x[:, 0] ** 2 / 2 - depth * np.exp(-(x[:, 0] - 15) ** 2 / (2 * 0.05**2))
+        return Potential(dim=1, eval_fn=eval_fn, grad_fn=np.zeros_like)
+
+    @pytest.mark.parametrize("depth", [200.0, 1000.0])
+    def test_mass_below_the_grid_minimum_refused(self, axis_default, depth):
+        # the widened mass taken under its own minimum read as 0.4% of the
+        # grid's mass, so the check passed; at depth 1000 exp overflows
+        with pytest.raises(TruncationError):
+            target_density(self.well(depth), Grid((axis_default,)), 1.0)
+
+    @pytest.mark.parametrize("dim, n", [(1, 241), (2, 61), (3, 25)])
+    def test_slab_sum_equals_whole_widened_grid(self, dim, n):
+        grid = Grid((uniform_axis(-6.0, 6.0, n),) * dim)
+        target = make_quadratic(1.0, dim)
+        ext = Grid(tuple(uniform_axis(-9.0, 9.0, n + 2 * (n - 1) // 4) for _ in range(dim)))
+        whole = np.sum(ext.weights * np.exp(-1.5 * target.eval_fn(ext.points)).reshape(ext.shape))
+        assert _extended_mass(target, grid, 1.5, 0.0) == pytest.approx(whole, rel=1e-12)
+
+    def test_check_holds_no_widened_grid(self):
+        # the successive_3d grid: the whole 61^3 widened grid once peaked at 14.6 MB
+        grid = Grid((uniform_axis(-12.0, 12.0, 41),) * 3)
+        target = make_quadratic(1.0, 3)
+        peaks = []
+        for check in (False, True):
+            tracemalloc.start()
+            try:
+                target_density(target, grid, 1.0, check_truncation=check)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1e6
 
 
 @pytest.mark.parametrize("dim, n", [(1, 241), (2, 61), (3, 25)])

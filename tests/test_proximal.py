@@ -470,6 +470,28 @@ def test_gradient_2d_matches_finite_differences():
         assert np.max(np.abs(fd[interior] - grads[i][interior])) / scale < 1e-3
 
 
+def dense_score(op, rho0):
+    """grad log rho_T by quadrature sums with no FFT: per-axis matrices from the
+    pairwise differences, unflushed, and each axis's derivative blur on its own."""
+    beta, T = op.p.beta, op.p.T
+    ratio = rho0.values / op.denom
+    mats = [direct_blur_matrix(a, beta, T) for a in op.grid.axes]
+
+    def blur(ms):
+        vals = ratio
+        for i, m in enumerate(ms):
+            vals = np.moveaxis(np.tensordot(m, vals, axes=(1, i)), 0, i)
+        return vals
+
+    ref = blur(mats)
+    score = []
+    for i, a in enumerate(op.grid.axes):
+        ms = list(mats)
+        ms[i] = -beta * np.subtract.outer(a, a) / (2 * T) * mats[i]
+        score.append(-beta / 2 * op.grad_v[:, i].reshape(ref.shape) + blur(ms) / ref)
+    return score
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_score_of_step_matches_step_and_gradient(dim):
     target = make_quadratic(1.0, dim)
@@ -479,28 +501,48 @@ def test_score_of_step_matches_step_and_gradient(dim):
     op = GridProxOperator(rho0.grid, target, ProxParams(T=0.2, beta=1.0))
     ref_t, ref_mass = op.step(rho0)
     assert ref_t.grid is op.grid
-    # reference: grad rho_T = -beta*(grad V/2 + x/(2T)) rho_T + (beta/2T) e_V Blur[y_i rho0/D],
-    # each field blurred on its own, divided by the mass
-    beta, T = op.p.beta, op.p.T
-    raw = op.e_v * op.apply_blur(rho0.values / op.denom)
-    ratio = rho0.values / op.denom
-    ref_grads = []
-    for i, x_i in enumerate(op.grid.mesh):
-        blurred = op.apply_blur(x_i * ratio)
-        gi = (-beta * (op.grad_v[:, i].reshape(raw.shape) / 2
-                       + x_i / (2 * T)) * raw
-              + beta / (2 * T) * op.e_v * blurred)
-        ref_grads.append(gi / ref_mass)
-    blurs = []
-    blur = op.apply_blur
-    op.apply_blur = lambda vals: blurs.append(1) or blur(vals)
     rho_t, mass, score = op.score_of_step(rho0)
-    # one blur of rho0/D shared by the output and the gradient, plus one per axis
-    assert len(blurs) == dim + 1
     assert mass == ref_mass
     assert np.array_equal(rho_t.values, ref_t.values)
-    for s, gr in zip(score, ref_grads):
-        assert np.array_equal(s, gr / np.maximum(ref_t.values, LOG_FLOOR))
+    # the derivative-kernel score against exact sums; the two-term form it
+    # replaced was about 4e-15 off here, the derivative kernels about 4e-16
+    for s, ref in zip(score, dense_score(op, rho0)):
+        assert np.max(np.abs(s - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("T", [0.002, 0.01])
+def test_small_t_score_matches_gaussian_closed_form(axis_default, quad1d, T):
+    # rho0 = N(0, v0) at half its decay bound, so rho_T = N(0, var_t) and the
+    # score is -x/var_t. Where rho_T >= 1e-14 of its peak the score is about
+    # 2e-10/sigma_T off; the two-term form was 4e-8 to 2e-7/sigma_T off, as it
+    # amplified the FFT's absolute error by about |x|/(2T).
+    v0 = 1 + T
+    var_t = prox_variance_oracle(v0, 1, 1, T)
+    rho0 = gaussian_grid(axis_default, var=v0)
+    op = GridProxOperator(rho0.grid, quad1d, ProxParams(T=T, beta=1.0))
+    rho_t, _, (score,) = op.score_of_step(rho0)
+    keep = rho_t.values >= 1e-14 * rho_t.values.max()
+    assert np.max(np.abs(score + axis_default / var_t)[keep]) * np.sqrt(var_t) <= 2e-9
+
+
+@pytest.mark.parametrize("dim, n", [(1, 2401), (2, 161)])
+def test_score_is_zero_where_blur_underflows(dim, n):
+    # a narrow rho0 and a short step: far from rho0, Blur[rho0/D] is exactly 0
+    # (and subnormal next to that), yet the score stays finite, and 0 there
+    grid = Grid((uniform_axis(-12.0, 12.0, n),) * dim)
+    rho0 = GridDensity(grid, np.exp(-sum(m**2 for m in grid.mesh) / 0.1)).normalize()
+    op = GridProxOperator(grid, make_quadratic(1.0, dim), ProxParams(T=0.01, beta=1.0))
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        rho_t, mass, score = op.score_of_step(rho0)
+    blur = op.apply_blur(rho0.values / op.denom)
+    zero = blur == 0
+    assert 0 < np.count_nonzero(zero) < zero.size
+    assert np.any((blur > 0) & (blur < np.finfo(float).tiny))
+    assert np.array_equal(rho_t.values, op.step(rho0)[0].values)
+    for s in score:
+        assert np.all(np.isfinite(s))
+        assert np.all(s[zero] == 0)
 
 
 @pytest.mark.parametrize("n, beta, T", [(401, 1.0, 0.05), (400, 2.5, 0.05),
