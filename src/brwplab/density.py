@@ -194,17 +194,6 @@ class GridDensity:
             json.dump(sidecar, f, indent=1, sort_keys=True)
             f.write("\n")
 
-    @staticmethod
-    def from_csv(path) -> "GridDensity":
-        path = Path(path)
-        with open(path.with_suffix(path.suffix + ".json")) as f:
-            meta = json.load(f)
-        with open(path) as f:
-            rows = [[float(v) for v in row] for row in csv.reader(f)]
-        d = len(meta["axes"])
-        grid = Grid(tuple(np.asarray(rows[i]) for i in range(d)))
-        return GridDensity(grid, np.asarray(rows[d:]).reshape(meta["shape"]))
-
 
 @dataclass
 class ParticleEnsemble:

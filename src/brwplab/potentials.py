@@ -77,16 +77,6 @@ def make_quadratic(alpha: float, dim: int) -> Potential:
     )
 
 
-def make_zero(dim: int) -> Potential:
-    """V ≡ 0 (free heat flow); handy fixture for kernel-formula reductions."""
-    return Potential(
-        dim=dim,
-        eval_fn=lambda x: np.zeros(x.shape[0]),
-        grad_fn=lambda x: np.zeros_like(x),
-        laplacian_fn=lambda x: np.zeros(x.shape[0]),
-    )
-
-
 def _mixture_fns(exponents, grads, log_norm: float, beta: float, scale: float = 1.0):
     """eval_fn, grad_fn and weights of V = -(log(e^e1 + e^e2) - log_norm)/beta.
 

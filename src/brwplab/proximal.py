@@ -32,8 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .density import (LOG_FLOOR, Grid, GridDensity, ParticleEnsemble, central_diff,
-                      trapezoid_weights)
+from .density import LOG_FLOOR, Grid, GridDensity, ParticleEnsemble, trapezoid_weights
 from .errors import (DegenerateDensityError, IsolatedParticleError,
                      ParameterError, StepsizeError, TruncationError)
 from .potentials import Potential
@@ -368,31 +367,3 @@ def prox_particle_score(ensemble: ParticleEnsemble, target: Potential, p: ProxPa
             "(particle too far from the ensemble)")
     score = -beta / 2 * target.grad_fn(x) + beta / (2 * T) * (ybar - x)
     return score, log_rho
-
-
-def first_order_expansion(rho0: GridDensity, target: Potential, beta: float,
-                          T: float) -> GridDensity:
-    """Small-T expansion rho0*[1 - beta*T*grad(V-V0).grad(V0) + T*Lap(V-V0)].
-
-    V0 = -log(rho0)/beta with grid central differences for its derivatives;
-    algebraically identical to rho0 + T*fp_rhs(rho0) up to O(T^2) and grid
-    error. The bracket can dip below zero in far tails; output values are
-    clamped at zero.
-    """
-    if T < 0:
-        raise ParameterError(f"T must be nonnegative, got {T}")
-    if np.any(rho0.values <= 0):
-        raise DegenerateDensityError("first_order_expansion needs strictly positive rho0")
-    shape = rho0.values.shape
-    pts = rho0.grid.points
-    v0 = -np.log(rho0.values) / beta
-    grad_v = target.grad_fn(pts)
-    lap_v = target.laplacian_fn(pts).reshape(shape)
-    cross = np.zeros(shape)
-    lap_v0 = np.zeros(shape)
-    for i, dx in enumerate(rho0.grid.spacing):
-        dv0 = central_diff(v0, dx, i)
-        cross += (grad_v[:, i].reshape(shape) - dv0) * dv0
-        lap_v0 += central_diff(dv0, dx, i)
-    bracket = 1.0 - beta * T * cross + T * (lap_v - lap_v0)
-    return GridDensity(rho0.grid, np.maximum(rho0.values * bracket, 0.0))

@@ -270,8 +270,7 @@ def _diagnose(cfg: SamplerConfig, target: Potential, ensemble: Optional[Particle
     return DiagnosticsReport(k, kl, fi, m0, tv, w2, wallclock_ms=ms)
 
 
-def run(cfg: SamplerConfig, target: Potential,
-        init_points: Optional[np.ndarray] = None) -> RunResult:
+def run(cfg: SamplerConfig, target: Potential) -> RunResult:
     """Execute cfg.n_steps synchronous steps, recording diagnostics.
 
     Deterministic for a fixed config: the RNG is seeded from cfg.seed and
@@ -293,14 +292,7 @@ def run(cfg: SamplerConfig, target: Potential,
                       stacklevel=2)
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    if init_points is not None:
-        pts = np.array(init_points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != target.dim:
-            raise ParameterError(f"init_points must have shape (n >= 2, {target.dim}), "
-                                 f"got {pts.shape}")
-        ens = ParticleEnsemble(pts)
-    else:
-        ens = initial_ensemble(cfg, target.dim, rng)
+    ens = initial_ensemble(cfg, target.dim, rng)
     state = DensityState(grid)
     if cfg.method == "brwp_successive":
         state.chain = initial_grid_density(cfg, state.grid)

@@ -70,20 +70,17 @@ def sampling_complexity(delta: float, alpha: float) -> int:
     """Iterations ceil(|ln delta| / (2 alpha sqrt(delta))) at stepsize h = sqrt(delta)."""
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must lie in (0,1), got {delta}")
-    if alpha <= 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    if math.sqrt(delta) >= 2.0 / (3.0 * alpha):
+    h_max = max_stepsize(alpha)
+    if math.sqrt(delta) >= h_max:
         raise ParameterError(
             f"sqrt(delta)={math.sqrt(delta):.4f} must be below the maximum "
-            f"stepsize 2/(3*alpha)={2/(3*alpha):.4f}")
+            f"stepsize 2/(3*alpha)={h_max:.4f}")
     return math.ceil(abs(math.log(delta)) / (2.0 * alpha * math.sqrt(delta)))
 
 
 def optimal_stepsize(alpha: float) -> float:
-    """Stepsize with the fastest KL contraction: 1/(3 alpha)."""
-    if alpha <= 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    return 1.0 / (3.0 * alpha)
+    """Stepsize with the fastest KL contraction: 1/(3 alpha), half the maximum."""
+    return max_stepsize(alpha) / 2
 
 
 def max_stepsize(alpha: float) -> float:

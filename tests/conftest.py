@@ -1,8 +1,34 @@
+import csv
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from brwplab.density import Grid, GridDensity, uniform_axis
-from brwplab.potentials import make_gaussian_mixture, make_quadratic, make_zero
+from brwplab.potentials import Potential, make_gaussian_mixture, make_quadratic
+
+
+def make_zero(dim: int) -> Potential:
+    """V = 0 (free heat flow): the kernel formula reduces to the heat kernel."""
+    return Potential(
+        dim=dim,
+        eval_fn=lambda x: np.zeros(x.shape[0]),
+        grad_fn=lambda x: np.zeros_like(x),
+        laplacian_fn=lambda x: np.zeros(x.shape[0]),
+    )
+
+
+def read_density_csv(path) -> GridDensity:
+    """Read back a GridDensity written by GridDensity.to_csv (CSV plus JSON sidecar)."""
+    path = Path(path)
+    with open(path.with_suffix(path.suffix + ".json")) as f:
+        meta = json.load(f)
+    with open(path) as f:
+        rows = [[float(v) for v in row] for row in csv.reader(f)]
+    d = len(meta["axes"])
+    grid = Grid(tuple(np.asarray(rows[i]) for i in range(d)))
+    return GridDensity(grid, np.asarray(rows[d:]).reshape(meta["shape"]))
 
 
 @pytest.fixture

@@ -6,10 +6,10 @@ import numpy as np
 from hypothesis import given, seed, settings, strategies as st
 
 from brwplab.density import Grid, GridDensity, uniform_axis
-from brwplab.potentials import make_quadratic, make_zero
+from brwplab.potentials import make_quadratic
 from brwplab.proximal import MASS_TOL, GridProxOperator, ProxParams
 
-from conftest import prox_variance_oracle
+from conftest import make_zero, prox_variance_oracle
 
 
 @seed(20240611)

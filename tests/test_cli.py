@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import brwplab
-from brwplab.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, load_config, main,
-                         parse_value)
+from brwplab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, load_config,
+                         main, parse_value)
+
+from conftest import read_density_csv
 
 
 def run_cli(*args):
@@ -266,6 +269,23 @@ class TestOrderCheck:
             tables.append((out / "order_check.csv").read_text())
         assert tables[0] != tables[1]
 
+    def test_narrow_initial_density_gets_a_verdict(self, tmp_path):
+        # N(0, 0.05) underflows to 0 at the grid edge; the expansion
+        # rho0 + T*fp_rhs(rho0) needs no positive rho0, so the check runs
+        out = tmp_path / "oc_narrow"
+        code = run_cli("order-check", "--out", str(out), "--plot", "false",
+                       "--sampler.init_sigma_sq", "0.05")
+        assert code == EXIT_ASSERT
+        with open(out / "order_check.csv") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 4
+        assert all(math.isfinite(float(r["max_err"])) for r in rows)
+
+    def test_grid_below_five_points_is_config_error(self, tmp_path, capsys):
+        code = run_cli("order-check", "--out", str(tmp_path / "oc4"), "--grid.n", "4")
+        assert code == EXIT_CONFIG
+        assert "fp_rhs needs at least 5 points per axis" in capsys.readouterr().err
+
 
 class TestDenominatorCheck:
     def test_quadratic_passes(self, tmp_path):
@@ -351,11 +371,10 @@ class TestProxEvolve:
         assert not (out / "l1_error.csv").exists()
 
     def test_density_csv_roundtrip(self, tmp_path):
-        from brwplab.density import GridDensity
         out = tmp_path / "pe2"
         run_cli("prox-evolve", "--out", str(out), "--prox.iters", "2",
                 "--plot", "false")
-        g = GridDensity.from_csv(out / "density_iter_0002.csv")
+        g = read_density_csv(out / "density_iter_0002.csv")
         assert g.mass() == pytest.approx(1.0, abs=1e-9)
 
 

@@ -10,9 +10,9 @@ from brwplab.density import (KDE_BLOCK, DiagnosticsReport, Grid, GridDensity,
                              tv_distance, uniform_axis, w2_1d)
 from brwplab.errors import (DegenerateDensityError, ParameterError,
                             TruncationError)
-from brwplab.potentials import Potential, make_quadratic, make_zero
+from brwplab.potentials import Potential, make_quadratic
 
-from conftest import gaussian_grid
+from conftest import gaussian_grid, make_zero, read_density_csv
 
 
 def gaussian_kl(sigma_sq, mu=0.0):
@@ -356,7 +356,7 @@ class TestSerialization:
         g = gaussian_grid(axis_default, var=1.3)
         path = tmp_path / "dens.csv"
         g.to_csv(path)
-        back = GridDensity.from_csv(path)
+        back = read_density_csv(path)
         assert np.array_equal(back.values, g.values)
         assert np.array_equal(back.grid.axes[0], g.grid.axes[0])
 
@@ -366,7 +366,7 @@ class TestSerialization:
         g = GridDensity(Grid(axes), np.exp(-mesh[0] ** 2 - mesh[1] ** 2)).normalize()
         path = tmp_path / "dens2.csv"
         g.to_csv(path)
-        back = GridDensity.from_csv(path)
+        back = read_density_csv(path)
         assert np.array_equal(back.values, g.values)
 
     def test_diagnostics_csv_row(self):

@@ -3,7 +3,9 @@ import pytest
 
 from brwplab.errors import ParameterError
 from brwplab.potentials import (Potential, from_catalog, make_gaussian_mixture,
-                                make_nonsmooth_mixture, make_quadratic, make_zero)
+                                make_nonsmooth_mixture, make_quadratic)
+
+from conftest import make_zero
 
 
 def rows(*xs):

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from brwplab.density import (LOG_FLOOR, Grid, GridDensity, ParticleEnsemble, fp_rhs, kde,
-                             kl_divergence, fisher_information, target_density,
-                             trapezoid_weights, uniform_axis)
-from brwplab.errors import (DegenerateDensityError, IsolatedParticleError, NumericalError,
-                            ParameterError, StepsizeError, TruncationError)
-from brwplab.potentials import Potential, make_gaussian_mixture, make_quadratic, make_zero
+                             kl_divergence, fisher_information, trapezoid_weights,
+                             uniform_axis)
+from brwplab.errors import (IsolatedParticleError, NumericalError, ParameterError,
+                            StepsizeError, TruncationError)
+from brwplab.potentials import Potential, make_gaussian_mixture, make_quadratic
 from brwplab.proximal import (BLUR_EXACT_BELOW, SCORE_BLOCK, GridProxOperator, ProxParams,
                               _log_denominator_laplace, denominator_exact,
-                              denominator_laplace, first_order_expansion,
-                              prox_particle_score)
+                              denominator_laplace, prox_particle_score)
 
-from conftest import gaussian_grid, prox_variance_oracle
+from conftest import gaussian_grid, make_zero, prox_variance_oracle
 
 
 def denominator_oracle(y, alpha, beta, T):
@@ -379,34 +378,6 @@ class TestParticleScore:
         assert peak < 64 * 2**20
 
 
-class TestFirstOrderExpansion:
-    def test_zero_step_is_identity(self, axis_default, quad1d):
-        rho0 = gaussian_grid(axis_default, var=4.0)
-        out = first_order_expansion(rho0, quad1d, 1.0, 0.0)
-        assert np.array_equal(out.values, rho0.values)
-
-    def test_stationary_at_target(self, axis_default, quad1d):
-        rs = target_density(quad1d, Grid((axis_default,)), 1.0)
-        out = first_order_expansion(rs, quad1d, 1.0, 0.1)
-        interior = slice(100, -100)
-        assert np.max(np.abs(out.values - rs.values)[interior]) < 1e-5
-
-    def test_identity_with_fp_rhs(self, axis_default, quad1d):
-        rho0 = gaussian_grid(axis_default, var=4.0)
-        t_step = 0.05
-        out = first_order_expansion(rho0, quad1d, 1.0, t_step)
-        ref = rho0.values + t_step * fp_rhs(rho0, quad1d, 1.0)
-        interior = slice(50, -50)
-        assert np.max(np.abs(out.values - ref)[interior]) < 1e-6
-
-    def test_nonpositive_input_rejected(self, axis_default, quad1d):
-        vals = np.exp(-axis_default**2)
-        vals[0] = 0.0
-        g = GridDensity(Grid((axis_default,)), vals)
-        with pytest.raises(DegenerateDensityError):
-            first_order_expansion(g, quad1d, 1.0, 0.1)
-
-
 class TestOrderTwoConsistency:
     def test_error_slope_in_window(self, axis_default, quad1d):
         rho0 = gaussian_grid(axis_default, var=4.0)
@@ -415,8 +386,8 @@ class TestOrderTwoConsistency:
         for t_step in t_list:
             op = GridProxOperator(rho0.grid, quad1d, ProxParams(T=t_step, beta=1.0))
             rho_t, _ = op.step(rho0)
-            foe = first_order_expansion(rho0, quad1d, 1.0, t_step)
-            errs.append(np.max(np.abs(rho_t.values - foe.values)))
+            foe = np.maximum(rho0.values + t_step * fp_rhs(rho0, quad1d, 1.0), 0.0)
+            errs.append(np.max(np.abs(rho_t.values - foe)))
         slope = np.polyfit(np.log(t_list), np.log(errs), 1)[0]
         assert 1.7 <= slope <= 2.3
 

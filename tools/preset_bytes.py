@@ -78,6 +78,8 @@ PRESETS = {
     "prox_evolve_2d": ["prox-evolve", "--target.dim", "2", "--prox.iters", "10",
                        "--prox.save_every", "5"],
     "order_check": ["order-check"],
+    # the 2-D small-T expansion on the default 161^2 grid
+    "order_check_2d": ["order-check", "--target.dim", "2"],
     "denominator_check": ["denominator-check"],
     "decay_check": ["decay-check"],
     "sweep": ["stepsize-sweep"],
