@@ -383,6 +383,7 @@ def cmd_decay_check(cfg, outdir: Path) -> tuple:
 
 
 def cmd_stepsize_sweep(cfg, outdir: Path) -> tuple:
+    from . import theory
     from .samplers import evolve_law
     target, scfg = _setup(cfg)
     h_list = cfg["sweep.h_list"]
@@ -406,8 +407,12 @@ def cmd_stepsize_sweep(cfg, outdir: Path) -> tuple:
     for h, hit, stable, term, _ in summary:
         print(f"sweep h={h:.4f}: steps_to_{threshold:g}={hit} stable={stable} "
               f"terminal_kl={term:.3e}")
-    return EXIT_OK, {"summary": [{"h": h, "steps_to_threshold": hit, "stable": stable,
-                                  "terminal_kl": term} for h, hit, stable, term, _ in summary]}
+    extra = {"summary": [{"h": h, "steps_to_threshold": hit, "stable": stable,
+                          "terminal_kl": term} for h, hit, stable, term, _ in summary]}
+    if target.alpha is not None:        # the paper's stepsizes, next to the measured ones
+        extra.update(optimal_stepsize=theory.optimal_stepsize(target.alpha),
+                     max_stepsize=theory.max_stepsize(target.alpha))
+    return EXIT_OK, extra
 
 
 # each command returns (exit code, its manifest entries); main() writes the

@@ -159,6 +159,13 @@ class GridDensity:
         logv.flags.writeable = False
         return logv
 
+    @cached_property
+    def w2_quantiles(self) -> np.ndarray:
+        """Sorted quantiles at the W2_QUANTILES midpoint levels (1-D), taken once."""
+        q = np.sort(grid_quantiles(self, (np.arange(W2_QUANTILES) + 0.5) / W2_QUANTILES))
+        q.flags.writeable = False
+        return q
+
     def score(self) -> list:
         """Per-axis central-difference gradient of log(density)."""
         logv = self.log_values
@@ -451,10 +458,8 @@ def w2_to_target_1d(samples: np.ndarray, reference: GridDensity) -> float:
 
 
 def w2_grids_1d(g: GridDensity, other: GridDensity) -> float:
-    probs = (np.arange(W2_QUANTILES) + 0.5) / W2_QUANTILES
-    qa = grid_quantiles(g, probs)
-    qb = grid_quantiles(other, probs)
-    return w2_1d(np.sort(qa), np.sort(qb))
+    """W2 of two 1-D grid densities from their cached w2_quantiles."""
+    return w2_1d(g.w2_quantiles, other.w2_quantiles)
 
 
 # --------------------------------------------------------- FP right side

@@ -13,9 +13,10 @@ second term to cancel. The operator builds the blur from one Toeplitz kernel
 vector per axis, with its subnormal entries set to 0, and caches the
 denominator. For d >= 2 it lays out one trapezoid blur matrix per axis and
 its derivative, so a step costs O(d * G * n) instead of O(G^2). In 1-D the
-blur is an FFT convolution with the kernel's cached spectrum; its small
-entries are recomputed by correlating the kernel vector with the input, and
-no G x G matrix is held.
+blur is an FFT convolution with the kernel's cached spectrum, of the
+smallest length 2^k, 3*2^k or 5*2^k that is at least 2G - 1; its small
+entries are recomputed by correlating the kernel vector with the nonzero
+inputs within the kernel's band, and no G x G matrix is held.
 
 BACKENDS of the operator: "quadrature" computes D by grid quadrature (exact
 up to trapezoid error), "laplace_denominator" uses the second-order closed form
@@ -135,7 +136,10 @@ class GridProxOperator:
             off = axis - axis[0]
             self._kern = self._toeplitz_kernel(axis)
             self._dkern = self._derivative(np.concatenate((-off[:0:-1], off)), self._kern)
-            self._fft_len = 1 << (3 * g - 3).bit_length()     # power of two >= 3G - 2
+            # the smallest of 2^k, 3*2^k, 5*2^k >= 2G - 1: the kept slice of a
+            # circular convolution this long has no wrap-around
+            self._fft_len = min(c << (-(-(2 * g - 1) // c) - 1).bit_length() for c in (1, 3, 5))
+            self._band = int(np.flatnonzero(self._kern[g - 1:])[-1])   # widest nonzero offset
             self._kern_hat = np.fft.rfft(self._kern, self._fft_len)
             self._dkern_hat = np.fft.rfft(self._dkern, self._fft_len)
         else:
@@ -186,14 +190,17 @@ class GridProxOperator:
     def apply_blur(self, vals: np.ndarray) -> np.ndarray:
         """Trapezoid Gaussian blur of grid values, axis by axis.
 
-        In 1-D, a zero-padded FFT convolution with the cached kernel spectrum.
-        Its error is absolute, about 1e-16 of the peak at every entry, so
-        every entry with |out| < BLUR_EXACT_BELOW * max|out| is recomputed
-        exactly: each contiguous run of such entries (leading, interior or
-        trailing) is one np.correlate of the Toeplitz kernel vector with the
-        weighted input. The tails, where the denominator and evolve_law need
-        relative accuracy, are thus exact sums, and the kept entries are
-        within about 1e-10 of the dense blur relative to the blur of |vals|.
+        In 1-D, a zero-padded FFT convolution with the cached kernel
+        spectrum, as long as the smallest 2^k, 3*2^k or 5*2^k >= 2G - 1: the
+        G outputs kept from the circular convolution then see no
+        wrap-around. Its error is absolute, about 1e-16 of the peak at every
+        entry, so every entry with |out| < BLUR_EXACT_BELOW * max|out| is
+        recomputed exactly: each contiguous run of such entries (leading,
+        interior or trailing) is one np.correlate of the Toeplitz kernel
+        vector with the weighted inputs it can reach (see _fft_blur). The
+        tails, where the denominator and evolve_law need relative accuracy,
+        are thus exact sums, and the kept entries are within about 1e-10 of
+        the dense blur relative to the blur of |vals|.
         For d >= 2 the dense per-axis products are faster than per-axis FFTs.
         Kernel and matrix entries below the smallest normal float, tiny, are
         0, so each dropped term is below tiny * max(1, dx) * |vals_j| and an
@@ -215,6 +222,13 @@ class GridProxOperator:
         a derivative blur by that blur: elsewhere the derivative's absolute
         FFT error, about 1e-16 of its peak, moves the quotient by about
         1e-10 * max|derivative| / max(blur) at most.
+
+        A run [a, b) correlates over the inputs j from max(first nonzero,
+        a - band) to min(last nonzero, b - 1 + band), band being the widest
+        offset with a nonzero kernel entry (a derivative kernel is 0 wherever
+        the kernel is). The products left out are exact zeros, so the sums
+        differ from the full ones only in their order, and a run no input
+        reaches is 0.
         """
         g, n = vals.size, self._fft_len
         u = vals * self.grid.weights
@@ -225,11 +239,17 @@ class GridProxOperator:
         np.less(mag, BLUR_EXACT_BELOW * mag.max(), out=low[1:-1])
         runs = np.flatnonzero(low[1:] != low[:-1]).reshape(-1, 2)    # [start, stop) rows
         if runs.size:
-            # out[i] = sum_j kern[G-1+i-j] u[j], which is the convolution
+            # out[i] = sum_j kern[G-1+i-j] u[j], which is the convolution; a run
+            # [a, b) needs only the j in [a - band, b - 1 + band] with u[j] != 0
+            nonzero = np.flatnonzero(u)
+            first, last = nonzero[0], nonzero[-1]
             u_rev = u[::-1].copy()
             for a, b in runs:
+                lo, hi = max(first, a - self._band), min(last, b - 1 + self._band)
                 for out, (kern, _) in zip(outs, kernels):
-                    out[a:b] = np.correlate(kern[a:b - 1 + g], u_rev, "valid")
+                    out[a:b] = (np.correlate(kern[g - 1 + a - hi:g + b - 1 - lo],
+                                             u_rev[g - 1 - hi:g - lo], "valid")
+                                if lo <= hi else 0.0)
         return outs
 
     def step(self, rho0: GridDensity, raw: Optional[np.ndarray] = None):

@@ -333,6 +333,23 @@ class TestStepsizeSweep:
         assert [r["steps_to_threshold"] for r in rows] == ["9", "4", "2", "-1"]
         assert [r["stable"] for r in rows] == ["true", "true", "true", "false"]
 
+    def test_manifest_records_paper_stepsizes(self, tmp_path):
+        # 1/(3 alpha) and 2/(3 alpha) for the default quadratic, alpha = 1
+        out = tmp_path / "sw"
+        code = run_cli("stepsize-sweep", "--out", str(out), "--sweep.h_list", "0.2",
+                       "--sweep.n_steps", "5", "--plot", "false")
+        assert code == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["optimal_stepsize"] == pytest.approx(1 / 3, rel=1e-15)
+        assert manifest["max_stepsize"] == pytest.approx(2 / 3, rel=1e-15)
+        assert [r["h"] for r in manifest["summary"]] == [0.2]
+        mix = tmp_path / "mix"
+        code = run_cli("stepsize-sweep", "--out", str(mix), "--target.id", "gaussian_mixture",
+                       "--sweep.h_list", "0.2", "--sweep.n_steps", "5", "--plot", "false")
+        assert code == EXIT_OK
+        manifest = json.loads((mix / "manifest.json").read_text())
+        assert "optimal_stepsize" not in manifest and "max_stepsize" not in manifest
+
     def test_empty_h_list_is_config_error(self, tmp_path):
         code = run_cli("stepsize-sweep", "--out", str(tmp_path / "sw2"),
                        "--sweep.h_list", "")

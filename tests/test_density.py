@@ -6,11 +6,14 @@ import pytest
 from brwplab.density import (KDE_BLOCK, DiagnosticsReport, Grid, GridDensity,
                              ParticleEnsemble, divergences, fisher_information,
                              fourth_moment_m0, fp_rhs, kde, kl_divergence,
-                             _extended_mass, silverman_bandwidth, target_density,
-                             tv_distance, uniform_axis, w2_1d)
+                             _extended_mass, grid_quantiles, silverman_bandwidth,
+                             target_density, tv_distance, uniform_axis, w2_1d,
+                             w2_grids_1d, W2_QUANTILES)
 from brwplab.errors import (DegenerateDensityError, ParameterError,
                             TruncationError)
 from brwplab.potentials import Potential, make_quadratic
+from brwplab import density
+from brwplab.samplers import SamplerConfig, evolve_law
 
 from conftest import gaussian_grid, make_zero, read_density_csv
 
@@ -306,6 +309,33 @@ class TestTvW2:
     def test_w2_length_mismatch_rejected(self):
         with pytest.raises(ParameterError):
             w2_1d(np.array([0.0, 1.0]), np.array([0.0, 1.0, 2.0]))
+
+
+class TestW2Quantiles:
+    """w2_grids_1d couples cached, sorted midpoint quantiles of both densities."""
+
+    def test_equals_explicit_quantiles(self, axis_default, quad1d):
+        rs = target_density(quad1d, Grid((axis_default,)), 1.0)
+        probs = (np.arange(W2_QUANTILES) + 0.5) / W2_QUANTILES
+        for g in (gaussian_grid(axis_default, mean=0.7, var=2.0),
+                  gaussian_grid(axis_default, mean=-3.0, var=0.1)):
+            ref = w2_1d(np.sort(grid_quantiles(g, probs)), np.sort(grid_quantiles(rs, probs)))
+            assert w2_grids_1d(g, rs) == ref
+            assert w2_grids_1d(g, rs) == ref       # from the cache
+
+    def test_target_quantiles_taken_once_per_run(self, monkeypatch):
+        # n steps give n + 1 rows: one quantile pass per row, plus one for the target
+        real, calls = density.grid_quantiles, []
+
+        def counting(g, probs):
+            calls.append(g)
+            return real(g, probs)
+        monkeypatch.setattr(density, "grid_quantiles", counting)
+        n = 4
+        trace = evolve_law(SamplerConfig(h=0.2, n_steps=n, grid=((-8.0, 8.0, 321),)),
+                           make_quadratic(1.0, 1))
+        assert len(trace.reports) == n + 1
+        assert len(calls) == n + 2
 
 
 class TestFpRhs:

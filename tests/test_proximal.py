@@ -71,6 +71,34 @@ def assert_blur_matches_dense(op, vals):
     return fast
 
 
+def assert_fft_blurs_match_dense(op, vals):
+    """apply_blur and score_of_step's two 1-D blurs, with the kernel and with its
+    derivative, against the dense products.
+
+    Each entry is within 1e-9 of the product with |vals|, plus 2*tiny*max(1, dx)
+    *sum|vals|, the most that the subnormal flush can drop from either side.
+    The derivative's dense matrix is laid out from its flushed Toeplitz vector,
+    as flushing it after the trapezoid weights would drop larger terms.
+    The derivative blur is repaired where the blur is, so elsewhere it may
+    also carry its absolute FFT error, here 1e-14 of its product with |vals|.
+    """
+    axis = op.grid.axes[0]
+    dense = op._blur_matrix(axis)
+    rows = np.lib.stride_tricks.sliding_window_view(op._dkern[::-1], axis.size)[::-1]
+    ddense = rows * op.grid.weights                # ddense[i, j] = dkern[G-1+i-j] * w_j
+    flush = 2 * np.finfo(float).tiny * max(1.0, axis[1] - axis[0]) * np.sum(np.abs(vals))
+    fast = op.apply_blur(vals)
+    blur, dblur = op._fft_blur(vals, ((op._kern, op._kern_hat), (op._dkern, op._dkern_hat)))
+    assert np.array_equal(blur, fast)
+    assert np.all(np.abs(fast - dense @ vals) <= 1e-9 * (dense @ np.abs(vals)) + flush)
+    bound = np.abs(ddense) @ np.abs(vals)
+    err = np.abs(dblur - ddense @ vals)
+    repaired = np.abs(blur) < BLUR_EXACT_BELOW * np.abs(blur).max()
+    assert np.all(err[repaired] <= 1e-9 * bound[repaired] + flush)
+    assert np.all(err <= 1e-9 * bound + 1e-14 * bound.max() + flush)
+    return blur, dblur
+
+
 def direct_blur_matrix(axis, beta, T):
     """Trapezoid blur matrix c*exp(-beta*(x_i - x_j)^2/(4T))*w_j from the pairwise differences."""
     w = np.full(axis.size, axis[1] - axis[0])
@@ -588,6 +616,69 @@ class TestFftBlur:
         assert low[0] and low[-1] and starts.size == 3     # leading, two interior, trailing
         out = op.apply_blur(vals)
         assert np.all(np.abs(out - ref) <= 1e-9 * (dense @ np.abs(vals)))
+
+    @staticmethod
+    def zero_padded_inputs(op):
+        """A Gaussian over D with exact zeros at the left end, the right end and both,
+        as evolve_law's pushforward leaves outside the image of its map."""
+        axis = op.grid.axes[0]
+        n = axis.size
+        vals = np.exp(-(axis - 0.3) ** 2 / 2) / op.denom
+        left, right = max(1, n // 3), max(1, n // 4)
+        out = []
+        for cut in ((0, right), (left, 0), (left, right)):
+            v = vals.copy()
+            v[:cut[0]] = 0.0
+            v[n - cut[1]:] = 0.0
+            out.append(v)
+        return out
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 401, 2401])
+    @pytest.mark.parametrize("T", [1 / 6, 1 / 3, 0.6, 1.0])
+    def test_grid_sizes_at_sweep_stepsizes(self, quad1d, n, T):
+        # small grids get spacing 1, so that the kernel reaches every offset
+        half = min(12.0, (n - 1) / 2)
+        op = GridProxOperator(Grid((uniform_axis(-half, half, n),)), quad1d, ProxParams(T=T))
+        n_fft = op._fft_len
+        assert n_fft >= 2 * n - 1 and n_fft // (n_fft & -n_fft) in (1, 3, 5)
+        if n <= 3:
+            assert n_fft == 2 * n - 1              # no slack against wrap-around
+        if n == 2401:
+            assert n_fft == 5120
+        assert_fft_blurs_match_dense(op, op.e_v)
+        for vals in self.zero_padded_inputs(op):
+            assert_fft_blurs_match_dense(op, vals)
+
+    def test_band_narrower_than_grid(self, axis_default, quad1d):
+        # at T = 0.01 the kernel is 0 beyond about 530 of the 2400 offsets, so a
+        # repaired run reads only the inputs within that band
+        op = GridProxOperator(Grid((axis_default,)), quad1d, ProxParams(T=0.01))
+        g = axis_default.size
+        assert 500 < op._band < 560
+        assert op._kern[g + op._band] == 0 and op._kern[g - 1 + op._band] > 0
+        assert not np.any(op._dkern[g + op._band:]) and not np.any(op._dkern[:g - 1 - op._band])
+        for vals in [op.e_v] + self.zero_padded_inputs(op):
+            assert_fft_blurs_match_dense(op, vals)
+        # one nonzero input: each repaired output is its single product, exactly,
+        # out to the band's last offset
+        j = 1000
+        vals = np.zeros(g)
+        vals[j] = 3.0
+        blur, dblur = assert_fft_blurs_match_dense(op, vals)
+        u = vals[j] * op.grid.weights[j]
+        repaired = blur < BLUR_EXACT_BELOW * blur.max()
+        for out, kern in ((blur, op._kern), (dblur, op._dkern)):
+            column = kern[g - 1 - j:2 * g - 1 - j] * u
+            assert np.array_equal(out[repaired], column[repaired])
+        assert blur[j - op._band] > 0 and blur[j + op._band] > 0
+        assert not np.any(blur[:j - op._band]) and not np.any(blur[j + op._band + 1:])
+
+    @pytest.mark.parametrize("n", [2, 401, 2401])
+    def test_all_zero_input_gives_exact_zeros(self, quad1d, n):
+        op = GridProxOperator(Grid((uniform_axis(-12.0, 12.0, n),)), quad1d,
+                              ProxParams(T=1 / 3))
+        for out in assert_fft_blurs_match_dense(op, np.zeros(n)):
+            assert not np.any(out)
 
     def test_no_dense_table_held(self):
         grid = Grid((uniform_axis(-12.0, 12.0, 2401),))

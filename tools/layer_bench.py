@@ -4,14 +4,16 @@
 
 Each pair runs both trees, alternating which goes first, each in a fresh
 subprocess with SRC/src first on sys.path and the same environment. A child
-builds three operators with fixed inputs: 2401 points on +-12 for the 1-D
+builds four operators with fixed inputs: 2401 points on +-12 for the 1-D
 Gaussian mixture, and 161^2 and 41^3 on +-12 for the quadratic, all at
 T = 0.05 and beta = 1, with rho0 a Gaussian of variance 1 centred at 0.3 on
-every axis. It times each layer as the median of 30 calls after 3 warm-up
-calls. For each grid and layer the report gives each tree's median and
-quartiles over the pairs, and how many pairs B ran faster than A, ties
-counting for neither. It also prints the BLAS thread variables, the numpy
-version and the core count.
+every axis; and "2401z", which times the 1-D blur's tail repair as
+evolve_law exercises it: the 1-D quadratic at T = 1/3, with that rho0 set to
+0 outside [-4, 4], as the law's pushforward leaves it. It times each layer
+as the median of 30 calls after 3 warm-up calls. For each grid and layer
+the report gives each tree's median and quartiles over the pairs, and how
+many pairs B ran faster than A, ties counting for neither. It also prints
+the BLAS thread variables, the numpy version and the core count.
 
 Standard library only; numpy is imported in the children.
 """
@@ -48,11 +50,17 @@ def median_time(fn, warm=3, calls=30):
     return float(np.median(times))
 
 out = {"numpy": np.__version__, "grids": {}}
-for name, dim, n in (("2401", 1, 2401), ("161^2", 2, 161), ("41^3", 3, 41)):
+for name, dim, n, target, T, support in (
+        ("2401", 1, 2401, make_gaussian_mixture(2.0, 1.0, dim=1), 0.05, None),
+        ("2401z", 1, 2401, make_quadratic(1.0, 1), 1 / 3, 4.0),
+        ("161^2", 2, 161, make_quadratic(1.0, 2), 0.05, None),
+        ("41^3", 3, 41, make_quadratic(1.0, 3), 0.05, None)):
     grid = Grid((uniform_axis(-12.0, 12.0, n),) * dim)
-    target = make_gaussian_mixture(2.0, 1.0, dim=1) if dim == 1 else make_quadratic(1.0, dim)
-    op = GridProxOperator(grid, target, ProxParams(T=0.05, beta=1.0))
-    rho0 = GridDensity(grid, np.exp(-sum((m - 0.3) ** 2 for m in grid.mesh) / 2)).normalize()
+    op = GridProxOperator(grid, target, ProxParams(T=T, beta=1.0))
+    vals = np.exp(-sum((m - 0.3) ** 2 for m in grid.mesh) / 2)
+    if support is not None:
+        vals[np.abs(grid.mesh[0]) > support] = 0.0
+    rho0 = GridDensity(grid, vals).normalize()
     ratio = rho0.values / op.denom
     out["grids"][name] = {"score_of_step": median_time(lambda: op.score_of_step(rho0)),
                           "apply_blur": median_time(lambda: op.apply_blur(ratio))}
