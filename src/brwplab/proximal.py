@@ -9,14 +9,16 @@ where G_T is the heat kernel with variance 2T/beta per axis. Both integrals
 use the same Gaussian blur, which factorizes across axes. GridProxOperator's
 step gives rho_T; its score_of_step also gives grad log rho_T from the blur
 with one axis's kernel replaced by its derivative, so the score needs no
-second term to cancel. The operator builds the blur from one Toeplitz kernel
-vector per axis, with its subnormal entries set to 0, and caches the
-denominator. For d >= 2 it lays out one trapezoid blur matrix per axis and
-its derivative, so a step costs O(d * G * n) instead of O(G^2). In 1-D the
-blur is an FFT convolution with the kernel's cached spectrum, of the
-smallest length 2^k, 3*2^k or 5*2^k that is at least 2G - 1; its small
-entries are recomputed by correlating the kernel vector with the nonzero
-inputs within the kernel's band, and no G x G matrix is held.
+second term to cancel. The operator caches the denominator and, per axis,
+the Toeplitz vectors of the kernel and of its derivative, the derivative
+taken from the flushed kernel; in every dimension each stored vector or
+weighted-matrix entry below the smallest normal float is 0. For d >= 2 it
+lays out both vectors as trapezoid matrices per axis, so a step costs
+O(d * G * n) instead of O(G^2). In 1-D the blur is an FFT convolution with
+the kernel's cached spectrum, of the smallest length 2^k, 3*2^k or 5*2^k
+that is at least 2G - 1; its small entries are recomputed by correlating the
+kernel vector with the nonzero inputs within the kernel's band, and no G x G
+matrix is held.
 
 BACKENDS of the operator: "quadrature" computes D by grid quadrature (exact
 up to trapezoid error), "laplace_denominator" uses the second-order closed form
@@ -131,11 +133,8 @@ class GridProxOperator:
         self.grad_v.flags.writeable = False
         self.e_v = np.exp(-p.beta / 2 * target.eval_fn(pts)).reshape(grid.shape)
         if grid.dim == 1:
-            axis = grid.axes[0]
-            g = axis.size
-            off = axis - axis[0]
-            self._kern = self._toeplitz_kernel(axis)
-            self._dkern = self._derivative(np.concatenate((-off[:0:-1], off)), self._kern)
+            g = grid.shape[0]
+            self._kern, self._dkern = self._kernels(grid.axes[0])
             # the smallest of 2^k, 3*2^k, 5*2^k >= 2G - 1: the kept slice of a
             # circular convolution this long has no wrap-around
             self._fft_len = min(c << (-(-(2 * g - 1) // c) - 1).bit_length() for c in (1, 3, 5))
@@ -143,9 +142,9 @@ class GridProxOperator:
             self._kern_hat = np.fft.rfft(self._kern, self._fft_len)
             self._dkern_hat = np.fft.rfft(self._dkern, self._fft_len)
         else:
-            self._blur = [self._blur_matrix(a) for a in grid.axes]
-            self._dblur = [self._derivative(np.subtract.outer(a, a), b)
-                           for a, b in zip(grid.axes, self._blur)]
+            mats = [[_weighted_toeplitz(vec, a) for vec in self._kernels(a)] for a in grid.axes]
+            self._blur = [blur for blur, _ in mats]
+            self._dblur = [dblur for _, dblur in mats]
         if backend == "quadrature":
             self.denom = self.apply_blur(self.e_v)
         else:
@@ -153,39 +152,23 @@ class GridProxOperator:
         if np.any(self.denom <= 0) or not np.all(np.isfinite(self.denom)):
             raise DegenerateDensityError("denominator table has nonpositive entries")
 
-    def _toeplitz_kernel(self, axis):
-        """c*exp(-beta*(k*dx)^2/(4T)) at the offsets k = -(G-1) .. G-1 of a uniform axis.
+    def _kernels(self, axis):
+        """Toeplitz vectors (kern, dkern) at the offsets k = -(G-1) .. G-1 of a uniform axis.
 
-        Entries below the smallest normal float are set to 0: products with
+        kern[G-1+k] = c*exp(-beta*(k*dx)^2/(4T)), and dkern is its x-derivative
+        -beta*k*dx/(2T) * kern, taken from kern after its flush. Entries of
+        either below the smallest normal float are set to 0: products with
         subnormal operands run on the CPU's slow microcode path.
         """
         beta, T = self.p.beta, self.p.T
+        tiny = np.finfo(float).tiny
         off = axis - axis[0]
         kern = np.sqrt(beta / (4 * np.pi * T)) * np.exp(-beta * off**2 / (4 * T))
-        kern[kern < np.finfo(float).tiny] = 0.0
-        return np.concatenate((kern[:0:-1], kern))
-
-    def _blur_matrix(self, axis):
-        """Trapezoid blur matrix c*exp(-beta*(x_i - x_j)^2/(4T))*w_j on a uniform axis.
-
-        The kernel depends on i - j only (Toeplitz): exp is taken once per
-        offset and the G x G matrix is laid out from that vector. Products
-        with the weights that fall below the smallest normal float are 0 too.
-        """
-        full = self._toeplitz_kernel(axis)
-        rows = np.lib.stride_tricks.sliding_window_view(full, axis.size)[::-1]
-        blur = rows * trapezoid_weights(axis)
-        blur[blur < np.finfo(float).tiny] = 0.0
-        return blur
-
-    def _derivative(self, diff, kern):
-        """The x-derivative -beta*(x - y)/(2T) * kern of a blur kernel, given x - y.
-
-        kern is already flushed; entries whose product is below tiny are 0 too.
-        """
-        dkern = -self.p.beta / (2 * self.p.T) * diff * kern
-        dkern[np.abs(dkern) < np.finfo(float).tiny] = 0.0
-        return dkern
+        kern[kern < tiny] = 0.0
+        kern = np.concatenate((kern[:0:-1], kern))
+        dkern = -beta / (2 * T) * np.concatenate((-off[:0:-1], off)) * kern
+        dkern[np.abs(dkern) < tiny] = 0.0
+        return kern, dkern
 
     def apply_blur(self, vals: np.ndarray) -> np.ndarray:
         """Trapezoid Gaussian blur of grid values, axis by axis.
@@ -202,11 +185,12 @@ class GridProxOperator:
         are thus exact sums, and the kept entries are within about 1e-10 of
         the dense blur relative to the blur of |vals|.
         For d >= 2 the dense per-axis products are faster than per-axis FFTs.
-        Kernel and matrix entries below the smallest normal float, tiny, are
-        0, so each dropped term is below tiny * max(1, dx) * |vals_j| and an
-        output moves by less than tiny * max(1, dx) * sum|vals| per axis. An
-        output's own term is about |vals_i|, so for a nonnegative input whose
-        dynamic range is under 1e40 the change is under 1e-260 relative.
+        In every dimension, each stored vector or weighted-matrix entry below
+        the smallest normal float, tiny, is 0 (see _kernels), so each dropped
+        term is below tiny * max(1, dx) * |vals_j| and an output moves by less
+        than tiny * max(1, dx) * sum|vals| per axis. An output's own term is
+        about |vals_i|, so for a nonnegative input whose dynamic range is
+        under 1e40 the change is under 1e-260 relative.
         """
         if self.grid.dim > 1:
             for i, blur in enumerate(self._blur):
@@ -263,7 +247,7 @@ class GridProxOperator:
         """
         if raw is None:
             raw = self.e_v * self.apply_blur(rho0.values / self.denom)
-        mass = GridDensity(self.grid, raw).mass()
+        mass = float(np.sum(self.grid.weights * raw))
         if not np.isfinite(mass) or mass <= 0:
             raise DegenerateDensityError(f"proximal output has mass {mass}")
         if abs(mass - 1.0) > MASS_TOL:
@@ -282,6 +266,10 @@ class GridProxOperator:
         where Blur_i' is the blur with axis i's kernel K replaced by
         -beta*(x - y)/(2T) * K. No two terms of size beta*|x|/(2T) * rho_T
         cancel, so the blur's absolute rounding is not amplified by |x|/(2T).
+        In every dimension the derivative kernel is taken from the flushed
+        kernel vector (see _kernels), so Blur_i' also drops each term whose
+        kernel entry is below tiny: each dropped term is below
+        max(1, beta*|x - y|/(2T)) * tiny * max(1, dx) * |r_j|.
         Where Blur[r] is 0 the score is 0. For d >= 2 the passes share their
         partial blurs P_k = K_{k-1} ... K_0 r, taken in apply_blur's axis
         order, so Blur[r] and rho_T are apply_blur's bytes: d = 3 takes 9
@@ -318,6 +306,14 @@ class GridProxOperator:
             s += drift
             s[dead] = 0.0
         return rho_t, mass, score
+
+
+def _weighted_toeplitz(vec, axis):
+    """Trapezoid matrix m[i, j] = vec[G-1+i-j] * w_j on a uniform axis; |m| < tiny set to 0."""
+    rows = np.lib.stride_tricks.sliding_window_view(vec[::-1], axis.size)[::-1]
+    mat = rows * trapezoid_weights(axis)
+    mat[np.abs(mat) < np.finfo(float).tiny] = 0.0
+    return mat
 
 
 def _axis_pass(mat, vals, i):

@@ -7,7 +7,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from brwplab.density import Grid, GridDensity, uniform_axis
 from brwplab.potentials import make_quadratic
-from brwplab.proximal import MASS_TOL, GridProxOperator, ProxParams
+from brwplab.proximal import MASS_TOL, GridProxOperator, ProxParams, _weighted_toeplitz
 
 from conftest import make_zero, prox_variance_oracle
 
@@ -32,7 +32,7 @@ def test_nonnegative_bounded_and_repeatable(g, half_width, T, beta, n_bumps, cut
     vals[:int(cut_lo * g)] = 0.0
     vals[g - int(cut_hi * g):] = 0.0
     out = op.apply_blur(vals)
-    dense = op._blur_matrix(axis) @ vals
+    dense = _weighted_toeplitz(op._kernels(axis)[0], axis) @ vals
     assert np.all(out >= 0)
     assert np.all(np.abs(out - dense) <= 1e-9 * dense)
     assert np.array_equal(op.apply_blur(vals), out)

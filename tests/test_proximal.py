@@ -8,11 +8,11 @@ from hypothesis import given, seed, settings, strategies as st
 from brwplab.density import (LOG_FLOOR, Grid, GridDensity, ParticleEnsemble, fp_rhs, kde,
                              kl_divergence, fisher_information, trapezoid_weights,
                              uniform_axis)
-from brwplab.errors import (IsolatedParticleError, NumericalError, ParameterError,
-                            StepsizeError, TruncationError)
+from brwplab.errors import (DegenerateDensityError, IsolatedParticleError, NumericalError,
+                            ParameterError, StepsizeError, TruncationError)
 from brwplab.potentials import Potential, make_gaussian_mixture, make_quadratic
 from brwplab.proximal import (BLUR_EXACT_BELOW, SCORE_BLOCK, GridProxOperator, ProxParams,
-                              _log_denominator_laplace, denominator_exact,
+                              _log_denominator_laplace, _weighted_toeplitz, denominator_exact,
                               denominator_laplace, prox_particle_score)
 
 from conftest import gaussian_grid, make_zero, prox_variance_oracle
@@ -65,7 +65,8 @@ def outcome(fn, *args):
 
 def assert_blur_matches_dense(op, vals):
     """apply_blur within 1e-9 of the dense product, relative to the blur of |vals|."""
-    dense = op._blur_matrix(op.grid.axes[0])
+    axis = op.grid.axes[0]
+    dense = _weighted_toeplitz(op._kernels(axis)[0], axis)
     fast = op.apply_blur(vals)
     assert np.all(np.abs(fast - dense @ vals) <= 1e-9 * (dense @ np.abs(vals)))
     return fast
@@ -83,7 +84,7 @@ def assert_fft_blurs_match_dense(op, vals):
     also carry its absolute FFT error, here 1e-14 of its product with |vals|.
     """
     axis = op.grid.axes[0]
-    dense = op._blur_matrix(axis)
+    dense = _weighted_toeplitz(op._kernels(axis)[0], axis)
     rows = np.lib.stride_tricks.sliding_window_view(op._dkern[::-1], axis.size)[::-1]
     ddense = rows * op.grid.weights                # ddense[i, j] = dkern[G-1+i-j] * w_j
     flush = 2 * np.finfo(float).tiny * max(1.0, axis[1] - axis[0]) * np.sum(np.abs(vals))
@@ -491,6 +492,19 @@ def dense_score(op, rho0):
     return score
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+def test_step_refuses_nonfinite_or_negative_output(bad):
+    axis = uniform_axis(-12.0, 12.0, 401)
+    op = GridProxOperator(Grid((axis,)), make_quadratic(1.0, 1), ProxParams(T=0.05))
+    rho0 = gaussian_grid(axis)
+    raw = op.e_v * op.apply_blur(rho0.values / op.denom)
+    raw[200] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")          # a negative entry first moves the mass
+        with pytest.raises(DegenerateDensityError):
+            op.step(rho0, raw)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_score_of_step_matches_step_and_gradient(dim):
     target = make_quadratic(1.0, dim)
@@ -550,7 +564,7 @@ def test_blur_matrix_matches_direct_formula(n, beta, T):
     axis = uniform_axis(-12.0, 12.0, n)
     op = GridProxOperator(Grid((axis,)), make_quadratic(1.0, 1), ProxParams(T=T, beta=beta))
     ref = direct_blur_matrix(axis, beta, T)
-    blur = op._blur_matrix(axis)
+    blur = _weighted_toeplitz(op._kernels(axis)[0], axis)
     assert blur.shape == ref.shape
     big = ref > 1e-300
     assert np.max(np.abs(blur[big] - ref[big]) / ref[big]) <= 1e-12
@@ -594,7 +608,7 @@ class TestFftBlur:
         op = GridProxOperator(Grid((axis_default,)), mix1d, ProxParams(T=0.05, beta=1.0))
         vals = (np.exp(-(axis_default - 5) ** 2 / 0.02)
                 + np.exp(-(axis_default + 5) ** 2 / 0.02)) / op.denom
-        dense = op._blur_matrix(axis_default) @ vals
+        dense = _weighted_toeplitz(op._kernels(axis_default)[0], axis_default) @ vals
         low = np.abs(dense) < BLUR_EXACT_BELOW * np.abs(dense).max()
         assert low[len(low) // 2] and not low.all()    # a gap between two kept runs
         assert_blur_matches_dense(op, vals)
@@ -700,7 +714,7 @@ class TestSubnormalFlush:
     def test_toeplitz_kernel_has_no_subnormals(self, n, T, beta):
         axis = uniform_axis(-12.0, 12.0, n)
         op = GridProxOperator(Grid((axis,)), make_quadratic(1.0, 1), ProxParams(T=T, beta=beta))
-        kern = op._toeplitz_kernel(axis)
+        kern = op._kernels(axis)[0]
         assert kern.shape == (2 * n - 1,)
         assert not np.any((kern > 0) & (kern < np.finfo(float).tiny))
 
@@ -709,11 +723,38 @@ class TestSubnormalFlush:
         axis = uniform_axis(-12.0, 12.0, 161)
         op = GridProxOperator(Grid((axis, axis)), make_zero(2), ProxParams(T=0.29, beta=2.0))
         tiny = np.finfo(float).tiny
-        rows = np.lib.stride_tricks.sliding_window_view(op._toeplitz_kernel(axis), 161)[::-1]
+        rows = np.lib.stride_tricks.sliding_window_view(op._kernels(axis)[0], 161)[::-1]
         weighted = rows * trapezoid_weights(axis)
         assert np.count_nonzero((weighted > 0) & (weighted < tiny)) == 52
         for blur in op._blur:
             assert not np.any((blur > 0) & (blur < tiny))
+        for dblur in op._dblur:
+            assert np.any(dblur)
+            assert not np.any((np.abs(dblur) > 0) & (np.abs(dblur) < tiny))
+
+    def test_derivative_matrix_is_the_1d_derivative_vector_laid_out(self):
+        # one flush rule in every dimension: the d >= 2 derivative matrix keeps
+        # the entries whose weighted kernel is below tiny but whose derivative
+        # is not (up to about 35 * tiny here)
+        axis = uniform_axis(-12.0, 12.0, 1201)
+        p = ProxParams(T=0.01, beta=1.0)
+        op = GridProxOperator(Grid((axis, uniform_axis(-12.0, 12.0, 5))), make_zero(2), p)
+        op1 = GridProxOperator(Grid((axis,)), make_zero(1), p)
+        ref = _weighted_toeplitz(op1._dkern, axis)
+        assert np.array_equal(op._dblur[0], ref)
+        assert np.array_equal(op._blur[0], _weighted_toeplitz(op1._kern, axis))
+        tiny = np.finfo(float).tiny
+        kept = (op._blur[0] == 0) & (ref != 0)
+        assert np.count_nonzero(kept) > 0 and np.abs(ref[kept]).max() > 30 * tiny
+
+    def test_weighted_toeplitz_layout(self):
+        axis = uniform_axis(0.0, 4.0, 5)
+        vec = np.arange(1.0, 10.0)                  # no symmetry: vec[G-1+i-j] is checked
+        m = _weighted_toeplitz(vec, axis)
+        w = trapezoid_weights(axis)
+        assert np.array_equal(m, [[vec[4 + i - j] * w[j] for j in range(5)] for i in range(5)])
+        vec[0] = np.finfo(float).tiny / 2           # subnormal at offset -(G-1) is flushed
+        assert _weighted_toeplitz(vec, axis)[0, 4] == 0.0
 
     def test_3d_blur_equals_unflushed_product(self):
         # the successive_3d operator: quadratic d = 3 on 41^3 over +-12, T = 0.05

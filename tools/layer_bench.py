@@ -1,4 +1,4 @@
-"""Time GridProxOperator.score_of_step and apply_blur of two source trees, pair by pair.
+"""Time GridProxOperator build, score_of_step and apply_blur of two trees, pair by pair.
 
     python tools/layer_bench.py SRC_A SRC_B [--pairs N]
 
@@ -9,11 +9,13 @@ Gaussian mixture, and 161^2 and 41^3 on +-12 for the quadratic, all at
 T = 0.05 and beta = 1, with rho0 a Gaussian of variance 1 centred at 0.3 on
 every axis; and "2401z", which times the 1-D blur's tail repair as
 evolve_law exercises it: the 1-D quadratic at T = 1/3, with that rho0 set to
-0 outside [-4, 4], as the law's pushforward leaves it. It times each layer
-as the median of 30 calls after 3 warm-up calls. For each grid and layer
-the report gives each tree's median and quartiles over the pairs, and how
-many pairs B ran faster than A, ties counting for neither. It also prints
-the BLAS thread variables, the numpy version and the core count.
+0 outside [-4, 4], as the law's pushforward leaves it. The layers are build
+(the GridProxOperator construction, on a grid whose points and weights are
+already cached), score_of_step and apply_blur; each is timed as the median
+of 30 calls after 3 warm-up calls. For each grid and layer the report gives
+each tree's median and quartiles over the pairs, and how many pairs B ran
+faster than A, ties counting for neither. It also prints the BLAS thread
+variables, the numpy version and the core count.
 
 Standard library only; numpy is imported in the children.
 """
@@ -29,7 +31,7 @@ import sys
 from pathlib import Path
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-LAYERS = ("score_of_step", "apply_blur")
+LAYERS = ("build", "score_of_step", "apply_blur")
 
 CHILD = r"""
 import json, sys, time
@@ -56,13 +58,15 @@ for name, dim, n, target, T, support in (
         ("161^2", 2, 161, make_quadratic(1.0, 2), 0.05, None),
         ("41^3", 3, 41, make_quadratic(1.0, 3), 0.05, None)):
     grid = Grid((uniform_axis(-12.0, 12.0, n),) * dim)
-    op = GridProxOperator(grid, target, ProxParams(T=T, beta=1.0))
+    build = lambda: GridProxOperator(grid, target, ProxParams(T=T, beta=1.0))
+    op = build()
     vals = np.exp(-sum((m - 0.3) ** 2 for m in grid.mesh) / 2)
     if support is not None:
         vals[np.abs(grid.mesh[0]) > support] = 0.0
     rho0 = GridDensity(grid, vals).normalize()
     ratio = rho0.values / op.denom
-    out["grids"][name] = {"score_of_step": median_time(lambda: op.score_of_step(rho0)),
+    out["grids"][name] = {"build": median_time(build),
+                          "score_of_step": median_time(lambda: op.score_of_step(rho0)),
                           "apply_blur": median_time(lambda: op.apply_blur(ratio))}
 print(json.dumps(out))
 """
