@@ -1,4 +1,5 @@
-"""Experiment runner: config parsing, presets, persistence, SVG figures.
+"""Experiment runner: config parsing, presets, SVG figures, and the writers of
+every artifact (CSV tables, density files and their JSON sidecars, the manifest).
 
 Subcommands: prox-evolve, sample, order-check, denominator-check,
 decay-check, stepsize-sweep. Configuration is a flat key-value file with
@@ -172,8 +173,12 @@ def write_manifest(outdir: Path, cfg: dict, command: str, extra=None):
     }
     if extra:
         manifest.update(extra)
-    with open(outdir / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
+    _write_json(outdir / "manifest.json", manifest)
+
+
+def _write_json(path: Path, obj):
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=1, sort_keys=True)
         f.write("\n")
 
 
@@ -201,24 +206,38 @@ def _setup(cfg) -> tuple:
                                  record_timing=cfg["timing.record"])
 
 
-def _write_csv(path: Path, header: str, rows):
-    """Comma-separated rows: bool as true/false, int with str, else repr(float(v))."""
+def _write_csv(path: Path, header, rows):
+    """Comma-separated rows under header (None: no header line). A float is
+    written as repr, a bool as true/false, an int with str, and anything
+    else, np.float64 included, as repr(float(v))."""
     def field(v) -> str:
+        if type(v) is float:
+            return repr(v)
         if isinstance(v, bool):
             return str(v).lower()
         return str(v) if isinstance(v, int) else repr(float(v))
     with open(path, "w", newline="") as f:
-        f.write(header + "\n")
+        if header is not None:
+            f.write(header + "\n")
         for row in rows:
             f.write(",".join(map(field, row)) + "\n")
 
 
 def write_run_csv(path: Path, reports):
     from .density import DiagnosticsReport
-    with open(path, "w", newline="") as f:
-        f.write(DiagnosticsReport.CSV_HEADER + "\n")
-        for r in reports:
-            f.write(r.csv_row() + "\n")
+    _write_csv(path, ",".join(f.name for f in dataclasses.fields(DiagnosticsReport)),
+               map(dataclasses.astuple, reports))
+
+
+def write_density_csv(path: Path, g):
+    """GridDensity g as its axis rows, then its value rows (row-major over the
+    leading axes), and the sidecar PATH.json with the axes, shape and log floor."""
+    from .density import LOG_FLOOR
+    _write_csv(path, None,
+               [a.tolist() for a in g.grid] + g.values.reshape(-1, g.grid.shape[-1]).tolist())
+    _write_json(path.with_suffix(path.suffix + ".json"),
+                {"axes": [{"lo": float(a[0]), "hi": float(a[-1]), "n": a.size} for a in g.grid],
+                 "shape": list(g.values.shape), "log_floor": LOG_FLOOR, "csv": path.name})
 
 
 def _fit_slope(xs, ys):
@@ -245,13 +264,13 @@ def cmd_prox_evolve(cfg, outdir: Path) -> tuple:
                           scfg.backend)
     rs = target_density(target, grid, scfg.beta)
     rows = []
-    rho.to_csv(outdir / "density_iter_0000.csv")
+    write_density_csv(outdir / "density_iter_0000.csv", rho)
     for k in range(1, iters + 1):
         rho, mass = op.step(rho)
         l1 = float(np.sum(grid.weights * np.abs(rho.values - rs.values)))
         rows.append((k, l1, relative_entropy(rho, rs), mass))
         if k % save_every == 0 or k == iters:
-            rho.to_csv(outdir / f"density_iter_{k:04d}.csv")
+            write_density_csv(outdir / f"density_iter_{k:04d}.csv", rho)
     _write_csv(outdir / "l1_error.csv", "iter,l1,kl,prenorm_mass", rows)
     if cfg["plot"]:
         from .svgfig import line_plot

@@ -10,11 +10,8 @@ target exp(-beta*V)/Z with Z computed on the same grid.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateDensityError, ParameterError, TruncationError
@@ -39,22 +36,6 @@ def trapezoid_weights(axis: np.ndarray) -> np.ndarray:
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
-
-
-def central_diff(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
-    """Second-order interior central difference, first-order one-sided ends."""
-    g = np.empty_like(values)
-    sl = [slice(None)] * values.ndim
-
-    def at(idx):
-        s = list(sl)
-        s[axis] = idx
-        return tuple(s)
-
-    g[at(slice(1, -1))] = (values[at(slice(2, None))] - values[at(slice(None, -2))]) / (2 * dx)
-    g[at(0)] = (values[at(1)] - values[at(0)]) / dx
-    g[at(-1)] = (values[at(-1)] - values[at(-2)]) / dx
-    return g
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,9 +148,9 @@ class GridDensity:
         return q
 
     def score(self) -> list:
-        """Per-axis central-difference gradient of log(density)."""
+        """Per-axis gradient of log(density): central inside, one-sided at the ends."""
         logv = self.log_values
-        return [central_diff(logv, dx, i) for i, dx in enumerate(self.grid.spacing)]
+        return [np.gradient(logv, dx, axis=i) for i, dx in enumerate(self.grid.spacing)]
 
     def marginal_first(self) -> "GridDensity":
         """First-axis marginal (trapezoid over remaining axes)."""
@@ -179,27 +160,6 @@ class GridDensity:
         for i in range(self.grid.dim - 1, 0, -1):
             vals = np.tensordot(vals, trapezoid_weights(self.grid.axes[i]), axes=([i], [0]))
         return GridDensity(self.grid.marginal, vals).normalize()
-
-    # --- serialization: axis rows, then value rows (row-major over leading axes) ---
-    def to_csv(self, path) -> None:
-        path = Path(path)
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            for a in self.grid:
-                writer.writerow([repr(float(v)) for v in a])
-            flat = self.values.reshape(-1, self.grid.shape[-1])
-            for row in flat:
-                writer.writerow([repr(float(v)) for v in row])
-        sidecar = {
-            "axes": [{"lo": float(a[0]), "hi": float(a[-1]), "n": int(a.size)}
-                     for a in self.grid],
-            "shape": [int(s) for s in self.values.shape],
-            "log_floor": LOG_FLOOR,
-            "csv": path.name,
-        }
-        with open(path.with_suffix(path.suffix + ".json"), "w") as f:
-            json.dump(sidecar, f, indent=1, sort_keys=True)
-            f.write("\n")
 
 
 @dataclass
@@ -238,13 +198,6 @@ class DiagnosticsReport:
     w2: float
     kl_bound: float = float("nan")
     wallclock_ms: float = 0.0
-
-    CSV_HEADER = "iter,kl,fisher,m0,tv,w2,kl_bound,wallclock_ms"
-
-    def csv_row(self) -> str:
-        vals = [self.kl, self.fisher, self.m0, self.tv, self.w2,
-                self.kl_bound, self.wallclock_ms]
-        return ",".join([str(self.iter)] + [repr(float(v)) for v in vals])
 
 
 # ---------------------------------------------------------------- targets
@@ -476,6 +429,6 @@ def fp_rhs(g: GridDensity, target: Potential, beta: float) -> np.ndarray:
     rhs = np.zeros_like(g.values)
     for i, dx in enumerate(g.grid.spacing):
         flux = g.values * gv[:, i].reshape(g.grid.shape) \
-            + central_diff(g.values, dx, i) / beta
-        rhs += central_diff(flux, dx, i)
+            + np.gradient(g.values, dx, axis=i) / beta
+        rhs += np.gradient(flux, dx, axis=i)
     return rhs

@@ -29,8 +29,7 @@ import numpy as np
 
 from . import theory
 from .density import (DiagnosticsReport, Grid, GridDensity, ParticleEnsemble,
-                      central_diff, divergences, kde, w2_grids_1d, w2_to_target_1d,
-                      target_density)
+                      divergences, kde, target_density, w2_grids_1d, w2_to_target_1d)
 from .errors import DegenerateDensityError, EvaluationError, ParameterError
 from .potentials import Potential
 from .proximal import BACKENDS, GridProxOperator, ProxParams, prox_particle_score
@@ -348,7 +347,7 @@ def evolve_law(cfg: SamplerConfig, target: Potential) -> LawTrace:
     for k in range(1, cfg.n_steps + 1):
         _, _, fields = op.score_of_step(state.chain)
         m = x - cfg.h * (op.grad_v[:, 0] + fields[0] / cfg.beta)
-        dm = central_diff(m, grid.spacing[0], 0)
+        dm = np.gradient(m, grid.spacing[0])
         if np.any(dm <= 0):
             folded = True
         vals = np.where(np.abs(dm) > 1e-300, state.chain.values / np.abs(dm), 0.0)

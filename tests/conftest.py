@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -20,7 +21,7 @@ def make_zero(dim: int) -> Potential:
 
 
 def read_density_csv(path) -> GridDensity:
-    """Read back a GridDensity written by GridDensity.to_csv (CSV plus JSON sidecar)."""
+    """Read back a GridDensity written by cli.write_density_csv (CSV plus JSON sidecar)."""
     path = Path(path)
     with open(path.with_suffix(path.suffix + ".json")) as f:
         meta = json.load(f)
@@ -29,6 +30,11 @@ def read_density_csv(path) -> GridDensity:
     d = len(meta["axes"])
     grid = Grid(tuple(np.asarray(rows[i]) for i in range(d)))
     return GridDensity(grid, np.asarray(rows[d:]).reshape(meta["shape"]))
+
+
+def report_text(r) -> str:
+    """A DiagnosticsReport as text, so that rows holding NaN compare equal."""
+    return repr(dataclasses.astuple(r))
 
 
 @pytest.fixture

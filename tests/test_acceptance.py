@@ -24,7 +24,7 @@ from brwplab.samplers import (DensityState, SamplerConfig, brwp_step,
                               evolve_law, run)
 from brwplab.theory import sequence_bound_check
 
-from conftest import gaussian_grid, make_zero
+from conftest import gaussian_grid, make_zero, report_text
 
 AXIS = uniform_axis(-12.0, 12.0, 2401)
 QUAD = make_quadratic(1.0, 1)
@@ -353,8 +353,8 @@ def test_acceptance_10_property_suites():
     for method in ("ula", "brwp_successive"):
         cfg = SamplerConfig(method=method, h=0.05, n_steps=10, n_particles=200,
                             seed=42, diag_every=5)
-        rows_a = [r.csv_row() for r in run(cfg, QUAD).reports]
-        rows_b = [r.csv_row() for r in run(cfg, QUAD).reports]
+        rows_a = [report_text(r) for r in run(cfg, QUAD).reports]
+        rows_b = [report_text(r) for r in run(cfg, QUAD).reports]
         assert rows_a == rows_b
     elapsed = time.perf_counter() - t0
     ok = elapsed < 300

@@ -7,11 +7,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import brwplab
-from brwplab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, load_config,
-                         main, parse_value)
+from brwplab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _write_csv,
+                         load_config, main, parse_value)
 
 from conftest import read_density_csv
 
@@ -417,6 +418,15 @@ def test_rerun_byte_identical(command, tmp_path):
         if name == "manifest.json":    # runtime_s is the one field that varies
             a, b = ({**json.loads(x), "runtime_s": None} for x in (a, b))
         assert a == b, name
+
+
+def test_csv_writer_fields(tmp_path):
+    _write_csv(tmp_path / "bare.csv", None, [[-1.5, 0.1]])
+    assert (tmp_path / "bare.csv").read_text() == "-1.5,0.1\n"
+    # np.float64 is written as its Python float: numpy 2 reprs it as np.float64(0.25)
+    _write_csv(tmp_path / "headed.csv", "a,b,c,d,e",
+               [(True, 3, 0.1, np.float64(0.25), float("nan"))])
+    assert (tmp_path / "headed.csv").read_text() == "a,b,c,d,e\ntrue,3,0.1,0.25,nan\n"
 
 
 def test_unknown_positional_is_config_error(tmp_path):

@@ -13,6 +13,7 @@ from brwplab.errors import (DegenerateDensityError, ParameterError,
                             TruncationError)
 from brwplab.potentials import Potential, make_quadratic
 from brwplab import density
+from brwplab.cli import write_density_csv, write_run_csv
 from brwplab.samplers import SamplerConfig, evolve_law
 
 from conftest import gaussian_grid, make_zero, read_density_csv
@@ -358,6 +359,42 @@ class TestFpRhs:
         rhs = fp_rhs(g, quad1d, 1.0)
         assert abs(np.sum(g.grid.weights * rhs)) < 1e-6
 
+
+def _central_one_sided(v, dx, axis):
+    """(v[i+1] - v[i-1])/(2dx) inside, (v[1] - v[0])/dx and (v[-1] - v[-2])/dx at the ends."""
+    v = np.moveaxis(v, axis, 0)
+    g = np.empty_like(v)
+    g[1:-1] = (v[2:] - v[:-2]) / (2 * dx)
+    g[0] = (v[1] - v[0]) / dx
+    g[-1] = (v[-1] - v[-2]) / dx
+    return np.moveaxis(g, 0, axis)
+
+
+def _random_density(shape, seed=0):
+    axes = tuple(uniform_axis(-1.0 - i, 2.0 + i, n) for i, n in enumerate(shape))
+    return GridDensity(Grid(axes), np.random.default_rng(seed).uniform(0.1, 2.0, shape))
+
+
+def test_score_is_the_central_one_sided_difference():
+    g = _random_density((5, 4, 2))
+    for i, dx in enumerate(g.grid.spacing):
+        ref = _central_one_sided(g.log_values, dx, i)
+        assert np.array_equal(g.score()[i], ref)
+
+
+def test_fp_rhs_is_the_central_one_sided_difference():
+    # fp_rhs needs 5 points per axis; distinct sizes keep the axes apart
+    g = _random_density((5, 6, 7))
+    target, beta = make_quadratic(1.0, 3), 1.5
+    gv = target.grad_fn(g.grid.points)
+    ref = np.zeros(g.grid.shape)
+    for i, dx in enumerate(g.grid.spacing):
+        flux = g.values * gv[:, i].reshape(g.grid.shape) \
+            + _central_one_sided(g.values, dx, i) / beta
+        ref += _central_one_sided(flux, dx, i)
+    assert np.array_equal(fp_rhs(g, target, beta), ref)
+
+
 def test_fp_rhs_needs_five_points(quad1d):
     ax = uniform_axis(-8.0, 8.0, 4)
     g = GridDensity(Grid((ax,)), np.ones(4)).normalize()
@@ -385,7 +422,7 @@ class TestSerialization:
     def test_csv_roundtrip_1d(self, tmp_path, axis_default):
         g = gaussian_grid(axis_default, var=1.3)
         path = tmp_path / "dens.csv"
-        g.to_csv(path)
+        write_density_csv(path, g)
         back = read_density_csv(path)
         assert np.array_equal(back.values, g.values)
         assert np.array_equal(back.grid.axes[0], g.grid.axes[0])
@@ -395,13 +432,31 @@ class TestSerialization:
         mesh = np.meshgrid(*axes, indexing="ij")
         g = GridDensity(Grid(axes), np.exp(-mesh[0] ** 2 - mesh[1] ** 2)).normalize()
         path = tmp_path / "dens2.csv"
-        g.to_csv(path)
+        write_density_csv(path, g)
         back = read_density_csv(path)
         assert np.array_equal(back.values, g.values)
 
-    def test_diagnostics_csv_row(self):
+    def test_csv_roundtrip_3d(self, tmp_path):
+        g = _random_density((7, 5, 3)).normalize()
+        path = tmp_path / "dens3.csv"
+        write_density_csv(path, g)
+        back = read_density_csv(path)
+        assert np.array_equal(back.values, g.values)
+        assert all(np.array_equal(a, b) for a, b in zip(back.grid.axes, g.grid.axes))
+        with open(tmp_path / "dens3.csv.json") as f:
+            assert f.read() == (
+                '{\n "axes": [\n  {\n   "hi": 2.0,\n   "lo": -1.0,\n   "n": 7\n  },\n'
+                '  {\n   "hi": 3.0,\n   "lo": -2.0,\n   "n": 5\n  },\n'
+                '  {\n   "hi": 4.0,\n   "lo": -3.0,\n   "n": 3\n  }\n ],\n'
+                ' "csv": "dens3.csv",\n "log_floor": 1e-300,\n'
+                ' "shape": [\n  7,\n  5,\n  3\n ]\n}\n')
+
+    def test_diagnostics_csv_row(self, tmp_path):
         r = DiagnosticsReport(3, 0.5, 1.0, 2.0, 0.1, 0.2)
-        row = r.csv_row()
+        write_run_csv(tmp_path / "run.csv", [r])
+        header, row = (tmp_path / "run.csv").read_text().splitlines()
+        assert header == "iter,kl,fisher,m0,tv,w2,kl_bound,wallclock_ms"
+        assert row == "3,0.5,1.0,2.0,0.1,0.2,nan,0.0"
         assert row.split(",")[0] == "3"
         assert row.split(",")[1] == "0.5"
         assert "nan" in row  # default kl_bound

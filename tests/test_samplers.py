@@ -12,7 +12,7 @@ from brwplab.samplers import (DensityState, SamplerConfig, brwp_step,
                               initial_grid_density, interp_at, marginal_target, run,
                               ula_step)
 
-from conftest import gaussian_grid, prox_variance_oracle
+from conftest import gaussian_grid, prox_variance_oracle, report_text
 
 
 class ZeroNoise:
@@ -138,15 +138,15 @@ class TestRun:
     def test_ula_rerun_identical(self, quad1d):
         cfg = SamplerConfig(method="ula", h=0.05, n_steps=20, n_particles=300,
                             seed=42, diag_every=5)
-        rows_a = [r.csv_row() for r in run(cfg, quad1d).reports]
-        rows_b = [r.csv_row() for r in run(cfg, quad1d).reports]
+        rows_a = [report_text(r) for r in run(cfg, quad1d).reports]
+        rows_b = [report_text(r) for r in run(cfg, quad1d).reports]
         assert rows_a == rows_b
 
     def test_brwp_rerun_identical(self, quad1d):
         cfg = SamplerConfig(method="brwp_successive", h=0.05, n_steps=10,
                             n_particles=200, seed=7, diag_every=5)
-        rows_a = [r.csv_row() for r in run(cfg, quad1d).reports]
-        rows_b = [r.csv_row() for r in run(cfg, quad1d).reports]
+        rows_a = [report_text(r) for r in run(cfg, quad1d).reports]
+        rows_b = [report_text(r) for r in run(cfg, quad1d).reports]
         assert rows_a == rows_b
 
     def test_kl_bound_column_present_when_alpha_known(self, quad1d):
@@ -188,8 +188,8 @@ class TestPerRunCaching:
         every = run(dataclasses.replace(cfg, diag_every=1), mix1d)
         sparse = run(dataclasses.replace(cfg, diag_every=3), mix1d)
         assert [r.iter for r in sparse.reports] == [0, 3, 6]
-        assert [r.csv_row() for r in sparse.reports] == \
-            [every.reports[k].csv_row() for k in (0, 3, 6)]
+        assert [report_text(r) for r in sparse.reports] == \
+            [report_text(every.reports[k]) for k in (0, 3, 6)]
         # reference: each step gets a state with no KDE to reuse
         ens = initial_ensemble(cfg, 1, np.random.default_rng(cfg.seed))
         grid = Grid.uniform(cfg.grid)
@@ -228,9 +228,9 @@ class TestPerRunCaching:
         sizes = []
         counted = dataclasses.replace(
             target, grad_fn=lambda x: sizes.append(x.shape[0]) or target.grad_fn(x))
-        rows = [r.csv_row() for r in run(cfg, counted).reports]
+        rows = [report_text(r) for r in run(cfg, counted).reports]
         assert sizes.count(Grid.uniform(grid).points.shape[0]) == 1
-        assert rows == [r.csv_row() for r in run(cfg, target).reports]
+        assert rows == [report_text(r) for r in run(cfg, target).reports]
 
     def test_law_reuses_operator_grad_v(self, quad1d):
         sizes = []

@@ -77,6 +77,9 @@ PRESETS = {
     "prox_evolve_1d": ["prox-evolve", "--prox.iters", "20", "--prox.save_every", "5"],
     "prox_evolve_2d": ["prox-evolve", "--target.dim", "2", "--prox.iters", "10",
                        "--prox.save_every", "5"],
+    # density files and sidecars on the default 41^3 grid
+    "prox_evolve_3d": ["prox-evolve", "--target.dim", "3", "--prox.iters", "2",
+                       "--prox.save_every", "2"],
     "order_check": ["order-check"],
     # the 2-D small-T expansion on the default 161^2 grid
     "order_check_2d": ["order-check", "--target.dim", "2"],
