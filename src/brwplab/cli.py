@@ -71,12 +71,10 @@ DEFAULTS = {
 
 # wide default grids for the heavy-tailed nonsmooth presets
 GRID_PRESETS = {
-    "quadratic": (-12.0, 12.0, 2401),
-    "gaussian_mixture": (-12.0, 12.0, 2401),
     "gauss_laplace": (-24.0, 24.0, 4801),
     "l1_l12": (-24.0, 24.0, 4801),
 }
-GRID_N_BY_DIM = {1: None, 2: 161, 3: 41}
+GRID_N_BY_DIM = {2: 161, 3: 41}
 _VECTOR_KEYS = ("target.a", "sampler.kde_bandwidth")   # may also be lists of numbers
 
 
@@ -240,6 +238,15 @@ def write_density_csv(path: Path, g):
                  "shape": list(g.values.shape), "log_floor": LOG_FLOOR, "csv": path.name})
 
 
+def _stepsizes(cfg, key: str) -> list:
+    """The stepsize list cfg[key] of a slope fit, which needs 3 distinct values."""
+    t_list = cfg[key]
+    if len(set(t_list)) < 3:
+        raise ParameterError(f"{key} needs at least 3 distinct stepsizes to fit a slope, "
+                             f"got {t_list}")
+    return t_list
+
+
 def _fit_slope(xs, ys):
     import numpy as np
     return float(np.polyfit(np.log(np.asarray(xs)), np.log(np.asarray(ys)), 1)[0])
@@ -322,9 +329,7 @@ def cmd_order_check(cfg, outdir: Path) -> tuple:
     from .proximal import GridProxOperator, ProxParams
     from .samplers import initial_grid_density
     target, scfg = _setup(cfg)
-    t_list = cfg["order.t_list"]
-    if len(t_list) < 3:
-        raise ParameterError("order-check needs at least 3 stepsizes to fit a slope")
+    t_list = _stepsizes(cfg, "order.t_list")
     rho0 = initial_grid_density(scfg, Grid.uniform(scfg.grid))
     rhs = fp_rhs(rho0, target, scfg.beta)
     rows = []
@@ -353,9 +358,7 @@ def cmd_denominator_check(cfg, outdir: Path) -> tuple:
     from .density import Grid
     from .proximal import ProxParams, denominator_exact, denominator_laplace
     target, scfg = _setup(cfg)
-    t_list = cfg["denominator.t_list"]
-    if len(t_list) < 3:
-        raise ParameterError("denominator-check needs at least 3 stepsizes")
+    t_list = _stepsizes(cfg, "denominator.t_list")
     grid = Grid.uniform(scfg.grid)
     rows, slopes = [], {}
     for y in cfg["denominator.y_list"]:

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ParameterError
 
 FD_REL_STEP = 1e-4  # stencil width factor: delta = FD_REL_STEP * (1 + |x|)
+L12_EPS = 1e-6      # the L_{1/2} quasi-norm's |t|^{1/2} is (t^2 + L12_EPS^2)^{1/4}
 
 
 @dataclass
@@ -146,25 +147,24 @@ def make_gaussian_mixture(a, sigma: float = 1.0, dim: Optional[int] = None,
     )
 
 
-def _sqrt_abs_reg(t, eps):
-    # |t|^{1/2} regularized as (t^2 + eps^2)^{1/4}
-    return (t * t + eps * eps) ** 0.25
+def _sqrt_abs_reg(t):
+    # |t|^{1/2} regularized as (t^2 + L12_EPS^2)^{1/4}
+    return (t * t + L12_EPS * L12_EPS) ** 0.25
 
 
 def make_nonsmooth_mixture(kind: str, sigma: float = 1.0, b: float = 0.25,
-                           dim: int = 1, beta: float = 1.0,
-                           eps: float = 1e-6) -> Potential:
+                           dim: int = 1, beta: float = 1.0) -> Potential:
     """Nonsmooth mixture targets centered at ±2*e_1.
 
     kind="l1_l12":      rho* ∝ exp(-|x+2e1|_1) + exp(-|x-2e1|_{1/2}^2)/2
     kind="gauss_laplace": rho* ∝ exp(-|x-2e1|^2/(2 sigma^2)) + exp(-|x+2e1|_1/(2b))
 
     Gradients are subgradients (sign(0)=0 at kinks); the L_{1/2} quasi-norm
-    uses |t|^{1/2} -> (t^2+eps^2)^{1/4}. Laplacians fall back to the shifted
+    uses |t|^{1/2} -> (t^2+L12_EPS^2)^{1/4}. Laplacians fall back to the shifted
     finite-difference stencil of Potential. No marginal is given.
     """
-    if sigma <= 0 or b <= 0 or eps <= 0:
-        raise ParameterError("sigma, b, eps must all be positive")
+    if sigma <= 0 or b <= 0:
+        raise ParameterError("sigma and b must be positive")
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
     c = np.zeros(dim)
@@ -173,21 +173,21 @@ def make_nonsmooth_mixture(kind: str, sigma: float = 1.0, b: float = 0.25,
     if kind == "l1_l12":
         def branch_exponents(x):
             g1 = np.sum(np.abs(x + c), axis=1)                       # L1 branch
-            half = np.sum(_sqrt_abs_reg(x - c, eps), axis=1) ** 2     # |.|_{1/2}
+            half = np.sum(_sqrt_abs_reg(x - c), axis=1) ** 2     # |.|_{1/2}
             g2 = half * half                                         # squared quasi-norm
             return -g1, -g2 + np.log(0.5)
 
         def branch_grads(x):
             gr1 = np.sign(x + c)
             u = x - c
-            s = np.sum(_sqrt_abs_reg(u, eps), axis=1)
-            # d/du_i (s^4) = 4 s^3 * d/du_i (u_i^2+eps^2)^{1/4}
-            ds = 0.5 * u * (u * u + eps * eps) ** (-0.75)
+            s = np.sum(_sqrt_abs_reg(u), axis=1)
+            # d/du_i (s^4) = 4 s^3 * d/du_i (u_i^2+L12_EPS^2)^{1/4}
+            ds = 0.5 * u * (u * u + L12_EPS * L12_EPS) ** (-0.75)
             gr2 = 4.0 * (s**3)[:, None] * ds
             return gr1, gr2
 
         # closed-form normalization known in 1-D only; higher d normalize on-grid
-        log_norm = np.log(2.0 + 0.5 * np.sqrt(np.pi) * np.exp(-eps * eps)) \
+        log_norm = np.log(2.0 + 0.5 * np.sqrt(np.pi) * np.exp(-L12_EPS * L12_EPS)) \
             if dim == 1 else 0.0
     elif kind == "gauss_laplace":
         def branch_exponents(x):
@@ -213,6 +213,9 @@ def _catalog_mixture(p: dict) -> Potential:
     a_mode, a, dim = p.get("a_mode", "e1"), p.get("a", 2.0), int(p.get("dim", 1))
     if a_mode not in ("e1", "ones"):
         raise ParameterError(f"a_mode must be 'e1' or 'ones', got {a_mode!r}")
+    if a_mode == "ones" and np.ndim(a) > 0:
+        raise ParameterError(f"target.a must be one number when target.a_mode is 'ones', "
+                             f"got {a!r}")
     return make_gaussian_mixture(a=[a] * dim if a_mode == "ones" else a,
                                  sigma=p.get("sigma", 1.0), dim=dim, beta=p.get("beta", 1.0))
 
@@ -221,8 +224,7 @@ CATALOG = {
     "quadratic": lambda p: make_quadratic(alpha=p.get("alpha", 1.0), dim=int(p.get("dim", 1))),
     "gaussian_mixture": _catalog_mixture,
     "l1_l12": lambda p: make_nonsmooth_mixture(
-        "l1_l12", dim=int(p.get("dim", 1)), beta=p.get("beta", 1.0),
-        eps=p.get("eps", 1e-6)),
+        "l1_l12", dim=int(p.get("dim", 1)), beta=p.get("beta", 1.0)),
     "gauss_laplace": lambda p: make_nonsmooth_mixture(
         "gauss_laplace", sigma=p.get("sigma", 1.0), b=p.get("b", 0.25),
         dim=int(p.get("dim", 1)), beta=p.get("beta", 1.0)),

@@ -1,8 +1,11 @@
-"""Evaluators for the quantitative convergence bounds of the semi-implicit scheme.
+"""The convergence bounds of the semi-implicit scheme that a run reports.
 
-These are pure scalar functions used to overlay theory curves on measured
-KL trajectories. Remainder terms of the source bounds (O(h^2)/O(h^3)) are
-dropped; empirical comparisons must add an explicit slack for them.
+kl_k_bound is the kl_bound column of run.csv; optimal_stepsize and
+max_stepsize are the paper's stepsizes, which stepsize-sweep records and
+run warns above. Remainder terms of the source bounds (O(h^2)/O(h^3)) are
+dropped; empirical comparisons must add an explicit slack for them. The
+paper's other checks (the one-step bound, the sequence lemma, the sampling
+complexity, Pinsker and Talagrand) are test oracles in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -33,13 +36,6 @@ class BoundInputs:
             raise ParameterError(f"s must lie in [0,1], got {self.s}")
 
 
-def kl_one_step_bound(kl_k: float, k: int, b: BoundInputs) -> float:
-    """One-step bound KL_{k+1} <= [1 - 2ah + (1+2s)a^2h^2] KL_k + (h^2 s/2) M0 e^{-4ahk}."""
-    a, h, s = b.alpha, b.h, b.s
-    factor = 1.0 - 2.0 * a * h + (1.0 + 2.0 * s) * a * a * h * h
-    return factor * kl_k + 0.5 * h * h * s * b.m0 * math.exp(-4.0 * a * h * k)
-
-
 def _bias_sum(k: int, q: float, r: float, coef: float) -> float:
     """coef * sum_{j<k} q^j r^{k-1-j} = coef*(q^k - r^k)/(q - r), sign-safe.
 
@@ -66,18 +62,6 @@ def kl_k_bound(k: int, b: BoundInputs) -> float:
     return math.exp(-c1 * k * h) * b.kl0 + bias
 
 
-def sampling_complexity(delta: float, alpha: float) -> int:
-    """Iterations ceil(|ln delta| / (2 alpha sqrt(delta))) at stepsize h = sqrt(delta)."""
-    if not (0.0 < delta < 1.0):
-        raise ParameterError(f"delta must lie in (0,1), got {delta}")
-    h_max = max_stepsize(alpha)
-    if math.sqrt(delta) >= h_max:
-        raise ParameterError(
-            f"sqrt(delta)={math.sqrt(delta):.4f} must be below the maximum "
-            f"stepsize 2/(3*alpha)={h_max:.4f}")
-    return math.ceil(abs(math.log(delta)) / (2.0 * alpha * math.sqrt(delta)))
-
-
 def optimal_stepsize(alpha: float) -> float:
     """Stepsize with the fastest KL contraction: 1/(3 alpha), half the maximum."""
     return max_stepsize(alpha) / 2
@@ -88,42 +72,3 @@ def max_stepsize(alpha: float) -> float:
     if alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     return 2.0 / (3.0 * alpha)
-
-
-def sequence_bound_check(c1: float, c2: float, c3: float, h: float,
-                         a0: float, k_max: int, rel_tol: float = 1e-9) -> bool:
-    """Iterate a_{k+1} = (1-c1 h) a_k + h^2 c2 e^{-c3 k h} and verify the closed bound.
-
-    The bound is (1-c1 h)^k a0 plus the bias sum; with the recursion taken
-    as equality the two agree exactly, so the check passes with equality up
-    to roundoff (rel_tol).
-    """
-    if min(c1, c3, h) <= 0 or c2 < 0 or a0 < 0:
-        raise ParameterError("c1, c3, h must be positive; c2, a0 nonnegative")
-    if c1 * h >= 1.0:
-        raise ParameterError(f"need c1*h < 1, got {c1 * h}")
-    q = 1.0 - c1 * h
-    r = math.exp(-c3 * h)
-    a = a0
-    for k in range(k_max + 1):
-        bound = q**k * a0 + _bias_sum(k, q, r, h * h * c2)
-        if a > bound * (1.0 + rel_tol) + 1e-15:
-            return False
-        a = q * a + h * h * c2 * r**k
-    return True
-
-
-def pinsker_tv_bound(kl: float) -> float:
-    """TV bound sqrt(kl/2) from d_TV^2 <= KL/2."""
-    if kl < 0:
-        raise ParameterError(f"kl must be nonnegative, got {kl}")
-    return math.sqrt(kl / 2.0)
-
-
-def talagrand_w2_bound(kl: float, alpha: float) -> float:
-    """W2 bound sqrt(2*kl/alpha) from (alpha/2) W2^2 <= KL."""
-    if kl < 0:
-        raise ParameterError(f"kl must be nonnegative, got {kl}")
-    if alpha <= 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    return math.sqrt(2.0 * kl / alpha)

@@ -22,9 +22,8 @@ from brwplab.proximal import (GridProxOperator, ProxParams, denominator_exact,
                               denominator_laplace)
 from brwplab.samplers import (DensityState, SamplerConfig, brwp_step,
                               evolve_law, run)
-from brwplab.theory import sequence_bound_check
 
-from conftest import gaussian_grid, make_zero, report_text
+from conftest import gaussian_grid, make_zero, report_text, sequence_bound_check
 
 AXIS = uniform_axis(-12.0, 12.0, 2401)
 QUAD = make_quadratic(1.0, 1)

@@ -257,6 +257,13 @@ class TestOrderCheck:
                        "--order.t_list", "0.1")
         assert code == EXIT_CONFIG
 
+    def test_coincident_stepsizes_are_config_error(self, tmp_path, capsys):
+        # three equal stepsizes give no slope to fit
+        code = run_cli("order-check", "--out", str(tmp_path / "oc3"), "--plot", "false",
+                       "--order.t_list", "0.1,0.1,0.1")
+        assert code == EXIT_CONFIG
+        assert "order.t_list needs at least 3 distinct stepsizes" in capsys.readouterr().err
+
     def test_runs_the_configured_backend(self, tmp_path):
         tables = []
         for backend in ("quadrature", "laplace_denominator"):
@@ -295,6 +302,13 @@ class TestDenominatorCheck:
         assert code == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert all(s >= 1.7 for s in manifest["slopes"].values())
+
+    def test_coincident_stepsizes_are_config_error(self, tmp_path, capsys):
+        code = run_cli("denominator-check", "--out", str(tmp_path / "dc3"),
+                       "--denominator.t_list", "0.1,0.1,0.1")
+        assert code == EXIT_CONFIG
+        assert "denominator.t_list needs at least 3 distinct stepsizes" in \
+            capsys.readouterr().err
 
 
 class TestDecayCheck:

@@ -169,6 +169,11 @@ class TestCatalog:
         with pytest.raises(ParameterError, match="a_mode must be 'e1' or 'ones'"):
             from_catalog("gaussian_mixture", {"dim": 2, "a_mode": "onez"})
 
+    def test_vector_a_under_a_mode_ones_rejected(self):
+        with pytest.raises(ParameterError, match="target.a must be one number when "
+                                                 "target.a_mode is 'ones'"):
+            from_catalog("gaussian_mixture", {"dim": 2, "a": [1.0, 2.0], "a_mode": "ones"})
+
     @pytest.mark.parametrize("tid, params, alpha, a0", [
         ("quadratic", {"dim": 4, "alpha": 2.0}, 2.0, None),
         ("gaussian_mixture", {"dim": 3, "a": 1.5, "a_mode": "ones", "sigma": 0.8}, None, 1.5)])

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from brwplab.errors import EvaluationError, ParameterError
-from brwplab.theory import (BoundInputs, kl_k_bound, kl_one_step_bound,
-                            max_stepsize, optimal_stepsize, pinsker_tv_bound,
-                            sampling_complexity, sequence_bound_check,
-                            talagrand_w2_bound)
+from brwplab.potentials import make_quadratic
+from brwplab.samplers import SamplerConfig, evolve_law, run
+from brwplab.theory import BoundInputs, kl_k_bound, max_stepsize, optimal_stepsize
+
+from conftest import (kl_one_step_bound, pinsker_tv_bound, sampling_complexity,
+                      sequence_bound_check, talagrand_w2_bound)
 
 
 def iterate_one_step(k, b):
@@ -142,6 +144,47 @@ class TestPinskerTalagrand:
             pinsker_tv_bound(-0.1)
         with pytest.raises(ParameterError):
             talagrand_w2_bound(-0.1, 1.0)
+
+
+def _law_rows():
+    """Every row of the 1-D law at h = 0.1 over 60 steps (default grid)."""
+    return evolve_law(SamplerConfig(h=0.1, n_steps=60), make_quadratic(1.0, 1)).reports
+
+
+def _successive_3d_rows():
+    """Every row of a 10-step brwp_successive run on the default 41^3 grid."""
+    cfg = SamplerConfig(method="brwp_successive", n_steps=10, grid=((-12.0, 12.0, 41),) * 3)
+    return run(cfg, make_quadratic(1.0, 3)).reports
+
+
+@pytest.mark.parametrize("rows", [_law_rows, _successive_3d_rows], ids=["law_1d", "successive_3d"])
+class TestMeasuredRowsObeyTransportInequalities:
+    """Quadratic V with alpha = beta = 1, rho0 = N(0, 2): rho* is 1-strongly log-concave."""
+
+    def test_pinsker(self, rows):
+        # the lab's TV is the unhalved L1 distance, in [0, 2]
+        for r in rows():
+            assert r.tv / 2 <= pinsker_tv_bound(r.kl), r
+
+    def test_talagrand(self, rows):
+        # the first-axis W2 of a marginal is at most the full W2
+        for r in rows():
+            assert r.w2 <= talagrand_w2_bound(r.kl, 1.0), r
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.01, 0.001])
+def test_sampling_complexity_reaches_delta(delta):
+    """After sampling_complexity(delta) steps at h = sqrt(delta), KL_N <= delta."""
+    target = make_quadratic(1.0, 1)
+    cfg = SamplerConfig(method="brwp_successive", h=math.sqrt(delta),
+                        n_steps=sampling_complexity(delta, target.alpha))
+    law = evolve_law(cfg, target)
+    assert not law.folded
+    assert law.reports[-1].iter == cfg.n_steps
+    assert law.reports[-1].kl <= delta
+    chain = run(cfg, target).reports
+    assert chain[-1].iter == cfg.n_steps
+    assert chain[-1].kl <= delta
 
 
 class TestBoundInputsValidation:

@@ -86,6 +86,8 @@ PRESETS = {
     "denominator_check": ["denominator-check"],
     "decay_check": ["decay-check"],
     "sweep": ["stepsize-sweep"],
+    # stepsizes far below the optimal 1/3: the law map folds in the far tail
+    "sweep_small_h": ["stepsize-sweep", "--sweep.h_list", "0.05,0.1"],
 }
 
 
