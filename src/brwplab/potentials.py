@@ -216,6 +216,9 @@ def _catalog_mixture(p: dict) -> Potential:
     if a_mode == "ones" and np.ndim(a) > 0:
         raise ParameterError(f"target.a must be one number when target.a_mode is 'ones', "
                              f"got {a!r}")
+    if np.ndim(a) > 0 and np.size(a) != dim:
+        raise ParameterError(f"target.a has {np.size(a)} entries but target.dim is {dim}; "
+                             "give one number or one per axis")
     return make_gaussian_mixture(a=[a] * dim if a_mode == "ones" else a,
                                  sigma=p.get("sigma", 1.0), dim=dim, beta=p.get("beta", 1.0))
 

@@ -12,13 +12,14 @@ with one axis's kernel replaced by its derivative, so the score needs no
 second term to cancel. The operator caches the denominator and, per axis,
 the Toeplitz vectors of the kernel and of its derivative, the derivative
 taken from the flushed kernel; in every dimension each stored vector or
-weighted-matrix entry below the smallest normal float is 0. For d >= 2 it
-lays out both vectors as trapezoid matrices per axis, so a step costs
-O(d * G * n) instead of O(G^2). In 1-D the blur is an FFT convolution with
-the kernel's cached spectrum, of the smallest length 2^k, 3*2^k or 5*2^k
-that is at least 2G - 1; its small entries are recomputed by correlating the
-kernel vector with the nonzero inputs within the kernel's band, and no G x G
-matrix is held.
+weighted-matrix entry below the smallest normal float is 0. Every blur is
+one loop over the axes, and the dimension decides only how one axis is
+blurred. For d >= 2 both vectors are laid out as trapezoid matrices per
+axis, so a step costs O(d * G * n) instead of O(G^2). In 1-D the blur is an
+FFT convolution with the cached spectra, of the smallest length 2^k, 3*2^k
+or 5*2^k that is at least 2G - 1; its small entries are recomputed by
+correlating the kernel vector with the nonzero inputs within the kernel's
+band, and no G x G matrix is held.
 
 BACKENDS of the operator: "quadrature" computes D by grid quadrature (exact
 up to trapezoid error), "laplace_denominator" uses the second-order closed form
@@ -132,25 +133,32 @@ class GridProxOperator:
         self.grad_v = target.grad_fn(pts)
         self.grad_v.flags.writeable = False
         self.e_v = np.exp(-p.beta / 2 * target.eval_fn(pts)).reshape(grid.shape)
+        # per axis (K_i, K_i'): in 1-D (Toeplitz vector, spectrum) pairs, for
+        # d >= 2 weighted Toeplitz matrices
         if grid.dim == 1:
             g = grid.shape[0]
-            self._kern, self._dkern = self._kernels(grid.axes[0])
+            kern, dkern = self._kernels(grid.axes[0])
             # the smallest of 2^k, 3*2^k, 5*2^k >= 2G - 1: the kept slice of a
             # circular convolution this long has no wrap-around
             self._fft_len = min(c << (-(-(2 * g - 1) // c) - 1).bit_length() for c in (1, 3, 5))
-            self._band = int(np.flatnonzero(self._kern[g - 1:])[-1])   # widest nonzero offset
-            self._kern_hat = np.fft.rfft(self._kern, self._fft_len)
-            self._dkern_hat = np.fft.rfft(self._dkern, self._fft_len)
+            self._band = int(np.flatnonzero(kern[g - 1:])[-1])   # widest nonzero offset
+            self._axis_kernels = [tuple((vec, np.fft.rfft(vec, self._fft_len))
+                                        for vec in (kern, dkern))]
         else:
-            mats = [[_weighted_toeplitz(vec, a) for vec in self._kernels(a)] for a in grid.axes]
-            self._blur = [blur for blur, _ in mats]
-            self._dblur = [dblur for _, dblur in mats]
+            self._axis_kernels = [tuple(_weighted_toeplitz(vec, a) for vec in self._kernels(a))
+                                  for a in grid.axes]
         if backend == "quadrature":
             self.denom = self.apply_blur(self.e_v)
         else:
             self.denom = np.exp(_log_denominator_laplace(pts, target, p)).reshape(grid.shape)
         if np.any(self.denom <= 0) or not np.all(np.isfinite(self.denom)):
-            raise DegenerateDensityError("denominator table has nonpositive entries")
+            bad = ~(np.isfinite(self.denom) & (self.denom > 0))
+            half_bv = p.beta / 2 * target.eval_fn(pts)
+            raise DegenerateDensityError(
+                f"denominator table has {np.count_nonzero(bad)} of {bad.size} entries "
+                f"nonpositive or non-finite: beta*V/2 reaches {half_bv.max():.4g} on the grid "
+                "and exp(-beta*V/2) underflows to 0 past about 745; a narrower grid or a "
+                "smaller beta avoids this")
 
     def _kernels(self, axis):
         """Toeplitz vectors (kern, dkern) at the offsets k = -(G-1) .. G-1 of a uniform axis.
@@ -171,7 +179,7 @@ class GridProxOperator:
         return kern, dkern
 
     def apply_blur(self, vals: np.ndarray) -> np.ndarray:
-        """Trapezoid Gaussian blur of grid values, axis by axis.
+        """Trapezoid Gaussian blur of grid values, one pass per axis in axis order.
 
         In 1-D, a zero-padded FFT convolution with the cached kernel
         spectrum, as long as the smallest 2^k, 3*2^k or 5*2^k >= 2G - 1: the
@@ -192,11 +200,16 @@ class GridProxOperator:
         about |vals_i|, so for a nonnegative input whose dynamic range is
         under 1e40 the change is under 1e-260 relative.
         """
-        if self.grid.dim > 1:
-            for i, blur in enumerate(self._blur):
-                vals = _axis_pass(blur, vals, i)
-            return vals
-        return self._fft_blur(vals, ((self._kern, self._kern_hat),))[0]
+        for i in range(self.grid.dim):
+            vals = self._axis_blurs(vals, i)[0]
+        return vals
+
+    def _axis_blurs(self, vals, i, n=1):
+        """vals blurred along axis i by each of the first n of (K_i, K_i')."""
+        kernels = self._axis_kernels[i][:n]
+        if self.grid.dim == 1:
+            return self._fft_blur(vals, kernels)
+        return [np.moveaxis(np.tensordot(mat, vals, axes=(1, i)), 0, i) for mat in kernels]
 
     def _fft_blur(self, vals, kernels):
         """1-D blurs of vals with each (Toeplitz vector, spectrum) pair; one forward FFT.
@@ -270,28 +283,18 @@ class GridProxOperator:
         kernel vector (see _kernels), so Blur_i' also drops each term whose
         kernel entry is below tiny: each dropped term is below
         max(1, beta*|x - y|/(2T)) * tiny * max(1, dx) * |r_j|.
-        Where Blur[r] is 0 the score is 0. For d >= 2 the passes share their
-        partial blurs P_k = K_{k-1} ... K_0 r, taken in apply_blur's axis
-        order, so Blur[r] and rho_T are apply_blur's bytes: d = 3 takes 9
-        per-axis passes and d = 2 takes 5. In 1-D both blurs share one
-        forward FFT.
+        Where Blur[r] is 0 the score is 0. One loop over the axes gives every
+        blur: at axis i each earlier derivative blur passes through K_i, and
+        the running blur K_{i-1} ... K_0 r goes through K_i and K_i'. Blur[r]
+        thus takes apply_blur's passes in its order, so rho_T is apply_blur's
+        bytes: d = 3 takes 9 per-axis passes and d = 2 takes 5. In 1-D both
+        blurs share one forward FFT.
         """
-        r = rho0.values / self.denom
-        if self.grid.dim == 1:
-            blur, dblur = self._fft_blur(r, ((self._kern, self._kern_hat),
-                                             (self._dkern, self._dkern_hat)))
-            score = [dblur]
-        else:
-            partial = [r]
-            for i, mat in enumerate(self._blur):
-                partial.append(_axis_pass(mat, partial[-1], i))
-            blur = partial[-1]
-            score = []
-            for i, dmat in enumerate(self._dblur):
-                out = _axis_pass(dmat, partial[i], i)
-                for k in range(i + 1, self.grid.dim):
-                    out = _axis_pass(self._blur[k], out, k)
-                score.append(out)
+        blur, score = rho0.values / self.denom, []
+        for i in range(self.grid.dim):
+            score = [self._axis_blurs(s, i)[0] for s in score]
+            blur, dblur = self._axis_blurs(blur, i, 2)
+            score.append(dblur)
         rho_t, mass = self.step(rho0, self.e_v * blur)
         # Each Blur_i'[r] becomes score_i in place. A quotient per axis, not
         # one reciprocal: 1/Blur[r] overflows where Blur[r] is subnormal.
@@ -314,11 +317,6 @@ def _weighted_toeplitz(vec, axis):
     mat = rows * trapezoid_weights(axis)
     mat[np.abs(mat) < np.finfo(float).tiny] = 0.0
     return mat
-
-
-def _axis_pass(mat, vals, i):
-    """mat applied along axis i of vals."""
-    return np.moveaxis(np.tensordot(mat, vals, axes=(1, i)), 0, i)
 
 
 def prox_particle_score(ensemble: ParticleEnsemble, target: Potential, p: ProxParams):

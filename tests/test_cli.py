@@ -117,6 +117,8 @@ class TestConfigParsing:
          EXIT_CONFIG, "sampler.kde_bandwidth has 4 entries"),
         (("sample", "--seed", "-1"), EXIT_CONFIG, "sampler.seed must be >= 0"),
         (("sample", "--sampler.seed", "-1"), EXIT_CONFIG, "sampler.seed must be >= 0"),
+        (("sample", "--target.id", "gaussian_mixture", "--target.dim", "3",
+          "--target.a", "1,2"), EXIT_CONFIG, "target.a has 2 entries but target.dim is 3"),
     ])
     def test_value_takes_the_type_of_its_default(self, tmp_path, capsys, argv, code, message):
         out = tmp_path / "t"
@@ -197,6 +199,21 @@ class TestSample:
                        "--plot", "false")
         assert code == EXIT_NUMERIC
         assert "widen the grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend, bad", [("quadrature", 634),
+                                              ("laplace_denominator", 632)])
+    def test_underflowing_denominator_says_why(self, tmp_path, capsys, backend, bad):
+        # beta*V/2 = 40 * 12^2 / 4 = 1440 at the grid edge: exp(-beta*V/2) is 0
+        out = tmp_path / "b"
+        code = run_cli("sample", "--out", str(out), "--target.beta", "40",
+                       "--sampler.backend", backend, "--sampler.n_steps", "2",
+                       "--sampler.n_particles", "64", "--plot", "false")
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert (f"denominator table has {bad} of 2401 entries nonpositive or non-finite: "
+                "beta*V/2 reaches 1440 on the grid") in err
+        assert "a narrower grid or a smaller beta avoids this" in err
+        assert not (out / "run.csv").exists()
 
 
 class TestThreads:

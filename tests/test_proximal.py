@@ -85,11 +85,12 @@ def assert_fft_blurs_match_dense(op, vals):
     """
     axis = op.grid.axes[0]
     dense = _weighted_toeplitz(op._kernels(axis)[0], axis)
-    rows = np.lib.stride_tricks.sliding_window_view(op._dkern[::-1], axis.size)[::-1]
+    _, (dkern, _) = op._axis_kernels[0]
+    rows = np.lib.stride_tricks.sliding_window_view(dkern[::-1], axis.size)[::-1]
     ddense = rows * op.grid.weights                # ddense[i, j] = dkern[G-1+i-j] * w_j
     flush = 2 * np.finfo(float).tiny * max(1.0, axis[1] - axis[0]) * np.sum(np.abs(vals))
     fast = op.apply_blur(vals)
-    blur, dblur = op._fft_blur(vals, ((op._kern, op._kern_hat), (op._dkern, op._dkern_hat)))
+    blur, dblur = op._axis_blurs(vals, 0, 2)
     assert np.array_equal(blur, fast)
     assert np.all(np.abs(fast - dense @ vals) <= 1e-9 * (dense @ np.abs(vals)) + flush)
     bound = np.abs(ddense) @ np.abs(vals)
@@ -523,6 +524,29 @@ def test_score_of_step_matches_step_and_gradient(dim):
         assert np.max(np.abs(s - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("dim, passes, ffts", [(1, 0, 1), (2, 5, 0), (3, 9, 0)])
+def test_score_of_step_pass_counts(monkeypatch, dim, passes, ffts):
+    # per-axis passes (one tensordot each) for d >= 2; one forward FFT in 1-D
+    axes = tuple(uniform_axis(-6.0, 6.0, 33) for _ in range(dim))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    rho0 = GridDensity(Grid(axes), np.exp(-sum(m ** 2 for m in mesh) / 4.0)).normalize()
+    op = GridProxOperator(rho0.grid, make_quadratic(1.0, dim), ProxParams(T=0.2, beta=1.0))
+    calls = {"tensordot": 0, "rfft": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(np, "tensordot")
+    counted(np.fft, "rfft")
+    op.score_of_step(rho0)
+    assert calls == {"tensordot": passes, "rfft": ffts}
+
+
 @pytest.mark.parametrize("T", [0.002, 0.01])
 def test_small_t_score_matches_gaussian_closed_form(axis_default, quad1d, T):
     # rho0 = N(0, v0) at half its decay bound, so rho_T = N(0, var_t) and the
@@ -668,9 +692,10 @@ class TestFftBlur:
         # repaired run reads only the inputs within that band
         op = GridProxOperator(Grid((axis_default,)), quad1d, ProxParams(T=0.01))
         g = axis_default.size
+        (kern, _), (dkern, _) = op._axis_kernels[0]
         assert 500 < op._band < 560
-        assert op._kern[g + op._band] == 0 and op._kern[g - 1 + op._band] > 0
-        assert not np.any(op._dkern[g + op._band:]) and not np.any(op._dkern[:g - 1 - op._band])
+        assert kern[g + op._band] == 0 and kern[g - 1 + op._band] > 0
+        assert not np.any(dkern[g + op._band:]) and not np.any(dkern[:g - 1 - op._band])
         for vals in [op.e_v] + self.zero_padded_inputs(op):
             assert_fft_blurs_match_dense(op, vals)
         # one nonzero input: each repaired output is its single product, exactly,
@@ -681,8 +706,8 @@ class TestFftBlur:
         blur, dblur = assert_fft_blurs_match_dense(op, vals)
         u = vals[j] * op.grid.weights[j]
         repaired = blur < BLUR_EXACT_BELOW * blur.max()
-        for out, kern in ((blur, op._kern), (dblur, op._dkern)):
-            column = kern[g - 1 - j:2 * g - 1 - j] * u
+        for out, vec in ((blur, kern), (dblur, dkern)):
+            column = vec[g - 1 - j:2 * g - 1 - j] * u
             assert np.array_equal(out[repaired], column[repaired])
         assert blur[j - op._band] > 0 and blur[j + op._band] > 0
         assert not np.any(blur[:j - op._band]) and not np.any(blur[j + op._band + 1:])
@@ -726,9 +751,8 @@ class TestSubnormalFlush:
         rows = np.lib.stride_tricks.sliding_window_view(op._kernels(axis)[0], 161)[::-1]
         weighted = rows * trapezoid_weights(axis)
         assert np.count_nonzero((weighted > 0) & (weighted < tiny)) == 52
-        for blur in op._blur:
+        for blur, dblur in op._axis_kernels:
             assert not np.any((blur > 0) & (blur < tiny))
-        for dblur in op._dblur:
             assert np.any(dblur)
             assert not np.any((np.abs(dblur) > 0) & (np.abs(dblur) < tiny))
 
@@ -740,11 +764,13 @@ class TestSubnormalFlush:
         p = ProxParams(T=0.01, beta=1.0)
         op = GridProxOperator(Grid((axis, uniform_axis(-12.0, 12.0, 5))), make_zero(2), p)
         op1 = GridProxOperator(Grid((axis,)), make_zero(1), p)
-        ref = _weighted_toeplitz(op1._dkern, axis)
-        assert np.array_equal(op._dblur[0], ref)
-        assert np.array_equal(op._blur[0], _weighted_toeplitz(op1._kern, axis))
+        (kern, _), (dkern, _) = op1._axis_kernels[0]
+        blur, dblur = op._axis_kernels[0]
+        ref = _weighted_toeplitz(dkern, axis)
+        assert np.array_equal(dblur, ref)
+        assert np.array_equal(blur, _weighted_toeplitz(kern, axis))
         tiny = np.finfo(float).tiny
-        kept = (op._blur[0] == 0) & (ref != 0)
+        kept = (blur == 0) & (ref != 0)
         assert np.count_nonzero(kept) > 0 and np.abs(ref[kept]).max() > 30 * tiny
 
     def test_weighted_toeplitz_layout(self):
@@ -768,7 +794,7 @@ class TestSubnormalFlush:
         ref_mat = kern[off] * trapezoid_weights(axis)
         tiny = np.finfo(float).tiny
         assert np.count_nonzero((ref_mat > 0) & (ref_mat < tiny)) == 42
-        for blur in op._blur:
+        for blur, _ in op._axis_kernels:
             assert not np.any((blur > 0) & (blur < tiny))
 
         def unflushed(vals):

@@ -2,80 +2,93 @@
 
     python tools/layer_bench.py SRC_A SRC_B [--pairs N]
 
-Each pair runs both trees, alternating which goes first, each in a fresh
-subprocess with SRC/src first on sys.path and the same environment. A child
-builds four operators with fixed inputs: 2401 points on +-12 for the 1-D
-Gaussian mixture, and 161^2 and 41^3 on +-12 for the quadratic, all at
-T = 0.05 and beta = 1, with rho0 a Gaussian of variance 1 centred at 0.3 on
-every axis; and "2401z", which times the 1-D blur's tail repair as
-evolve_law exercises it: the 1-D quadratic at T = 1/3, with that rho0 set to
-0 outside [-4, 4], as the law's pushforward leaves it. The layers are build
-(the GridProxOperator construction, on a grid whose points and weights are
-already cached), score_of_step and apply_blur; each is timed as the median
-of 30 calls after 3 warm-up calls. For each grid and layer the report gives
-each tree's median and quartiles over the pairs, and how many pairs B ran
-faster than A, ties counting for neither. It also prints the BLAS thread
+Both trees are loaded into this one process, SRC/src/brwplab as the
+packages brwplab_a and brwplab_b (the package imports only relatively), so
+the two share one interpreter, one numpy and one heap, and a figure does not
+carry the spread between fresh processes. Each tree builds four operators
+with fixed inputs: 2401 points on +-12 for the 1-D Gaussian mixture, and
+161^2 and 41^3 on +-12 for the quadratic, all at T = 0.05 and beta = 1, with
+rho0 a Gaussian of variance 1 centred at 0.3 on every axis; and "2401z",
+which times the 1-D blur's tail repair as evolve_law exercises it: the 1-D
+quadratic at T = 1/3, with that rho0 set to 0 outside [-4, 4], as the law's
+pushforward leaves it. The layers are build (the GridProxOperator
+construction, on a grid whose points and weights are already cached),
+score_of_step and apply_blur. In each pair, for each grid and layer, both
+trees take 3 warm-up calls and then 30 timed calls, alternating A and B call
+by call (B first in every other pair); a tree's figure for the pair is the
+median of its 30 calls. For each grid and layer the report gives each
+tree's median and quartiles over the pairs, and how many pairs B ran faster
+than A, ties counting for neither. It also prints the BLAS thread
 variables, the numpy version and the core count.
-
-Standard library only; numpy is imported in the children.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
+import importlib
+import importlib.util
 import os
 import statistics
-import subprocess
 import sys
+import time
 from pathlib import Path
+
+import numpy as np
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 LAYERS = ("build", "score_of_step", "apply_blur")
-
-CHILD = r"""
-import json, sys, time
-sys.path.insert(0, sys.argv[1])
-import numpy as np
-from brwplab.density import Grid, GridDensity, uniform_axis
-from brwplab.potentials import make_gaussian_mixture, make_quadratic
-from brwplab.proximal import GridProxOperator, ProxParams
-
-def median_time(fn, warm=3, calls=30):
-    for _ in range(warm):
-        fn()
-    times = []
-    for _ in range(calls):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
-
-out = {"numpy": np.__version__, "grids": {}}
-for name, dim, n, target, T, support in (
-        ("2401", 1, 2401, make_gaussian_mixture(2.0, 1.0, dim=1), 0.05, None),
-        ("2401z", 1, 2401, make_quadratic(1.0, 1), 1 / 3, 4.0),
-        ("161^2", 2, 161, make_quadratic(1.0, 2), 0.05, None),
-        ("41^3", 3, 41, make_quadratic(1.0, 3), 0.05, None)):
-    grid = Grid((uniform_axis(-12.0, 12.0, n),) * dim)
-    build = lambda: GridProxOperator(grid, target, ProxParams(T=T, beta=1.0))
-    op = build()
-    vals = np.exp(-sum((m - 0.3) ** 2 for m in grid.mesh) / 2)
-    if support is not None:
-        vals[np.abs(grid.mesh[0]) > support] = 0.0
-    rho0 = GridDensity(grid, vals).normalize()
-    ratio = rho0.values / op.denom
-    out["grids"][name] = {"build": median_time(build),
-                          "score_of_step": median_time(lambda: op.score_of_step(rho0)),
-                          "apply_blur": median_time(lambda: op.apply_blur(ratio))}
-print(json.dumps(out))
-"""
+WARM, CALLS = 3, 30
 
 
-def run_child(src: Path) -> dict:
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(src.resolve() / "src")],
-                          capture_output=True, text=True, env=dict(os.environ), check=True)
-    return json.loads(proc.stdout)
+def load_tree(src: Path, name: str):
+    """Import SRC/src/brwplab as the package `name`; return its density, potentials, proximal."""
+    pkg_dir = src.resolve() / "src" / "brwplab"
+    spec = importlib.util.spec_from_file_location(name, pkg_dir / "__init__.py",
+                                                  submodule_search_locations=[str(pkg_dir)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return [importlib.import_module(f"{name}.{mod}")
+            for mod in ("density", "potentials", "proximal")]
+
+
+def layer_calls(src: Path, name: str) -> dict:
+    """{grid: {layer: zero-argument call}} for the operators of one tree."""
+    density, potentials, proximal = load_tree(src, name)
+    calls = {}
+    for label, dim, n, target, T, support in (
+            ("2401", 1, 2401, potentials.make_gaussian_mixture(2.0, 1.0, dim=1), 0.05, None),
+            ("2401z", 1, 2401, potentials.make_quadratic(1.0, 1), 1 / 3, 4.0),
+            ("161^2", 2, 161, potentials.make_quadratic(1.0, 2), 0.05, None),
+            ("41^3", 3, 41, potentials.make_quadratic(1.0, 3), 0.05, None)):
+        grid = density.Grid((density.uniform_axis(-12.0, 12.0, n),) * dim)
+        build = functools.partial(proximal.GridProxOperator, grid, target,
+                                  proximal.ProxParams(T=T, beta=1.0))
+        op = build()
+        vals = np.exp(-sum((m - 0.3) ** 2 for m in grid.mesh) / 2)
+        if support is not None:
+            vals[np.abs(grid.mesh[0]) > support] = 0.0
+        rho0 = density.GridDensity(grid, vals).normalize()
+        ratio = rho0.values / op.denom
+        calls[label] = {"build": build,
+                        "score_of_step": lambda op=op, rho0=rho0: op.score_of_step(rho0),
+                        "apply_blur": lambda op=op, ratio=ratio: op.apply_blur(ratio)}
+    return calls
+
+
+def alternate_medians(fns: list) -> list:
+    """Median time of each fn over CALLS rounds that call every fn once, in order."""
+    for _ in range(WARM):
+        for fn in fns:
+            fn()
+    times = [[] for _ in fns]
+    for _ in range(CALLS):
+        for fn, ts in zip(fns, times):
+            t0 = time.perf_counter()
+            fn()
+            ts.append(time.perf_counter() - t0)
+    return [statistics.median(ts) for ts in times]
 
 
 def quartiles(xs: list) -> tuple:
@@ -93,27 +106,28 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
-    runs = {"A": [], "B": []}
-    numpy_versions = set()
+    trees = {"A": layer_calls(args.src_a, "brwplab_a"),
+             "B": layer_calls(args.src_b, "brwplab_b")}
+    runs = {side: {grid: {layer: [] for layer in LAYERS} for grid in calls}
+            for side, calls in trees.items()}
     for k in range(args.pairs):
-        order = (("A", args.src_a), ("B", args.src_b))
-        for side, src in (order if k % 2 == 0 else order[::-1]):
-            res = run_child(src)
-            numpy_versions.add(res["numpy"])
-            runs[side].append(res["grids"])
+        order = ("A", "B") if k % 2 == 0 else ("B", "A")
+        for grid in trees["A"]:
+            for layer in LAYERS:
+                medians = alternate_medians([trees[side][grid][layer] for side in order])
+                for side, t in zip(order, medians):
+                    runs[side][grid][layer].append(t * 1e3)
         print(f"pair {k + 1}/{args.pairs} done", file=sys.stderr)
 
     print("A =", args.src_a, " B =", args.src_b, f" pairs = {args.pairs}")
     print("threads:", ", ".join(f"{v}={os.environ.get(v, '<unset>')}" for v in THREAD_VARS))
     affinity = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
-    print(f"numpy: {', '.join(sorted(numpy_versions))}  cores: {os.cpu_count()}"
-          f" (usable {affinity})")
+    print(f"numpy: {np.__version__}  cores: {os.cpu_count()} (usable {affinity})")
     print(f"{'grid':<7} {'layer':<14} {'A median [q1, q3] ms':<26} "
           f"{'B median [q1, q3] ms':<26} B won")
-    for grid in runs["A"][0]:
+    for grid in trees["A"]:
         for layer in LAYERS:
-            a = [r[grid][layer] * 1e3 for r in runs["A"]]
-            b = [r[grid][layer] * 1e3 for r in runs["B"]]
+            a, b = runs["A"][grid][layer], runs["B"][grid][layer]
             won = sum(y < x for x, y in zip(a, b))
             cols = []
             for xs in (a, b):
