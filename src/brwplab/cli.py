@@ -149,9 +149,10 @@ def _typed(key: str, value, kind=None):
 
 
 def _git_describe() -> str:
-    try:
+    try:        # in the package's own checkout, whatever the working directory
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, timeout=10)
+                             capture_output=True, text=True, timeout=10,
+                             cwd=Path(__file__).resolve().parent)
         if out.returncode == 0:
             return out.stdout.strip()
     except OSError:
@@ -187,18 +188,23 @@ def grid_spec(cfg, dim: int) -> tuple:
     hi = phi if hi is None else hi
     if n is None:
         n = pn if dim == 1 else GRID_N_BY_DIM.get(dim, 41)
-    return tuple((lo, hi, n) for _ in range(min(dim, 3)))
+    # past d = 3 only the first axis is measured (a KDE of the first coordinate)
+    return tuple((lo, hi, n) for _ in range(dim if dim <= 3 else 1))
 
 
-def _setup(cfg) -> tuple:
+def _setup(cfg, full_grid_for: str = "") -> tuple:
     """The command's target and SamplerConfig. The target.* keys are the
     catalog id and parameters; each sampler.* key is the SamplerConfig field
-    of its name, beta is target.beta and record_timing timing.record."""
+    of its name, beta is target.beta and record_timing timing.record. A command
+    full_grid_for needs the target's full grid: target.dim > 3 is refused."""
     from . import potentials
     from .samplers import SamplerConfig
     params = {k.partition(".")[2]: v for k, v in cfg.items() if k.startswith("target.")}
     fields = {k.partition(".")[2]: v for k, v in cfg.items() if k.startswith("sampler.")}
     target = potentials.from_catalog(params.pop("id"), params)
+    if full_grid_for and target.dim > 3:
+        raise ParameterError(f"{full_grid_for} needs a full grid (target.dim <= 3), "
+                             f"got target.dim = {target.dim}")
     return target, SamplerConfig(**fields, beta=cfg["target.beta"],
                                  grid=grid_spec(cfg, target.dim),
                                  record_timing=cfg["timing.record"])
@@ -259,9 +265,7 @@ def cmd_prox_evolve(cfg, outdir: Path) -> tuple:
     from .density import Grid, relative_entropy, target_density
     from .proximal import GridProxOperator, ProxParams
     from .samplers import initial_grid_density
-    target, scfg = _setup(cfg)
-    if target.dim > 3:
-        raise ParameterError("prox-evolve needs a full grid (target.dim <= 3)")
+    target, scfg = _setup(cfg, full_grid_for="prox-evolve")
     iters, save_every = cfg["prox.iters"], cfg["prox.save_every"]
     if iters < 0 or save_every < 1:
         raise ParameterError("prox.iters must be >= 0 and prox.save_every >= 1")
@@ -328,7 +332,7 @@ def cmd_order_check(cfg, outdir: Path) -> tuple:
     from .density import Grid, fp_rhs
     from .proximal import GridProxOperator, ProxParams
     from .samplers import initial_grid_density
-    target, scfg = _setup(cfg)
+    target, scfg = _setup(cfg, full_grid_for="order-check")
     t_list = _stepsizes(cfg, "order.t_list")
     rho0 = initial_grid_density(scfg, Grid.uniform(scfg.grid))
     rhs = fp_rhs(rho0, target, scfg.beta)
@@ -357,7 +361,7 @@ def cmd_order_check(cfg, outdir: Path) -> tuple:
 def cmd_denominator_check(cfg, outdir: Path) -> tuple:
     from .density import Grid
     from .proximal import ProxParams, denominator_exact, denominator_laplace
-    target, scfg = _setup(cfg)
+    target, scfg = _setup(cfg, full_grid_for="denominator-check")
     t_list = _stepsizes(cfg, "denominator.t_list")
     grid = Grid.uniform(scfg.grid)
     rows, slopes = [], {}
@@ -413,9 +417,13 @@ def cmd_stepsize_sweep(cfg, outdir: Path) -> tuple:
         raise ParameterError("stepsize-sweep needs a nonempty h list")
     if target.dim != 1:
         raise ParameterError("stepsize-sweep runs on 1-D targets")
+    names = [f"law_h_{h:.6g}.csv" for h in h_list]
+    if len(set(names)) < len(names):
+        raise ParameterError(f"sweep.h_list gives two stepsizes one law file "
+                             f"{max(names, key=names.count)}; they must differ in 6 digits")
     threshold = cfg["sweep.threshold"]
     summary = []
-    for h in h_list:
+    for h, name in zip(h_list, names):
         trace = evolve_law(dataclasses.replace(scfg, h=h, T=h, n_steps=cfg["sweep.n_steps"]),
                            target)
         kls = [r.kl for r in trace.reports]
@@ -423,7 +431,7 @@ def cmd_stepsize_sweep(cfg, outdir: Path) -> tuple:
         stable = all(k == k and k != float("inf") for k in kls) \
             and kls[-1] <= kls[0] and not trace.folded
         summary.append((h, hit, stable, kls[-1], min(kls)))
-        write_run_csv(outdir / f"law_h_{h:.6g}.csv", trace.reports)
+        write_run_csv(outdir / name, trace.reports)
     _write_csv(outdir / "sweep.csv", "h,steps_to_threshold,stable,terminal_kl,min_kl",
                summary)
     for h, hit, stable, term, _ in summary:

@@ -9,16 +9,16 @@ where G_T is the heat kernel with variance 2T/beta per axis. Both integrals
 use the same Gaussian blur, which factorizes across axes. GridProxOperator's
 step gives rho_T; its score_of_step also gives grad log rho_T from the blur
 with one axis's kernel replaced by its derivative, so the score needs no
-second term to cancel. The operator caches the denominator and, per axis,
-the Toeplitz vectors of the kernel and of its derivative, the derivative
-taken from the flushed kernel; in every dimension each stored vector or
-weighted-matrix entry below the smallest normal float is 0. Every blur is
-one loop over the axes, and the dimension decides only how one axis is
-blurred. For d >= 2 both vectors are laid out as trapezoid matrices per
-axis, so a step costs O(d * G * n) instead of O(G^2). In 1-D the blur is an
-FFT convolution with the cached spectra, of the smallest length 2^k, 3*2^k
-or 5*2^k that is at least 2G - 1; its small entries are recomputed by
-correlating the kernel vector with the nonzero inputs within the kernel's
+second term to cancel. The operator caches the denominator, the score's drift
+-(beta/2) grad V and, per axis, the Toeplitz vectors of the kernel and of its
+derivative, the derivative taken from the flushed kernel; in every dimension
+each stored vector or weighted-matrix entry below the smallest normal float
+is 0. Every blur is one loop over the axes, and the dimension decides only
+how one axis is blurred. For d >= 2 both vectors are laid out as trapezoid
+matrices per axis, so a step costs O(d * G * n) instead of O(G^2). In 1-D the
+blur is an FFT convolution with the cached spectra, of the smallest length
+2^k, 3*2^k or 5*2^k that is at least 2G - 1; its small entries are recomputed
+by correlating the kernel vector with the nonzero inputs within the kernel's
 band, and no G x G matrix is held.
 
 BACKENDS of the operator: "quadrature" computes D by grid quadrature (exact
@@ -132,7 +132,8 @@ class GridProxOperator:
         pts = grid.points
         self.grad_v = target.grad_fn(pts)
         self.grad_v.flags.writeable = False
-        self.e_v = np.exp(-p.beta / 2 * target.eval_fn(pts)).reshape(grid.shape)
+        half_bv = p.beta / 2 * target.eval_fn(pts)
+        self.e_v = np.exp(-half_bv).reshape(grid.shape)
         # per axis (K_i, K_i'): in 1-D (Toeplitz vector, spectrum) pairs, for
         # d >= 2 weighted Toeplitz matrices
         if grid.dim == 1:
@@ -147,18 +148,21 @@ class GridProxOperator:
         else:
             self._axis_kernels = [tuple(_weighted_toeplitz(vec, a) for vec in self._kernels(a))
                                   for a in grid.axes]
-        if backend == "quadrature":
-            self.denom = self.apply_blur(self.e_v)
-        else:
+        self.denom = quad = self.apply_blur(self.e_v)
+        if backend == "laplace_denominator":
             self.denom = np.exp(_log_denominator_laplace(pts, target, p)).reshape(grid.shape)
         if np.any(self.denom <= 0) or not np.all(np.isfinite(self.denom)):
             bad = ~(np.isfinite(self.denom) & (self.denom > 0))
-            half_bv = p.beta / 2 * target.eval_fn(pts)
             raise DegenerateDensityError(
                 f"denominator table has {np.count_nonzero(bad)} of {bad.size} entries "
                 f"nonpositive or non-finite: beta*V/2 reaches {half_bv.max():.4g} on the grid "
                 "and exp(-beta*V/2) underflows to 0 past about 745; a narrower grid or a "
                 "smaller beta avoids this")
+        # -(beta/2) d_i V, laid out like quad (a blur): score_of_step's additions are contiguous
+        self._drift = [np.multiply(g.reshape(grid.shape), -p.beta / 2, out=np.empty_like(quad))
+                       for g in self.grad_v.T]
+        for drift in self._drift:
+            drift.flags.writeable = False
 
     def _kernels(self, axis):
         """Toeplitz vectors (kern, dkern) at the offsets k = -(G-1) .. G-1 of a uniform axis.
@@ -299,15 +303,10 @@ class GridProxOperator:
         # Each Blur_i'[r] becomes score_i in place. A quotient per axis, not
         # one reciprocal: 1/Blur[r] overflows where Blur[r] is subnormal.
         pos = blur > 0
-        dead = ~pos
-        # -(beta/2) d_i V, laid out in memory like the blurs (for d >= 2 they
-        # are axis-permuted views), so that each pass below is contiguous
-        drift = np.empty_like(blur)
-        for i, s in enumerate(score):
-            np.multiply(self.grad_v[:, i].reshape(blur.shape), -self.p.beta / 2, out=drift)
+        for s, drift in zip(score, self._drift):
             np.divide(s, blur, out=s, where=pos)
             s += drift
-            s[dead] = 0.0
+            s[~pos] = 0.0
         return rho_t, mass, score
 
 

@@ -84,12 +84,12 @@ class DensityState:
     grid is the run's Grid, Grid.uniform(cfg.grid), built once per run. chain
     is the density the run evolves (the successive chain or evolve_law's law);
     diagnostics measure it whenever it is set. target is the diagnostics target
-    on the measurement grid, truncation-checked when first built, target_grad
-    its potential's gradient there (the operator's grad_v on its grid), and
+    on the run grid, truncation-checked when first built, target_grad its
+    potential's gradient there (the operator's grad_v if there is one), and
     w2_target its first-axis marginal for W2 (target itself in 1-D). kde
-    pairs the last ensemble object seen with its KDE on the run grid, so a
-    brwp_kde or explicit_flow step reuses the KDE of the diagnostics row just
-    written.
+    pairs the last ensemble object seen with the KDE of its first grid.dim
+    coordinates, so a brwp_kde or explicit_flow step reuses the KDE of the
+    diagnostics row just written.
     """
 
     grid: Grid
@@ -191,9 +191,10 @@ def _grid_operator(cfg: SamplerConfig, target: Potential, state: DensityState):
 
 def _grid_kde(ensemble: ParticleEnsemble, cfg: SamplerConfig,
               state: DensityState) -> GridDensity:
-    """kde(ensemble) on the run grid, computed once per ensemble object."""
+    """kde of the ensemble's first grid.dim coordinates on the run grid, once per ensemble."""
     if state.kde is None or state.kde[0] is not ensemble:
-        state.kde = (ensemble, kde(ensemble, cfg.kde_bandwidth, state.grid))
+        first = ParticleEnsemble(ensemble.points[:, :state.grid.dim])
+        state.kde = (ensemble, kde(first, cfg.kde_bandwidth, state.grid))
     return state.kde[1]
 
 
@@ -234,35 +235,26 @@ class RunResult:
 
 def _diagnose(cfg: SamplerConfig, target: Potential, ensemble: Optional[ParticleEnsemble],
               state: DensityState, k: int, t0: float):
-    """One diagnostics row; it measures state.chain when set, else the ensemble.
+    """One diagnostics row of state.chain when set, else of the ensemble's KDE.
 
-    Its kl_bound is NaN; run fills it in when the target's alpha is known.
+    Against the target, or on the 1-D grid of a d > 1 target its marginal (a
+    NaN row if it has none); run fills in kl_bound when alpha is known.
     """
-    beta = cfg.beta
     marg1d = marginal_target(target)
-    if state.chain is not None:
-        g, meas_target = state.chain, target
-    elif target.dim == state.grid.dim:
-        g, meas_target = _grid_kde(ensemble, cfg, state), target
-    elif marg1d is not None:
-        marg = ParticleEnsemble(ensemble.points[:, :1])
-        g = kde(marg, cfg.kde_bandwidth, state.grid.marginal)
-        meas_target = marg1d
-    else:
+    meas_target = target if target.dim == state.grid.dim else marg1d
+    if meas_target is None:
         return DiagnosticsReport(k, *([float("nan")] * 5))
-    if state.target is None:
-        state.target = target_density(meas_target, g.grid, beta)
-        op = state.operator
-        covered = op is not None and op.grid is g.grid      # built for this target
-        state.target_grad = op.grad_v if covered else meas_target.grad_fn(g.grid.points)
-    kl, fi, m0, tv = divergences(g, state.target, state.target_grad, beta)
-    # W2 in the first dimension, exact quantile coupling
-    if marg1d is None:
-        w2 = float("nan")
-    else:
+    g = state.chain if state.chain is not None else _grid_kde(ensemble, cfg, state)
+    if state.target is None:       # the run's operator, if any, has this target and grid
+        state.target = target_density(meas_target, state.grid, cfg.beta)
+        state.target_grad = (state.operator.grad_v if state.operator is not None
+                             else meas_target.grad_fn(state.grid.points))
+    kl, fi, m0, tv = divergences(g, state.target, state.target_grad, cfg.beta)
+    w2 = float("nan")       # W2 in the first dimension, exact quantile coupling
+    if marg1d is not None:
         if state.w2_target is None:
             state.w2_target = state.target if g.grid.dim == 1 else target_density(
-                marg1d, g.grid.marginal, beta, check_truncation=False)
+                marg1d, g.grid.marginal, cfg.beta, check_truncation=False)
         w2 = (w2_grids_1d(g.marginal_first(), state.w2_target) if state.chain is not None
               else w2_to_target_1d(ensemble.points[:, 0], state.w2_target))
     ms = (time.perf_counter() - t0) * 1000.0 if cfg.record_timing else 0.0
@@ -275,16 +267,16 @@ def run(cfg: SamplerConfig, target: Potential) -> RunResult:
     Deterministic for a fixed config: the RNG is seeded from cfg.seed and
     the semi-implicit modes draw no noise after initialization.
     """
-    # a KDE is made on the target's grid when dim <= 3, else of the first axis
+    grid = Grid.uniform(cfg.grid)
+    on_grid = cfg.method in ("brwp_kde", "brwp_successive", "explicit_flow")
+    if target.dim != grid.dim and (on_grid or grid.dim > 1):
+        raise ParameterError(f"{cfg.method} needs a full grid (target.dim <= 3) of the target's "
+                             f"dimension{'' if on_grid else ' or a 1-D grid'}: "
+                             f"target dim {target.dim}, grid dim {grid.dim}")
     n_bw = 1 if isinstance(cfg.kde_bandwidth, str) else np.size(cfg.kde_bandwidth)
-    if n_bw not in (1, target.dim if target.dim <= 3 else 1):
+    if n_bw not in (1, grid.dim):
         raise ParameterError(f"sampler.kde_bandwidth has {n_bw} entries; give one, or one "
                              f"per axis when target.dim <= 3 (target.dim = {target.dim})")
-    grid = Grid.uniform(cfg.grid)
-    if (cfg.method in ("brwp_kde", "brwp_successive", "explicit_flow")
-            and target.dim != grid.dim):
-        raise ParameterError(f"{cfg.method} needs a grid of the target's dimension: "
-                             f"target dim {target.dim}, grid dim {grid.dim}")
     if target.alpha is not None and cfg.h > theory.max_stepsize(target.alpha):
         warnings.warn(f"h={cfg.h} exceeds the maximum stable stepsize "
                       f"2/(3*alpha)={theory.max_stepsize(target.alpha):.4f}",

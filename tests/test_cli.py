@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import brwplab
-from brwplab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _write_csv,
-                         load_config, main, parse_value)
+from brwplab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _git_describe,
+                         _write_csv, load_config, main, parse_value)
 
 from conftest import read_density_csv
 
@@ -119,6 +119,12 @@ class TestConfigParsing:
         (("sample", "--sampler.seed", "-1"), EXIT_CONFIG, "sampler.seed must be >= 0"),
         (("sample", "--target.id", "gaussian_mixture", "--target.dim", "3",
           "--target.a", "1,2"), EXIT_CONFIG, "target.a has 2 entries but target.dim is 3"),
+        (("prox-evolve", "--target.dim", "4"), EXIT_CONFIG,
+         "prox-evolve needs a full grid (target.dim <= 3), got target.dim = 4"),
+        (("order-check", "--target.id", "gaussian_mixture", "--target.dim", "4"), EXIT_CONFIG,
+         "order-check needs a full grid (target.dim <= 3), got target.dim = 4"),
+        (("denominator-check", "--target.dim", "4"), EXIT_CONFIG,
+         "denominator-check needs a full grid (target.dim <= 3), got target.dim = 4"),
     ])
     def test_value_takes_the_type_of_its_default(self, tmp_path, capsys, argv, code, message):
         out = tmp_path / "t"
@@ -182,14 +188,15 @@ class TestSample:
 
     @pytest.mark.parametrize("method", ["brwp_kde", "brwp_successive", "explicit_flow"])
     def test_grid_method_needs_target_dim_grid(self, tmp_path, method, capsys):
-        # a 4-D target gets a 3-D grid: refused before the first diagnostics row
+        # a 4-D target gets the 1-D grid of its first axis: refused before the
+        # first diagnostics row
         out = tmp_path / "g"
         code = run_cli("sample", "--out", str(out), "--target.dim", "4",
                        "--sampler.method", method, "--sampler.n_steps", "1",
                        "--sampler.n_particles", "16", "--plot", "false")
         assert code == EXIT_CONFIG
-        assert f"{method} needs a grid of the target's dimension: target dim 4, grid dim 3" \
-            in capsys.readouterr().err
+        assert (f"{method} needs a full grid (target.dim <= 3) of the target's dimension: "
+                "target dim 4, grid dim 1") in capsys.readouterr().err
         assert not (out / "run.csv").exists()
 
     def test_narrow_grid_is_numerical_abort(self, tmp_path, capsys):
@@ -382,6 +389,17 @@ class TestStepsizeSweep:
         manifest = json.loads((mix / "manifest.json").read_text())
         assert "optimal_stepsize" not in manifest and "max_stepsize" not in manifest
 
+    @pytest.mark.parametrize("h_list, name", [("0.1666666,0.1666667", "law_h_0.166667.csv"),
+                                              ("0.2,0.4,0.2", "law_h_0.2.csv")])
+    def test_stepsizes_sharing_a_law_file_are_config_error(self, tmp_path, capsys,
+                                                           h_list, name):
+        out = tmp_path / "sw"
+        code = run_cli("stepsize-sweep", "--out", str(out), "--sweep.h_list", h_list,
+                       "--sweep.n_steps", "5", "--plot", "false")
+        assert code == EXIT_CONFIG
+        assert f"sweep.h_list gives two stepsizes one law file {name}" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_empty_h_list_is_config_error(self, tmp_path):
         code = run_cli("stepsize-sweep", "--out", str(tmp_path / "sw2"),
                        "--sweep.h_list", "")
@@ -458,6 +476,13 @@ def test_csv_writer_fields(tmp_path):
     _write_csv(tmp_path / "headed.csv", "a,b,c,d,e",
                [(True, 3, 0.1, np.float64(0.25), float("nan"))])
     assert (tmp_path / "headed.csv").read_text() == "a,b,c,d,e\ntrue,3,0.1,0.25,nan\n"
+
+
+def test_git_describe_is_the_package_checkout_from_any_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(Path(brwplab.__file__).parent)
+    in_package = _git_describe()
+    monkeypatch.chdir(tmp_path)
+    assert _git_describe() == in_package
 
 
 def test_unknown_positional_is_config_error(tmp_path):

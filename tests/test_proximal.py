@@ -547,6 +547,29 @@ def test_score_of_step_pass_counts(monkeypatch, dim, passes, ffts):
     assert calls == {"tensordot": passes, "rfft": ffts}
 
 
+@pytest.mark.parametrize("backend", ["quadrature", "laplace_denominator"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_drift_is_built_once_and_read_only(backend, dim):
+    # -(beta/2) d_i V per axis, laid out like a blur on both backends; the
+    # Laplace denominator is C-ordered, so it does not give that layout
+    axes = tuple(uniform_axis(-6.0, 6.0, 33) for _ in range(dim))
+    grid = Grid(axes)
+    rho0 = GridDensity(grid, np.exp(-sum(m ** 2 for m in grid.mesh) / 4.0)).normalize()
+    op = GridProxOperator(grid, make_quadratic(1.0, dim), ProxParams(T=0.1, beta=2.0), backend)
+    blur = op.apply_blur(rho0.values)
+    before = [drift.copy() for drift in op._drift]
+    assert len(op._drift) == dim
+    for drift, grad in zip(op._drift, op.grad_v.T):
+        assert not drift.flags.writeable
+        assert drift.strides == blur.strides
+        assert np.array_equal(drift, -grad.reshape(grid.shape))     # beta/2 = 1
+        with pytest.raises(ValueError):
+            drift[...] = 0.0
+    for _ in range(3):
+        op.score_of_step(rho0)
+    assert all(np.array_equal(drift, ref) for drift, ref in zip(op._drift, before))
+
+
 @pytest.mark.parametrize("T", [0.002, 0.01])
 def test_small_t_score_matches_gaussian_closed_form(axis_default, quad1d, T):
     # rho0 = N(0, v0) at half its decay bound, so rho_T = N(0, var_t) and the

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from brwplab.density import (Grid, ParticleEnsemble, kl_divergence, target_density,
-                             uniform_axis)
+from brwplab.cli import DEFAULTS, grid_spec
+from brwplab.density import (Grid, ParticleEnsemble, kde, kl_divergence, relative_entropy,
+                             target_density, uniform_axis)
 from brwplab.errors import EvaluationError, ParameterError
 from brwplab.potentials import make_gaussian_mixture, make_quadratic
 from brwplab.samplers import (DensityState, SamplerConfig, brwp_step,
@@ -405,3 +406,20 @@ def test_high_dim_particle_run_reports_marginal_diagnostics():
     result = run(cfg, target)
     assert np.isfinite(result.reports[-1].kl)
     assert result.ensemble.dim == 10
+
+
+def test_high_dim_run_measures_its_first_axis_on_one_grid(monkeypatch):
+    # past d = 3 the CLI's grid is the single axis the diagnostics read
+    target = make_gaussian_mixture(2.0, 1.0, dim=10)
+    spec = grid_spec({**DEFAULTS, "target.id": "gaussian_mixture"}, target.dim)
+    cfg = SamplerConfig(method="brwp_particle", h=0.02, n_particles=200, n_steps=1,
+                        seed=0, grid=spec)
+    grids = []
+    real = Grid.__post_init__
+    monkeypatch.setattr(Grid, "__post_init__", lambda self: grids.append(self) or real(self))
+    result = run(cfg, target)
+    assert len(grids) == 1 and grids[0].shape == (41,)
+    ens0 = initial_ensemble(cfg, target.dim, np.random.default_rng(cfg.seed))
+    g = kde(ParticleEnsemble(ens0.points[:, :1]), cfg.kde_bandwidth, grids[0])
+    rs = target_density(marginal_target(target), grids[0], cfg.beta)
+    assert result.reports[0].kl == relative_entropy(g, rs)

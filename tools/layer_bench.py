@@ -2,24 +2,26 @@
 
     python tools/layer_bench.py SRC_A SRC_B [--pairs N]
 
-Both trees are loaded into this one process, SRC/src/brwplab as the
-packages brwplab_a and brwplab_b (the package imports only relatively), so
-the two share one interpreter, one numpy and one heap, and a figure does not
-carry the spread between fresh processes. Each tree builds four operators
-with fixed inputs: 2401 points on +-12 for the 1-D Gaussian mixture, and
-161^2 and 41^3 on +-12 for the quadratic, all at T = 0.05 and beta = 1, with
-rho0 a Gaussian of variance 1 centred at 0.3 on every axis; and "2401z",
-which times the 1-D blur's tail repair as evolve_law exercises it: the 1-D
-quadratic at T = 1/3, with that rho0 set to 0 outside [-4, 4], as the law's
-pushforward leaves it. The layers are build (the GridProxOperator
-construction, on a grid whose points and weights are already cached),
-score_of_step and apply_blur. In each pair, for each grid and layer, both
-trees take 3 warm-up calls and then 30 timed calls, alternating A and B call
-by call (B first in every other pair); a tree's figure for the pair is the
-median of its 30 calls. For each grid and layer the report gives each
-tree's median and quartiles over the pairs, and how many pairs B ran faster
-than A, ties counting for neither. It also prints the BLAS thread
-variables, the numpy version and the core count.
+Both trees are loaded into this one process, SRC/src/brwplab as the packages
+brwplab_a and brwplab_b (the package imports only relatively), so the two
+share one interpreter, one numpy and one heap, and a figure does not carry
+the spread between fresh processes. Each tree builds five operators with
+fixed inputs: 2401 points on +-12 for the 1-D Gaussian mixture, and 161^2
+and 41^3 on +-12 for the quadratic, all at T = 0.05 and beta = 1, with rho0
+a Gaussian of variance 1 centred at 0.3 on every axis; "2401z", which times
+the 1-D blur's tail repair as evolve_law exercises it: the 1-D quadratic at
+T = 1/3, with that rho0 set to 0 outside [-4, 4], as the law's pushforward
+leaves it; and "41^3lap", the 41^3 operator with the laplace_denominator
+backend, whose denominator is C-ordered rather than laid out like a blur.
+Every other operator uses the quadrature backend. The layers are build (the
+GridProxOperator construction, on a grid whose points and weights are
+already cached), score_of_step and apply_blur. In each pair, for each grid
+and layer, both trees take 3 warm-up calls and then 30 timed calls,
+alternating A and B call by call (B first in every other pair); a tree's
+figure for the pair is the median of its 30 calls. For each grid and layer
+the report gives each tree's median and quartiles over the pairs, and how
+many pairs B ran faster than A, ties counting for neither. It also prints
+the BLAS thread variables, the numpy version and the core count.
 """
 
 from __future__ import annotations
@@ -57,14 +59,17 @@ def layer_calls(src: Path, name: str) -> dict:
     """{grid: {layer: zero-argument call}} for the operators of one tree."""
     density, potentials, proximal = load_tree(src, name)
     calls = {}
-    for label, dim, n, target, T, support in (
-            ("2401", 1, 2401, potentials.make_gaussian_mixture(2.0, 1.0, dim=1), 0.05, None),
-            ("2401z", 1, 2401, potentials.make_quadratic(1.0, 1), 1 / 3, 4.0),
-            ("161^2", 2, 161, potentials.make_quadratic(1.0, 2), 0.05, None),
-            ("41^3", 3, 41, potentials.make_quadratic(1.0, 3), 0.05, None)):
+    quad, lap = "quadrature", "laplace_denominator"
+    for label, dim, n, target, T, support, backend in (
+            ("2401", 1, 2401, potentials.make_gaussian_mixture(2.0, 1.0, dim=1), 0.05, None,
+             quad),
+            ("2401z", 1, 2401, potentials.make_quadratic(1.0, 1), 1 / 3, 4.0, quad),
+            ("161^2", 2, 161, potentials.make_quadratic(1.0, 2), 0.05, None, quad),
+            ("41^3", 3, 41, potentials.make_quadratic(1.0, 3), 0.05, None, quad),
+            ("41^3lap", 3, 41, potentials.make_quadratic(1.0, 3), 0.05, None, lap)):
         grid = density.Grid((density.uniform_axis(-12.0, 12.0, n),) * dim)
         build = functools.partial(proximal.GridProxOperator, grid, target,
-                                  proximal.ProxParams(T=T, beta=1.0))
+                                  proximal.ProxParams(T=T, beta=1.0), backend)
         op = build()
         vals = np.exp(-sum((m - 0.3) ** 2 for m in grid.mesh) / 2)
         if support is not None:
