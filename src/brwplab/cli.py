@@ -458,51 +458,41 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # honor --threads before numpy is imported anywhere; it overrides the
-    # thread variables the process inherited
-    for i, tok in enumerate(argv):
-        name, eq, value = tok.partition("=")
-        if name != "--threads":
-            continue
-        if not eq:
-            value = argv[i + 1] if i + 1 < len(argv) else ""
-        if not value or value.startswith("--"):
-            print("missing value for --threads", file=sys.stderr)
-            return EXIT_CONFIG
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = value
-    # no abbreviations: "--thr 1" must not reach --threads past the pin above
+    # no abbreviations: "--thr 1" must not reach --threads; an argparse error is
+    # a configuration error, not a SystemExit
     parser = argparse.ArgumentParser(prog="brwplab", description=__doc__,
-                                     allow_abbrev=False)
+                                     allow_abbrev=False, exit_on_error=False)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--out", default="out", help="artifact directory")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None,
-                        help="BLAS thread budget; overrides OMP/OPENBLAS/MKL_NUM_THREADS. "
-                             "Reruns at the same count give identical bytes")
-    args, rest = parser.parse_known_args(argv)
-    overrides = {}
-    i = 0
-    while i < len(rest):
-        tok = rest[i]
-        if not tok.startswith("--"):
-            print(f"unexpected argument {tok!r}", file=sys.stderr)
-            return EXIT_CONFIG
-        key = tok[2:]
-        if "=" in key:
-            key, val = key.split("=", 1)
-        else:
-            if i + 1 >= len(rest):
-                print(f"missing value for --{key}", file=sys.stderr)
-                return EXIT_CONFIG
-            val = rest[i + 1]
-            i += 1
-        overrides[key] = parse_value(val)
-        i += 1
-
+                        help="BLAS thread budget, at least 1; overrides "
+                             "OMP/OPENBLAS/MKL_NUM_THREADS. Reruns at the same count give "
+                             "identical bytes")
     try:
+        args, rest = parser.parse_known_args(sys.argv[1:] if argv is None else argv)
+        if args.threads is not None:    # pin BLAS before numpy loads, over inherited values
+            if args.threads < 1:
+                raise ParameterError(f"--threads must be at least 1, got {args.threads}")
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+                os.environ[var] = str(args.threads)
+        overrides = {}
+        i = 0
+        while i < len(rest):
+            tok = rest[i]
+            if not tok.startswith("--"):
+                raise ParameterError(f"unexpected argument {tok!r}")
+            key = tok[2:]
+            if "=" in key:
+                key, val = key.split("=", 1)
+            else:
+                if i + 1 >= len(rest):
+                    raise ParameterError(f"missing value for --{key}")
+                val = rest[i + 1]
+                i += 1
+            overrides[key] = parse_value(val)
+            i += 1
         cfg = resolve_config(args, overrides)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -513,7 +503,7 @@ def main(argv=None) -> int:
         if cfg["timing.record"]:
             print(f"total {1000 * runtime_s:.0f} ms")
         return code
-    except (ParameterError, ValueError, OSError) as exc:
+    except (argparse.ArgumentError, ParameterError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

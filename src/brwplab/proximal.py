@@ -148,9 +148,8 @@ class GridProxOperator:
         else:
             self._axis_kernels = [tuple(_weighted_toeplitz(vec, a) for vec in self._kernels(a))
                                   for a in grid.axes]
-        self.denom = quad = self.apply_blur(self.e_v)
-        if backend == "laplace_denominator":
-            self.denom = np.exp(_log_denominator_laplace(pts, target, p)).reshape(grid.shape)
+        self.denom = (self.apply_blur(self.e_v) if backend == "quadrature" else
+                      np.exp(_log_denominator_laplace(pts, target, p)).reshape(grid.shape))
         if np.any(self.denom <= 0) or not np.all(np.isfinite(self.denom)):
             bad = ~(np.isfinite(self.denom) & (self.denom > 0))
             raise DegenerateDensityError(
@@ -158,11 +157,13 @@ class GridProxOperator:
                 f"nonpositive or non-finite: beta*V/2 reaches {half_bv.max():.4g} on the grid "
                 "and exp(-beta*V/2) underflows to 0 past about 745; a narrower grid or a "
                 "smaller beta avoids this")
-        # -(beta/2) d_i V, laid out like quad (a blur): score_of_step's additions are contiguous
-        self._drift = [np.multiply(g.reshape(grid.shape), -p.beta / 2, out=np.empty_like(quad))
-                       for g in self.grad_v.T]
-        for drift in self._drift:
-            drift.flags.writeable = False
+        # -(beta/2) d_i V per axis, each laid out like a blur's output (last axis
+        # outermost, see _axis_blurs): score_of_step's additions are contiguous
+        shape = grid.shape
+        drift = np.moveaxis(np.empty((grid.dim,) + shape[-1:] + shape[:-1]), 1, -1)
+        np.multiply(self.grad_v.T.reshape(drift.shape), -p.beta / 2, out=drift)
+        drift.flags.writeable = False
+        self._drift = list(drift)
 
     def _kernels(self, axis):
         """Toeplitz vectors (kern, dkern) at the offsets k = -(G-1) .. G-1 of a uniform axis.

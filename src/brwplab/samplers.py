@@ -128,8 +128,9 @@ def interp_at(axes, fields, pts: np.ndarray):
         dx = a[1] - a[0]
         t = (pts[:, i] - a[0]) / dx
         clamped |= (t < 0) | (t > a.size - 1)
+        # past 16,384 points the clip rounds to a.size - 1; the cap keeps its cell
         t = np.clip(t, 0.0, a.size - 1 - 1e-12)
-        i0 = np.floor(t).astype(int)
+        i0 = np.minimum(np.floor(t).astype(int), a.size - 2)
         idx.append(i0)
         frac.append(t - i0)
     out = np.zeros((n_pts, len(fields)))

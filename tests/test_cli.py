@@ -207,6 +207,16 @@ class TestSample:
         assert code == EXIT_NUMERIC
         assert "widen the grid" in capsys.readouterr().err
 
+    def test_grid_past_16384_points_is_numerical_abort(self, tmp_path, capsys):
+        # 6.5% of the particles start past the right edge of a 20001-point grid
+        code = run_cli("sample", "--out", str(tmp_path / "n"), "--grid.lo", "-8",
+                       "--grid.hi", "8", "--grid.n", "20001", "--sampler.init_sigma_sq", "20",
+                       "--sampler.n_particles", "200", "--sampler.n_steps", "1",
+                       "--plot", "false")
+        assert code == EXIT_NUMERIC
+        assert ("6.5% of particles left the score grid (> 1%); widen the grid"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("backend, bad", [("quadrature", 634),
                                               ("laplace_denominator", 632)])
     def test_underflowing_denominator_says_why(self, tmp_path, capsys, backend, bad):
@@ -230,7 +240,22 @@ class TestThreads:
                                       ("sample", "--threads", "--out", "x")])
     def test_missing_value_is_config_error(self, argv, capsys):
         assert run_cli(*argv) == EXIT_CONFIG
-        assert "missing value for --threads" in capsys.readouterr().err
+        assert "argument --threads: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_below_one_is_config_error(self, value, tmp_path, monkeypatch, capsys):
+        for var in self.VARS:
+            monkeypatch.setenv(var, "7")
+        assert run_cli("sample", "--threads", value, "--out", str(tmp_path / "t")) == EXIT_CONFIG
+        assert f"--threads must be at least 1, got {value}" in capsys.readouterr().err
+        assert [os.environ[var] for var in self.VARS] == ["7", "7", "7"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sample", "--seed", "abc"), "argument --seed: invalid int value: 'abc'"),
+        (("bogus",), "argument command: invalid choice: 'bogus'")])
+    def test_argparse_error_is_config_error(self, argv, message, tmp_path, capsys):
+        assert run_cli(*argv, "--out", str(tmp_path / "t")) == EXIT_CONFIG
+        assert f"configuration error: {message}" in capsys.readouterr().err
 
     def test_overrides_inherited_thread_variables(self, tmp_path, monkeypatch):
         for var in self.VARS:

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from brwplab.cli import DEFAULTS, grid_spec
 from brwplab.density import (Grid, ParticleEnsemble, kde, kl_divergence, relative_entropy,
                              target_density, uniform_axis)
 from brwplab.errors import EvaluationError, ParameterError
-from brwplab.potentials import make_gaussian_mixture, make_quadratic
+from brwplab.potentials import (make_gaussian_mixture, make_nonsmooth_mixture,
+                                make_quadratic)
 from brwplab.samplers import (DensityState, SamplerConfig, brwp_step,
                               evolve_law, explicit_flow_step, initial_ensemble,
                               initial_grid_density, interp_at, marginal_target, run,
@@ -66,6 +69,29 @@ class TestInterpolation:
         assert clamped == 0
         assert np.allclose(vals[:, 0], 2 * pts[:, 0] - 0.5 * pts[:, 1] + 1.0, atol=1e-12)
 
+    # the edge's t is 20000 + 2e-9, so it counts as clamped
+    @pytest.mark.parametrize("x, clamped", [(8.0, 1), (9.0, 1), (-9.0, 1), (7.9996, 0)])
+    def test_past_16384_points_the_edge_cells_hold(self, x, clamped):
+        # a.size - 1 - 1e-12 rounds to a.size - 1 here; the last cell is still the one read
+        a = uniform_axis(-8.0, 8.0, 20001)
+        vals, n_clamped = interp_at((a,), [2.0 * a + 1.0], np.array([[x]]))
+        assert vals[0, 0] == pytest.approx(2.0 * np.clip(x, -8.0, 8.0) + 1.0, rel=1e-12)
+        assert n_clamped == clamped
+
+    def test_one_clamped_particle_warns_with_the_count(self, quad1d):
+        cfg = SamplerConfig(method="brwp_successive", h=0.02, n_particles=200,
+                            n_steps=1, grid=((-12.0, 12.0, 2401),))
+        pts = np.random.default_rng(0).standard_normal((200, 1))
+        pts[7, 0] = 50.0  # 0.5% outside the grid
+        grid = Grid.uniform(cfg.grid)
+        state = DensityState(grid, chain=initial_grid_density(cfg, grid))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = brwp_step(ParticleEnsemble(pts), quad1d, cfg, state)
+        assert [str(w.message) for w in caught if "clamped" in str(w.message)] == [
+            "1 particle(s) clamped to the score grid edge"]
+        assert np.all(np.isfinite(out.points))
+
     def test_excessive_clamping_aborts(self, quad1d):
         cfg = SamplerConfig(method="brwp_successive", h=0.02, n_particles=50,
                             n_steps=1, grid=((-12.0, 12.0, 2401),))
@@ -75,6 +101,20 @@ class TestInterpolation:
         state = DensityState(grid, chain=initial_grid_density(cfg, grid))
         with pytest.raises(EvaluationError):
             brwp_step(ParticleEnsemble(pts), quad1d, cfg, state)
+
+
+class TestBrwpStepRefusals:
+    def test_successive_state_without_chain(self, quad1d):
+        cfg = SamplerConfig(method="brwp_successive", n_particles=10, n_steps=1)
+        state = DensityState(Grid.uniform(cfg.grid))
+        with pytest.raises(ParameterError, match="successive mode needs an initial chain"):
+            brwp_step(ParticleEnsemble(np.zeros((10, 1))), quad1d, cfg, state)
+
+    def test_ula_config(self, quad1d):
+        cfg = SamplerConfig(method="ula", n_particles=10, n_steps=1)
+        state = DensityState(Grid.uniform(cfg.grid))
+        with pytest.raises(ParameterError, match="brwp_step cannot run method 'ula'"):
+            brwp_step(ParticleEnsemble(np.zeros((10, 1))), quad1d, cfg, state)
 
 
 class TestSuccessiveMode:
@@ -423,3 +463,13 @@ def test_high_dim_run_measures_its_first_axis_on_one_grid(monkeypatch):
     g = kde(ParticleEnsemble(ens0.points[:, :1]), cfg.kde_bandwidth, grids[0])
     rs = target_density(marginal_target(target), grids[0], cfg.beta)
     assert result.reports[0].kl == relative_entropy(g, rs)
+
+
+def test_past_d3_without_marginal_every_row_is_nan():
+    # gauss_laplace has no catalog marginal: nothing to measure the 1-D grid against
+    target = make_nonsmooth_mixture("gauss_laplace", dim=4)
+    cfg = SamplerConfig(method="ula", n_particles=100, n_steps=3, seed=0)
+    result = run(cfg, target)
+    assert [r.iter for r in result.reports] == [0, 1, 2, 3]
+    for r in result.reports:
+        assert all(math.isnan(v) for v in (r.kl, r.fisher, r.m0, r.tv, r.w2, r.kl_bound))

@@ -62,6 +62,10 @@ PRESETS = {
     "kde_laplace": ["sample", "--target.id", "gaussian_mixture", "--sampler.method",
                     "brwp_kde", "--sampler.backend", "laplace_denominator",
                     "--sampler.n_steps", "10"],
+    # the Laplace denominator above d = 1: its drift fields take the blur's layout
+    "successive_3d_laplace": ["sample", "--target.dim", "3", "--sampler.method",
+                              "brwp_successive", "--sampler.backend", "laplace_denominator",
+                              "--sampler.n_steps", "3"],
     # grid KDE, no operator
     "particle_2d": ["sample", "--target.id", "gaussian_mixture", "--target.dim", "2",
                     "--sampler.method", "brwp_particle", "--sampler.n_steps", "5"],
