@@ -78,26 +78,8 @@ GRID_N_BY_DIM = {2: 161, 3: 41}
 _VECTOR_KEYS = ("target.a", "sampler.kde_bandwidth")   # may also be lists of numbers
 
 
-def parse_value(text: str):
-    t = text.strip()
-    if t.lower() in ("true", "false"):
-        return t.lower() == "true"
-    if t.lower() in ("none", ""):
-        return None
-    if "," in t:
-        try:
-            return [float(v) for v in t.split(",") if v.strip()]
-        except ValueError:
-            return t
-    for cast in (int, float):
-        try:
-            return cast(t)
-        except ValueError:
-            pass
-    return t
-
-
 def load_config(path) -> dict:
+    """The file's {key: value text}; _typed reads each text."""
     cfg = {}
     with open(path) as f:
         for line_no, line in enumerate(f, 1):
@@ -107,44 +89,58 @@ def load_config(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{line_no}: expected 'key = value'")
             key, value = line.split("=", 1)
-            cfg[key.strip()] = parse_value(value)
+            cfg[key.strip()] = value
     return cfg
 
 
 def resolve_config(args, overrides) -> dict:
-    cfg = dict(DEFAULTS)
-    if args.config:
-        cfg.update(load_config(args.config))
-    cfg.update(overrides)
-    unknown = sorted(set(cfg) - set(DEFAULTS))
+    """DEFAULTS with the texts of the config file, then of overrides, typed."""
+    texts = load_config(args.config) if args.config else {}
+    texts.update(overrides)
+    unknown = sorted(set(texts) - set(DEFAULTS))
     if unknown:
         raise ParameterError(f"unknown config key(s) {', '.join(unknown)}")
     if args.seed is not None:
-        cfg["sampler.seed"] = args.seed
-    return {key: _typed(key, value) for key, value in cfg.items()}
+        texts["sampler.seed"] = str(args.seed)
+    return {key: _typed(key, texts[key]) if key in texts else default
+            for key, default in DEFAULTS.items()}
 
 
-def _typed(key: str, value, kind=None):
-    """value in the type of key's default (or kind); a ParameterError naming key otherwise.
+def _typed(key: str, text: str, kind=None):
+    """text read once, in the type of key's default (or kind); a ParameterError
+    naming key and quoting text otherwise.
 
-    Numbers are finite, int keys and grid.n integral; a None default admits a
-    number. A list key takes one number as a one-entry list.
+    A bool key takes true or false in any case, a str key the text, and a None
+    default also none or nothing. Numbers are finite; an int key's (and
+    grid.n's) are integral and stay exact. A list key, and a vector key given
+    a comma, holds one or more comma-separated numbers.
     """
-    default = DEFAULTS[key]
+    default, t = DEFAULTS[key], text.strip()
     kind = kind or (int if key == "grid.n" else type(default))
-    if isinstance(value, list) and (kind is list or key in _VECTOR_KEYS):
-        return [_typed(key, v, float) for v in value]
-    if kind is list:
-        return [_typed(key, value, float)]
-    if kind in (bool, str) and type(value) is kind or value is default is None:
-        return value
-    if kind is bool or kind is str and key not in _VECTOR_KEYS:
-        want = "true or false" if kind is bool else "a string"
-        raise ParameterError(f"{key} must be {want}, got {value!r}")
-    if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
-        raise ParameterError(f"{key} must be a finite number, got {value!r}")
+    if kind is list or key in _VECTOR_KEYS and "," in t:
+        values = [_typed(key, v, float) for v in t.split(",") if v.strip()]
+        if not values:
+            raise ParameterError(f"{key} must hold at least one number")
+        return values
+    if kind is bool and t.lower() in ("true", "false"):
+        return t.lower() == "true"
+    if kind is bool:
+        raise ParameterError(f"{key} must be true or false, got {text!r}")
+    if default is None and t.lower() in ("none", ""):
+        return None
+    value = None
+    for cast in (int, float):       # int first: an integer stays exact
+        try:
+            value = cast(t)
+            break
+        except ValueError:
+            pass
+    if kind is str and (value is None or key not in _VECTOR_KEYS):
+        return t
+    if value is None or not abs(value) <= sys.float_info.max:
+        raise ParameterError(f"{key} must be a finite number, got {text!r}")
     if kind is int and not float(value).is_integer():
-        raise ParameterError(f"{key} must be an integer, got {value!r}")
+        raise ParameterError(f"{key} must be an integer, got {text!r}")
     return int(value) if kind is int else float(value)
 
 
@@ -413,8 +409,6 @@ def cmd_stepsize_sweep(cfg, outdir: Path) -> tuple:
     from .samplers import evolve_law
     target, scfg = _setup(cfg)
     h_list = cfg["sweep.h_list"]
-    if not h_list:
-        raise ParameterError("stepsize-sweep needs a nonempty h list")
     if target.dim != 1:
         raise ParameterError("stepsize-sweep runs on 1-D targets")
     names = [f"law_h_{h:.6g}.csv" for h in h_list]
@@ -457,11 +451,14 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # a configuration error, not a SystemExit
+        raise ParameterError(message)
+
+
 def main(argv=None) -> int:
-    # no abbreviations: "--thr 1" must not reach --threads; an argparse error is
-    # a configuration error, not a SystemExit
-    parser = argparse.ArgumentParser(prog="brwplab", description=__doc__,
-                                     allow_abbrev=False, exit_on_error=False)
+    # no abbreviations: "--thr 1" must not reach --threads
+    parser = _Parser(prog="brwplab", description=__doc__, allow_abbrev=False)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="flat key=value config file")
     parser.add_argument("--out", default="out", help="artifact directory")
@@ -477,22 +474,16 @@ def main(argv=None) -> int:
                 raise ParameterError(f"--threads must be at least 1, got {args.threads}")
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
                 os.environ[var] = str(args.threads)
-        overrides = {}
-        i = 0
-        while i < len(rest):
-            tok = rest[i]
+        overrides, tokens = {}, iter(rest)
+        for tok in tokens:
             if not tok.startswith("--"):
                 raise ParameterError(f"unexpected argument {tok!r}")
-            key = tok[2:]
-            if "=" in key:
-                key, val = key.split("=", 1)
-            else:
-                if i + 1 >= len(rest):
+            key, eq, val = tok[2:].partition("=")
+            if not eq:
+                val = next(tokens, None)
+                if val is None:
                     raise ParameterError(f"missing value for --{key}")
-                val = rest[i + 1]
-                i += 1
-            overrides[key] = parse_value(val)
-            i += 1
+            overrides[key] = val
         cfg = resolve_config(args, overrides)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -503,7 +494,7 @@ def main(argv=None) -> int:
         if cfg["timing.record"]:
             print(f"total {1000 * runtime_s:.0f} ms")
         return code
-    except (argparse.ArgumentError, ParameterError, ValueError, OSError) as exc:
+    except (ParameterError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -1,7 +1,9 @@
+import argparse
 import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -12,7 +14,7 @@ import pytest
 
 import brwplab
 from brwplab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _git_describe,
-                         _write_csv, load_config, main, parse_value)
+                         _write_csv, load_config, main, resolve_config)
 
 from conftest import read_density_csv
 
@@ -22,13 +24,22 @@ def run_cli(*args):
 
 
 class TestConfigParsing:
-    def test_parse_value_types(self):
-        assert parse_value("0.5") == 0.5
-        assert parse_value("42") == 42
-        assert parse_value("true") is True
-        assert parse_value("auto") == "auto"
-        assert parse_value("0.1,0.2") == [0.1, 0.2]
-        assert parse_value("none") is None
+    def test_manifest_records_each_text_in_its_keys_type(self, tmp_path):
+        out = tmp_path / "typed"
+        code = run_cli("sample", "--out", str(out), "--target.id", "gaussian_mixture",
+                       "--target.a", "2", "--grid.n", "2401.0", "--sampler.T", "none",
+                       "--plot", "FALSE", "--sampler.method", "brwp_kde",
+                       "--sampler.n_steps", "2", "--sampler.n_particles", "64",
+                       "--sampler.kde_bandwidth", "auto", "--sweep.h_list", "0.5",
+                       "--sampler.h=0.04")
+        assert code == EXIT_OK
+        text = (out / "manifest.json").read_text()
+        for line in ('"target.a": 2.0,', '"grid.n": 2401,', '"sampler.T": null,',
+                     '"plot": false,', '"sampler.kde_bandwidth": "auto",',
+                     '"sampler.h": 0.04,'):
+            assert line in text
+        assert json.loads(text)["config"]["sweep.h_list"] == [0.5]
+        assert not (out / "histogram.svg").exists()
 
     def test_load_config_file(self, tmp_path):
         cfg_file = tmp_path / "exp.cfg"
@@ -37,10 +48,30 @@ class TestConfigParsing:
             "sampler.h = 0.02\n"
             "target.id = gaussian_mixture   # trailing comment\n"
             "sweep.h_list = 0.1,0.2\n")
-        cfg = load_config(cfg_file)
+        texts = load_config(cfg_file)
+        assert [texts[k].strip() for k in ("sampler.h", "target.id", "sweep.h_list")] == \
+            ["0.02", "gaussian_mixture", "0.1,0.2"]
+        cfg = resolve_config(argparse.Namespace(config=cfg_file, seed=None), {})
         assert cfg["sampler.h"] == 0.02
         assert cfg["target.id"] == "gaussian_mixture"
         assert cfg["sweep.h_list"] == [0.1, 0.2]
+
+    @pytest.mark.parametrize("argv", [("stepsize-sweep", "--sweep.h_list", ""),
+                                      ("stepsize-sweep", "--sweep.h_list", ","),
+                                      ("denominator-check", "--denominator.y_list", ",")])
+    def test_list_without_a_number_is_config_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "e"
+        assert run_cli(*argv, "--out", str(out)) == EXIT_CONFIG
+        key = argv[1][2:]
+        assert f"configuration error: {key} must hold at least one number\n" == \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_override_without_value_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "m"
+        assert run_cli("sample", "--out", str(out), "--sampler.h") == EXIT_CONFIG
+        assert "configuration error: missing value for --sampler.h" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg_file = tmp_path / "bad.cfg"
@@ -169,6 +200,13 @@ class TestSample:
                 "--sampler.n_particles", "64", "--plot", "false")
         rows = (out / "run.csv").read_text().splitlines()[1:]
         assert all(r.rsplit(",", 1)[1] == "0.0" for r in rows)
+
+    def test_timing_record_prints_the_total(self, tmp_path, capsys):
+        code = run_cli("sample", "--out", str(tmp_path / "t"), "--sampler.n_steps", "2",
+                       "--sampler.n_particles", "64", "--plot", "false",
+                       "--timing.record", "true")
+        assert code == EXIT_OK
+        assert re.search(r"^total \d+ ms$", capsys.readouterr().out, re.MULTILINE)
 
     def test_bad_target_id_is_config_error(self, tmp_path):
         code = run_cli("sample", "--out", str(tmp_path / "x"),
@@ -430,6 +468,14 @@ class TestStepsizeSweep:
                        "--sweep.h_list", "")
         assert code == EXIT_CONFIG
 
+    def test_needs_a_1d_target(self, tmp_path, capsys):
+        out = tmp_path / "sw"
+        code = run_cli("stepsize-sweep", "--out", str(out), "--target.dim", "2")
+        assert code == EXIT_CONFIG
+        assert "configuration error: stepsize-sweep runs on 1-D targets" in \
+            capsys.readouterr().err
+        assert not any(out.iterdir())
+
 
 class TestProxEvolve:
     def test_artifacts(self, tmp_path):
@@ -512,6 +558,13 @@ def test_git_describe_is_the_package_checkout_from_any_directory(tmp_path, monke
 
 def test_unknown_positional_is_config_error(tmp_path):
     assert run_cli("sample", "bogus", "--out", str(tmp_path / "q")) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [[], ["--out", "x"]])
+def test_no_command_is_config_error(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    assert "configuration error: the following arguments are required: command" in \
+        capsys.readouterr().err
 
 
 class TestProxEvolveQuantitative:

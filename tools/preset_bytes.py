@@ -92,6 +92,11 @@ PRESETS = {
     "sweep": ["stepsize-sweep"],
     # stepsizes far below the optimal 1/3: the law map folds in the far tail
     "sweep_small_h": ["stepsize-sweep", "--sweep.h_list", "0.05,0.1"],
+    # values not written in their key's canonical form, and the --key=value form
+    "typed_texts": ["sample", "--target.id", "gaussian_mixture", "--target.a", "2",
+                    "--grid.n", "2401.0", "--sampler.T", "none", "--plot", "FALSE",
+                    "--sampler.method", "brwp_kde", "--sampler.n_steps", "2",
+                    "--sampler.kde_bandwidth", "auto", "--sampler.h=0.05"],
 }
 
 
