@@ -35,7 +35,6 @@ DEFAULTS = {
     "target.id": "quadratic",
     "target.alpha": 1.0,
     "target.a": 2.0,
-    "target.a_mode": "e1",
     "target.sigma": 1.0,
     "target.b": 0.25,
     "target.dim": 1,

@@ -7,6 +7,8 @@ for gradients.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -62,7 +64,7 @@ class Potential:
         return np.median(total, axis=0)
 
 
-def make_quadratic(alpha: float, dim: int) -> Potential:
+def make_quadratic(alpha: float = 1.0, dim: int = 1) -> Potential:
     """V(x) = (alpha/2)|x|^2 with exact gradient alpha*x and Laplacian alpha*d."""
     if alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
@@ -101,26 +103,24 @@ def _mixture_fns(exponents, grads, log_norm: float, beta: float, scale: float = 
     return eval_fn, grad_fn, weights
 
 
-def make_gaussian_mixture(a, sigma: float = 1.0, dim: Optional[int] = None,
+def make_gaussian_mixture(a=2.0, sigma: float = 1.0, dim: Optional[int] = None,
                           beta: float = 1.0) -> Potential:
     """Symmetric two-component Gaussian mixture target.
 
     rho*(x) = [N(x; a, sigma^2 I) + N(x; -a, sigma^2 I)] / 2 and
     V = -log(rho*)/beta, so exp(-beta*V) is exactly the normalized mixture.
-    `a` may be a vector, or a scalar interpreted as a*e_1 when dim > 1.
+    `a` is a scalar, the modes at ±a*e_1, or one number per axis, the modes at ±a.
     """
     if sigma <= 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     a = np.asarray(a, dtype=float)
-    if a.ndim == 0:
-        d = 1 if dim is None else int(dim)
-        a_vec = np.zeros(d)
-        a_vec[0] = float(a)
-    else:
-        a_vec = a.astype(float)
-        d = a_vec.size
-        if dim is not None and dim != d:
-            raise ParameterError(f"dim={dim} conflicts with a of size {d}")
+    d = a.size if a.ndim else 1 if dim is None else int(dim)
+    if a.ndim and dim is not None and dim != d:
+        raise ParameterError(f"target.a has {d} entries but target.dim is {dim}; "
+                             "give one number or one per axis")
+    if d < 1:
+        raise ParameterError(f"dim must be >= 1, got {d}")
+    a_vec = a.copy() if a.ndim else np.where(np.arange(d) == 0, a, 0.0)     # a*e_1
     s2 = sigma * sigma
     log_norm = np.log(2.0) + 0.5 * d * np.log(2.0 * np.pi * s2)
     a_sq = float(np.dot(a_vec, a_vec))
@@ -163,8 +163,6 @@ def make_nonsmooth_mixture(kind: str, sigma: float = 1.0, b: float = 0.25,
     uses |t|^{1/2} -> (t^2+L12_EPS^2)^{1/4}. Laplacians fall back to the shifted
     finite-difference stencil of Potential. No marginal is given.
     """
-    if sigma <= 0 or b <= 0:
-        raise ParameterError("sigma and b must be positive")
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
     c = np.zeros(dim)
@@ -190,6 +188,9 @@ def make_nonsmooth_mixture(kind: str, sigma: float = 1.0, b: float = 0.25,
         log_norm = np.log(2.0 + 0.5 * np.sqrt(np.pi) * np.exp(-L12_EPS * L12_EPS)) \
             if dim == 1 else 0.0
     elif kind == "gauss_laplace":
+        if sigma <= 0 or b <= 0:
+            raise ParameterError("sigma and b must be positive")
+
         def branch_exponents(x):
             g1 = np.sum((x - c) ** 2, axis=1) / (2 * sigma**2)
             g2 = np.sum(np.abs(x + c), axis=1) / (2 * b)
@@ -208,35 +209,20 @@ def make_nonsmooth_mixture(kind: str, sigma: float = 1.0, b: float = 0.25,
     return Potential(dim=dim, eval_fn=eval_fn, grad_fn=grad_fn)
 
 
-def _catalog_mixture(p: dict) -> Potential:
-    """Modes at ±a*e_1 (a_mode "e1"; ±a for a vector a) or at ±a*(1,...,1) ("ones")."""
-    a_mode, a, dim = p.get("a_mode", "e1"), p.get("a", 2.0), int(p.get("dim", 1))
-    if a_mode not in ("e1", "ones"):
-        raise ParameterError(f"a_mode must be 'e1' or 'ones', got {a_mode!r}")
-    if a_mode == "ones" and np.ndim(a) > 0:
-        raise ParameterError(f"target.a must be one number when target.a_mode is 'ones', "
-                             f"got {a!r}")
-    if np.ndim(a) > 0 and np.size(a) != dim:
-        raise ParameterError(f"target.a has {np.size(a)} entries but target.dim is {dim}; "
-                             "give one number or one per axis")
-    return make_gaussian_mixture(a=[a] * dim if a_mode == "ones" else a,
-                                 sigma=p.get("sigma", 1.0), dim=dim, beta=p.get("beta", 1.0))
-
-
 CATALOG = {
-    "quadratic": lambda p: make_quadratic(alpha=p.get("alpha", 1.0), dim=int(p.get("dim", 1))),
-    "gaussian_mixture": _catalog_mixture,
-    "l1_l12": lambda p: make_nonsmooth_mixture(
-        "l1_l12", dim=int(p.get("dim", 1)), beta=p.get("beta", 1.0)),
-    "gauss_laplace": lambda p: make_nonsmooth_mixture(
-        "gauss_laplace", sigma=p.get("sigma", 1.0), b=p.get("b", 0.25),
-        dim=int(p.get("dim", 1)), beta=p.get("beta", 1.0)),
+    "quadratic": make_quadratic,
+    "gaussian_mixture": make_gaussian_mixture,
+    "l1_l12": functools.partial(make_nonsmooth_mixture, "l1_l12"),
+    "gauss_laplace": functools.partial(make_nonsmooth_mixture, "gauss_laplace"),
 }
 
 
 def from_catalog(target_id: str, params: Optional[dict] = None) -> Potential:
-    """Build a catalog potential from its string id and parameter dict."""
+    """Build a catalog potential from its string id and parameter dict; the
+    builder gets the parameters its signature names and ignores the others."""
     if target_id not in CATALOG:
         raise ParameterError(
             f"unknown target id {target_id!r}; known: {sorted(CATALOG)}")
-    return CATALOG[target_id](params or {})
+    build = CATALOG[target_id]
+    names = inspect.signature(build).parameters
+    return build(**{k: v for k, v in (params or {}).items() if k in names})

@@ -75,13 +75,17 @@ def denominator_exact(y, target: Potential, p: ProxParams, grid: Grid) -> float:
                             + np.sum((pts - y) ** 2, axis=1) / (2 * p.T))
     integrand = np.exp(expo).reshape(grid.shape)
     peak = integrand.max()
+    if peak <= 0:
+        raise TruncationError(
+            f"denominator integrand underflows to 0 everywhere on the grid at y = "
+            f"{y.tolist()}: its exponent is at most {expo.max():.4g}")
     boundary = 0.0
     for i in range(d):
         sl = [slice(None)] * d
         for j in (0, -1):
             sl[i] = j
             boundary = max(boundary, float(integrand[tuple(sl)].max()))
-    if peak <= 0 or boundary > DENOM_TAIL_TOL * peak:
+    if boundary > DENOM_TAIL_TOL * peak:
         raise TruncationError(
             f"denominator integrand tail {boundary:.2e} exceeds {DENOM_TAIL_TOL:.0e} "
             "of its peak; widen the grid")

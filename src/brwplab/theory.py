@@ -42,7 +42,8 @@ def _bias_sum(k: int, q: float, r: float, coef: float) -> float:
     This is the exact partial geometric sum behind the bias term; the
     bound's printed form coef*r^k/(r-q) coincides with it when r > q and
     is the magnitude-correct evaluation when r < q (the usual regime,
-    where the printed denominator is negative).
+    where the printed denominator is negative). q**k past the float range
+    raises OverflowError.
     """
     if abs(q - r) < DENOM_EPS:
         raise EvaluationError(
@@ -51,15 +52,20 @@ def _bias_sum(k: int, q: float, r: float, coef: float) -> float:
 
 
 def kl_k_bound(k: int, b: BoundInputs) -> float:
-    """KL bound at step k: exp[-akh(2-(1+2s)ah)]*KL0 plus the M0 bias term."""
+    """KL bound at step k: exp[-akh(2-(1+2s)ah)]*KL0 plus the M0 bias term.
+
+    A factor past the float range makes the bound +inf, whatever KL0 and M0.
+    """
     if k < 0:
         raise ParameterError("k must be nonnegative")
     a, h, s = b.alpha, b.h, b.s
     c1 = a * (2.0 - (1.0 + 2.0 * s) * a * h)
     q = 1.0 - 2.0 * a * h + (1.0 + 2.0 * s) * a * a * h * h
     r = math.exp(-4.0 * a * h)
-    bias = _bias_sum(k, q, r, 0.5 * h * h * s * b.m0)
-    return math.exp(-c1 * k * h) * b.kl0 + bias
+    try:
+        return math.exp(-c1 * k * h) * b.kl0 + _bias_sum(k, q, r, 0.5 * h * h * s * b.m0)
+    except OverflowError:
+        return math.inf
 
 
 def optimal_stepsize(alpha: float) -> float:

@@ -156,6 +156,12 @@ class TestConfigParsing:
          "order-check needs a full grid (target.dim <= 3), got target.dim = 4"),
         (("denominator-check", "--target.dim", "4"), EXIT_CONFIG,
          "denominator-check needs a full grid (target.dim <= 3), got target.dim = 4"),
+        # a vector target.a places the modes: --target.a 2,2,2 is the old a_mode ones
+        (("sample", "--target.a_mode", "ones"), EXIT_CONFIG,
+         "unknown config key(s) target.a_mode"),
+        # l1_l12 reads neither sigma nor b
+        (("sample", "--target.id", "l1_l12", "--target.sigma", "-1", "--target.b", "-1"),
+         EXIT_OK, ""),
     ])
     def test_value_takes_the_type_of_its_default(self, tmp_path, capsys, argv, code, message):
         out = tmp_path / "t"
@@ -269,6 +275,22 @@ class TestSample:
                 "beta*V/2 reaches 1440 on the grid") in err
         assert "a narrower grid or a smaller beta avoids this" in err
         assert not (out / "run.csv").exists()
+
+
+    @pytest.mark.parametrize("method, h, inf_rows", [("ula", "100", [1, 2, 3]),
+                                                      ("brwp_particle", "10", [3])])
+    def test_kl_bound_past_the_float_range_is_inf(self, tmp_path, method, h, inf_rows):
+        out = tmp_path / "s"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # h above the maximum stable stepsize
+            code = run_cli("sample", "--out", str(out), "--sampler.method", method,
+                           "--sampler.h", h, "--sampler.n_steps", "3",
+                           "--sampler.n_particles", "64", "--plot", "false")
+        assert code == EXIT_OK
+        with open(out / "run.csv", newline="") as f:
+            bounds = [r["kl_bound"] for r in csv.DictReader(f)]
+        assert [i for i, b in enumerate(bounds) if b == "inf"] == inf_rows
+        assert all(math.isfinite(float(b)) for b in bounds if b != "inf")
 
 
 class TestThreads:
@@ -398,6 +420,15 @@ class TestDenominatorCheck:
             capsys.readouterr().err
 
 
+    def test_underflowing_integrand_says_so(self, tmp_path, capsys):
+        # at y = 100 the integrand's exponent is below -9700 over the whole ±12 grid
+        code = run_cli("denominator-check", "--out", str(tmp_path / "d"),
+                       "--denominator.y_list", "100", "--plot", "false")
+        assert code == EXIT_NUMERIC
+        assert ("denominator integrand underflows to 0 everywhere on the grid at y = [100.0]"
+                in capsys.readouterr().err)
+
+
 class TestDecayCheck:
     def test_short_quadratic_run_passes(self, tmp_path):
         out = tmp_path / "decay"
@@ -451,6 +482,17 @@ class TestStepsizeSweep:
         assert code == EXIT_OK
         manifest = json.loads((mix / "manifest.json").read_text())
         assert "optimal_stepsize" not in manifest and "max_stepsize" not in manifest
+
+    def test_law_without_mass_is_unstable(self, tmp_path):
+        # the law leaves the grid at step 2: its file holds the rows of steps 0 and 1
+        out = tmp_path / "sw"
+        code = run_cli("stepsize-sweep", "--out", str(out), "--target.alpha", "3",
+                       "--sampler.init_mean", "9", "--sampler.init_sigma_sq", "0.05",
+                       "--sweep.h_list", "1", "--sweep.n_steps", "5", "--plot", "false")
+        assert code == EXIT_OK
+        assert len((out / "law_h_1.csv").read_text().splitlines()) == 1 + 2
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [r["stable"] for r in manifest["summary"]] == [False]
 
     @pytest.mark.parametrize("h_list, name", [("0.1666666,0.1666667", "law_h_0.166667.csv"),
                                               ("0.2,0.4,0.2", "law_h_0.2.csv")])

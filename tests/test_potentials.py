@@ -160,23 +160,30 @@ class TestCatalog:
         with pytest.raises(ParameterError):
             from_catalog("nope")
 
-    def test_a_mode_ones(self):
-        pot = from_catalog("gaussian_mixture", {"dim": 3, "a": 2.0, "a_mode": "ones"})
+    def test_vector_a_places_the_modes_on_every_axis(self):
+        pot = from_catalog("gaussian_mixture", {"dim": 3, "a": [2.0, 2.0, 2.0]})
         x = np.random.default_rng(2).uniform(-4, 4, (10, 3))
         assert pot.eval_fn(x).tolist() == make_gaussian_mixture([2, 2, 2]).eval_fn(x).tolist()
 
-    def test_unknown_a_mode_rejected(self):
-        with pytest.raises(ParameterError, match="a_mode must be 'e1' or 'ones'"):
-            from_catalog("gaussian_mixture", {"dim": 2, "a_mode": "onez"})
+    def test_builders_get_only_the_parameters_they_name(self):
+        pot = from_catalog("l1_l12", {"dim": 2, "sigma": -1.0, "b": -1.0, "alpha": 3.0})
+        x = np.random.default_rng(3).uniform(-4, 4, (10, 2))
+        assert pot.eval_fn(x).tolist() == \
+            make_nonsmooth_mixture("l1_l12", dim=2).eval_fn(x).tolist()
+        with pytest.raises(ParameterError, match="sigma and b must be positive"):
+            from_catalog("gauss_laplace", {"sigma": -1.0})
 
-    def test_vector_a_under_a_mode_ones_rejected(self):
-        with pytest.raises(ParameterError, match="target.a must be one number when "
-                                                 "target.a_mode is 'ones'"):
-            from_catalog("gaussian_mixture", {"dim": 2, "a": [1.0, 2.0], "a_mode": "ones"})
+    @pytest.mark.parametrize("a, dim, message", [
+        ([1.0, 2.0], 3, "target.a has 2 entries but target.dim is 3"),
+        (2.0, 0, "dim must be >= 1, got 0"),
+        (2.0, -1, "dim must be >= 1, got -1")])
+    def test_mixture_size_rules(self, a, dim, message):
+        with pytest.raises(ParameterError, match=message):
+            make_gaussian_mixture(a, dim=dim)
 
     @pytest.mark.parametrize("tid, params, alpha, a0", [
         ("quadratic", {"dim": 4, "alpha": 2.0}, 2.0, None),
-        ("gaussian_mixture", {"dim": 3, "a": 1.5, "a_mode": "ones", "sigma": 0.8}, None, 1.5)])
+        ("gaussian_mixture", {"dim": 3, "a": [1.5, 1.5, 1.5], "sigma": 0.8}, None, 1.5)])
     def test_marginal_is_first_axis_of_target(self, tid, params, alpha, a0):
         m = from_catalog(tid, params).marginal
         assert m.dim == 1 and m.alpha == alpha and m.marginal is None

@@ -396,6 +396,28 @@ class TestStabilityBoundary:
         kls = [r.kl for r in trace.reports]
         assert trace.folded or (kls[-1] > kls[0]) or not all(np.isfinite(kls))
 
+    def test_law_without_mass_stops(self):
+        # the narrow law at 9 is pushed past the grid's edge at step 2
+        cfg = SamplerConfig(h=1.0, n_steps=5, init_mean=9.0, init_sigma_sq=0.05)
+        trace = evolve_law(cfg, make_quadratic(3.0, 1))
+        assert trace.folded
+        assert [r.iter for r in trace.reports] == [0, 1]
+
+    @pytest.mark.parametrize("h, tol", [(1 / 6, 5e-3), (1 / 3, 5e-3), (0.6, 5e-3),
+                                        (1.0, 3e-2)])
+    def test_law_follows_the_closed_form_chain(self, quad1d, h, tol):
+        """Quadratic V, alpha = beta = 1, T = h, rho0 = N(0, 2): every law is
+        N(0, v), with v' the Prox_T variance and v <- (1 - h + h/v')^2 v."""
+        assert h in DEFAULTS["sweep.h_list"]
+        n_steps = DEFAULTS["sweep.n_steps"]
+        trace = evolve_law(SamplerConfig(h=h, n_steps=n_steps), quad1d)
+        assert [r.iter for r in trace.reports] == list(range(n_steps + 1))
+        v = 2.0
+        for r in trace.reports:
+            chain = (v - 1 - math.log(v)) / 2
+            assert abs(r.kl - chain) <= tol * max(chain, 1e-3), (r.iter, r.kl, chain)
+            v *= (1 - h + h / prox_variance_oracle(v, 1.0, 1.0, h)) ** 2
+
     def test_law_needs_1d(self):
         target = make_quadratic(1.0, 2)
         cfg = SamplerConfig(method="brwp_successive", h=0.1, n_steps=1)

@@ -73,6 +73,15 @@ class TestKlKBound:
         vals = [kl_k_bound(k, b) for k in range(200)]
         assert all(v2 <= v1 + 1e-12 for v1, v2 in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("h, s, kl0, m0, k", [
+        (100.0, 1.0, 1.0, 1.0, 1),      # exp(-c1*k*h) past the float range
+        (100.0, 0.0, 0.0, 0.0, 3),      # ... times KL0 = 0, with no bias term
+        (10.0, 1.0, 0.0, 1.0, 3),
+        (1.0, 1.0, 10.0, 1.0, 709)])    # e^709 finite, times KL0 = 10 not
+    def test_past_the_float_range_is_inf(self, h, s, kl0, m0, k):
+        b = BoundInputs(alpha=1.0, beta=1.0, h=h, s=s, kl0=kl0, m0=m0)
+        assert kl_k_bound(k, b) == math.inf
+
     def test_negative_k_rejected(self):
         b = BoundInputs(alpha=1.0, beta=1.0, h=0.1, s=1.0, kl0=1.0, m0=1.0)
         with pytest.raises(ParameterError):

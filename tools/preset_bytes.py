@@ -48,6 +48,10 @@ PRESETS = {
        for name, w in WORKLOADS.items()},
     "kde_2d": ["sample", "--target.id", "gaussian_mixture", "--target.dim", "2",
                "--sampler.method", "brwp_kde", "--sampler.n_steps", "5"],
+    # a vector target.a: the modes at ±a, off the first axis
+    "mixture_vector_a_2d": ["sample", "--target.id", "gaussian_mixture", "--target.dim", "2",
+                            "--target.a", "1.5,1.5", "--sampler.method", "brwp_kde",
+                            "--sampler.n_steps", "5"],
     # sigma != 1: pins the float order of the mixture gradient's divisions
     "mixture_sigma_2d": ["sample", "--target.id", "gaussian_mixture", "--target.dim", "2",
                          "--target.sigma", "0.8", "--sampler.method", "brwp_kde",
