@@ -36,7 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .density import LOG_FLOOR, Grid, GridDensity, ParticleEnsemble, trapezoid_weights
+from .density import (LOG_FLOOR, Grid, GridDensity, ParticleEnsemble, grid_gradient,
+                      trapezoid_weights)
 from .errors import (DegenerateDensityError, IsolatedParticleError,
                      ParameterError, StepsizeError, TruncationError)
 from .potentials import Potential
@@ -123,6 +124,8 @@ class GridProxOperator:
     """Cached kernel-formula operator on a fixed Grid; its outputs share the grid.
 
     step(rho0) gives rho_T and its mass; score_of_step(rho0) also its score.
+    grad_v is grad V on the grid per axis, read-only and C-ordered: grad_v[i]
+    is d_i V on the grid's shape (see density.grid_gradient).
     """
 
     def __init__(self, grid: Grid, target: Potential, p: ProxParams,
@@ -134,8 +137,7 @@ class GridProxOperator:
         self.grid = grid
         self.p = p
         pts = grid.points
-        self.grad_v = target.grad_fn(pts)
-        self.grad_v.flags.writeable = False
+        self.grad_v = grid_gradient(target, grid)
         half_bv = p.beta / 2 * target.eval_fn(pts)
         self.e_v = np.exp(-half_bv).reshape(grid.shape)
         # per axis (K_i, K_i'): in 1-D (Toeplitz vector, spectrum) pairs, for
@@ -165,7 +167,7 @@ class GridProxOperator:
         # outermost, see _axis_blurs): score_of_step's additions are contiguous
         shape = grid.shape
         drift = np.moveaxis(np.empty((grid.dim,) + shape[-1:] + shape[:-1]), 1, -1)
-        np.multiply(self.grad_v.T.reshape(drift.shape), -p.beta / 2, out=drift)
+        np.multiply(self.grad_v, -p.beta / 2, out=drift)
         drift.flags.writeable = False
         self._drift = list(drift)
 

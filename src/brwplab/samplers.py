@@ -29,7 +29,8 @@ import numpy as np
 
 from . import theory
 from .density import (DiagnosticsReport, Grid, GridDensity, ParticleEnsemble,
-                      divergences, kde, target_density, w2_grids_1d, w2_to_target_1d)
+                      divergences, grid_gradient, kde, target_density, w2_grids_1d,
+                      w2_to_target_1d)
 from .errors import DegenerateDensityError, EvaluationError, ParameterError
 from .potentials import Potential
 from .proximal import BACKENDS, GridProxOperator, ProxParams, prox_particle_score
@@ -85,7 +86,8 @@ class DensityState:
     is the density the run evolves (the successive chain or evolve_law's law);
     diagnostics measure it whenever it is set. target is the diagnostics target
     on the run grid, truncation-checked when first built, target_grad its
-    potential's gradient there (the operator's grad_v if there is one), and
+    potential's gradient there per axis, shape (d,) + grid.shape (the
+    operator's grad_v if there is one, else grid_gradient's), and
     w2_target its first-axis marginal for W2 (target itself in 1-D). kde
     pairs the last ensemble object seen with the KDE of its first grid.dim
     coordinates, so a brwp_kde or explicit_flow step reuses the KDE of the
@@ -249,7 +251,7 @@ def _diagnose(cfg: SamplerConfig, target: Potential, ensemble: Optional[Particle
     if state.target is None:       # the run's operator, if any, has this target and grid
         state.target = target_density(meas_target, state.grid, cfg.beta)
         state.target_grad = (state.operator.grad_v if state.operator is not None
-                             else meas_target.grad_fn(state.grid.points))
+                             else grid_gradient(meas_target, state.grid))
     kl, fi, m0, tv = divergences(g, state.target, state.target_grad, cfg.beta)
     w2 = float("nan")       # W2 in the first dimension, exact quantile coupling
     if marg1d is not None:
@@ -339,11 +341,12 @@ def evolve_law(cfg: SamplerConfig, target: Potential) -> LawTrace:
     folded = False
     for k in range(1, cfg.n_steps + 1):
         _, _, fields = op.score_of_step(state.chain)
-        m = x - cfg.h * (op.grad_v[:, 0] + fields[0] / cfg.beta)
+        m = x - cfg.h * (op.grad_v[0] + fields[0] / cfg.beta)
         dm = np.gradient(m, grid.spacing[0])
         if np.any(dm <= 0):
             folded = True
-        vals = np.where(np.abs(dm) > 1e-300, state.chain.values / np.abs(dm), 0.0)
+        dm = np.abs(dm)
+        vals = np.divide(state.chain.values, dm, out=np.zeros_like(dm), where=dm > 1e-300)
         order = np.argsort(m)
         new_vals = np.interp(x, m[order], vals[order], left=0.0, right=0.0)
         try:

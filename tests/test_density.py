@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brwplab.density import (KDE_BLOCK, DiagnosticsReport, Grid, GridDensity,
+from brwplab.density import (KDE_BLOCK, LOG_FLOOR, DiagnosticsReport, Grid, GridDensity,
                              ParticleEnsemble, divergences, fisher_information,
                              fourth_moment_m0, fp_rhs, kde, kl_divergence,
-                             _extended_mass, grid_quantiles, silverman_bandwidth,
+                             _extended_mass, grid_gradient, grid_quantiles,
+                             silverman_bandwidth,
                              target_density, tv_distance, uniform_axis, w2_1d,
                              w2_grids_1d, W2_QUANTILES)
 from brwplab.errors import (DegenerateDensityError, ParameterError,
@@ -125,6 +126,13 @@ class TestKde:
         got = kde(ens, bandwidth, grid).values
         assert np.all(np.abs(got - ref) <= 1e-12 * ref + 1e-300)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (KDE_BLOCK, 500)])
+    def test_block_buffer_starts_on_a_cache_line(self, shape):
+        bufs = [density._empty_aligned(shape) for _ in range(8)]
+        for buf in bufs:
+            assert buf.shape == shape and buf.flags.c_contiguous and buf.flags.writeable
+            assert buf.ctypes.data % 64 == 0
+
     def test_2d_kde_mass(self):
         rng = np.random.default_rng(2)
         pts = rng.standard_normal((200, 2))
@@ -213,7 +221,7 @@ def test_fused_divergences_equal_standalone(dim, n):
     g = GridDensity(Grid(axes), vals).normalize()
     assert np.any(g.values == 0.0)
     fused = divergences(g, target_density(target, g.grid, beta),
-                        target.grad_fn(g.grid.points), beta)
+                        grid_gradient(target, g.grid), beta)
     assert fused == (kl_divergence(g, target, beta), fisher_information(g, target, beta),
                      fourth_moment_m0(g, target, beta), tv_distance(g, target, beta))
 
@@ -224,7 +232,7 @@ def test_each_density_is_logged_once(monkeypatch):
     target = make_quadratic(1.0, 1)
     grid = Grid((uniform_axis(-8.0, 8.0, 241),))
     rs = target_density(target, grid, 1.0)
-    grad = target.grad_fn(grid.points)
+    grad = grid_gradient(target, grid)
     rows = [gaussian_grid(grid.axes[0], var=v) for v in (1.5, 2.0)]
     real_log, passes = np.log, []
 
@@ -237,6 +245,54 @@ def test_each_density_is_logged_once(monkeypatch):
     assert len(passes) == 3
     assert [divergences(g, rs, grad, 1.0) for g in rows] == first
     assert len(passes) == 3
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (241,), (2, 3), (3, 2), (61, 41),
+                                   (2, 3, 2), (3, 3, 3), (25, 21, 23)])
+def test_divergences_equal_plain_formulas_bit_for_bit(shape):
+    # the row's formulas written out plainly, on the (N, d) gradient: the
+    # central-difference score plus beta*d_i V, w*sq*g and w*sq*sq*g/beta^2,
+    # the np.where KL and w*|g - rs|; cells at 0 and below LOG_FLOOR in both
+    beta = 1.5
+    rng = np.random.default_rng(7)
+    grid = Grid(tuple(uniform_axis(-4.0, 4.0, n) for n in shape))
+    target = make_quadratic(1.0, grid.dim)
+    vals = rng.uniform(0.0, 1.0, shape)
+    vals.flat[0] = 0.0
+    vals.flat[-1] = 1e-305
+    vals[rng.uniform(size=shape) < 0.1] = 0.0
+    vals[rng.uniform(size=shape) < 0.1] = 1e-310
+    g = GridDensity(grid, vals)
+    ref = target_density(target, grid, beta, check_truncation=False).values.copy()
+    ref.flat[1] = 0.0
+    ref[rng.uniform(size=shape) < 0.1] = 1e-302
+    rs = GridDensity(grid, ref)
+
+    w, gv = grid.weights, target.grad_fn(grid.points)
+    log_g, log_rs = (np.log(np.maximum(x, LOG_FLOOR)) for x in (g.values, rs.values))
+    sq = np.zeros_like(g.values)
+    for i, dx in enumerate(grid.spacing):
+        s = np.gradient(log_g, dx, axis=i) + beta * gv[:, i].reshape(shape)
+        sq += s * s
+    integrand = np.where(g.values > 0, g.values * (log_g - log_rs), 0.0)
+    plain = (float(np.sum(w * integrand)),
+             float(np.sum(w * sq * g.values)),
+             float(beta ** (-2) * np.sum(w * sq * sq * g.values)),
+             float(np.sum(w * np.abs(g.values - rs.values))))
+    assert np.all(np.isfinite(plain))
+    row = divergences(g, rs, grid_gradient(target, grid), beta)
+    assert [x.hex() for x in row] == [x.hex() for x in plain]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_gradient_is_per_axis_and_read_only(dim):
+    grid = Grid(tuple(uniform_axis(-3.0, 3.0, n) for n in (5, 4, 3)[:dim]))
+    target = make_quadratic(2.0, dim)
+    gv = grid_gradient(target, grid)
+    assert gv.shape == (dim,) + grid.shape
+    assert gv.flags.c_contiguous and not gv.flags.writeable
+    for i in range(dim):
+        assert np.array_equal(gv[i], target.grad_fn(grid.points)[:, i].reshape(grid.shape))
 
 class TestFisher:
     def test_zero_at_target(self, axis_default, quad1d):

@@ -489,7 +489,7 @@ def dense_score(op, rho0):
     for i, a in enumerate(op.grid.axes):
         ms = list(mats)
         ms[i] = -beta * np.subtract.outer(a, a) / (2 * T) * mats[i]
-        score.append(-beta / 2 * op.grad_v[:, i].reshape(ref.shape) + blur(ms) / ref)
+        score.append(-beta / 2 * op.grad_v[i] + blur(ms) / ref)
     return score
 
 
@@ -559,7 +559,7 @@ def test_drift_is_built_once_and_read_only(backend, dim):
     blur = op.apply_blur(rho0.values)
     before = [drift.copy() for drift in op._drift]
     assert len(op._drift) == dim
-    for drift, grad in zip(op._drift, op.grad_v.T):
+    for drift, grad in zip(op._drift, op.grad_v):
         assert not drift.flags.writeable
         assert drift.strides == blur.strides
         assert np.array_equal(drift, -grad.reshape(grid.shape))     # beta/2 = 1

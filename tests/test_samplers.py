@@ -403,6 +403,17 @@ class TestStabilityBoundary:
         assert trace.folded
         assert [r.iter for r in trace.reports] == [0, 1]
 
+    def test_law_at_a_huge_stepsize_stops_without_a_runtime_warning(self, quad1d):
+        # h = T = 3 folds the map and flattens it over whole cells (dm = 0);
+        # the law has no mass left at step 3. The masked divide must not warn
+        cfg = SamplerConfig(method="brwp_kde", h=3.0, T=3.0, n_steps=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace = evolve_law(cfg, quad1d)
+        assert trace.folded
+        assert [r.iter for r in trace.reports] == [0, 1, 2]
+        assert all(np.all(np.isfinite(dataclasses.astuple(r)[1:6])) for r in trace.reports)
+
     @pytest.mark.parametrize("h, tol", [(1 / 6, 5e-3), (1 / 3, 5e-3), (0.6, 5e-3),
                                         (1.0, 3e-2)])
     def test_law_follows_the_closed_form_chain(self, quad1d, h, tol):

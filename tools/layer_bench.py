@@ -1,4 +1,4 @@
-"""Time GridProxOperator build, score_of_step and apply_blur of two trees, pair by pair.
+"""Time the build, score_of_step, apply_blur and a diagnostics row of two trees, pair by pair.
 
     python tools/layer_bench.py SRC_A SRC_B [--pairs N]
 
@@ -15,7 +15,12 @@ leaves it; and "41^3lap", the 41^3 operator with the laplace_denominator
 backend, whose denominator is C-ordered rather than laid out like a blur.
 Every other operator uses the quadrature backend. The layers are build (the
 GridProxOperator construction, on a grid whose points and weights are
-already cached), score_of_step and apply_blur. In each pair, for each grid
+already cached), score_of_step, apply_blur and, on 2401, 161^2 and 41^3,
+diagnose: one samplers._diagnose row of a brwp_successive run whose chain
+is rho0, against that operator's target and grad V. Each diagnose call sets
+the chain to a fresh GridDensity of rho0's values, so the log of the chain
+is taken in every call, as in a run; the run-constant target density is
+built in the warm-up calls and reused. In each pair, for each grid
 and layer, both trees take 3 warm-up calls and then 30 timed calls,
 alternating A and B call by call (B first in every other pair); a tree's
 figure for the pair is the median of its 30 calls. For each grid and layer
@@ -39,12 +44,11 @@ from pathlib import Path
 import numpy as np
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-LAYERS = ("build", "score_of_step", "apply_blur")
 WARM, CALLS = 3, 30
 
 
 def load_tree(src: Path, name: str):
-    """Import SRC/src/brwplab as the package `name`; return its density, potentials, proximal."""
+    """Import SRC/src/brwplab as the package `name`; return four of its modules."""
     pkg_dir = src.resolve() / "src" / "brwplab"
     spec = importlib.util.spec_from_file_location(name, pkg_dir / "__init__.py",
                                                   submodule_search_locations=[str(pkg_dir)])
@@ -52,12 +56,13 @@ def load_tree(src: Path, name: str):
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
     return [importlib.import_module(f"{name}.{mod}")
-            for mod in ("density", "potentials", "proximal")]
+            for mod in ("density", "potentials", "proximal", "samplers")]
 
 
 def layer_calls(src: Path, name: str) -> dict:
     """{grid: {layer: zero-argument call}} for the operators of one tree."""
-    density, potentials, proximal = load_tree(src, name)
+    density, potentials, proximal, samplers = load_tree(src, name)
+    cfg = samplers.SamplerConfig(method="brwp_successive")
     calls = {}
     quad, lap = "quadrature", "laplace_denominator"
     for label, dim, n, target, T, support, backend in (
@@ -79,6 +84,13 @@ def layer_calls(src: Path, name: str) -> dict:
         calls[label] = {"build": build,
                         "score_of_step": lambda op=op, rho0=rho0: op.score_of_step(rho0),
                         "apply_blur": lambda op=op, ratio=ratio: op.apply_blur(ratio)}
+        if support is None and backend == quad:
+            state = samplers.DensityState(grid, operator=op)
+
+            def diagnose(state=state, target=target, vals=rho0.values):
+                state.chain = density.GridDensity(state.grid, vals)
+                return samplers._diagnose(cfg, target, None, state, 0, 0.0)
+            calls[label]["diagnose"] = diagnose
     return calls
 
 
@@ -113,12 +125,12 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 1")
     trees = {"A": layer_calls(args.src_a, "brwplab_a"),
              "B": layer_calls(args.src_b, "brwplab_b")}
-    runs = {side: {grid: {layer: [] for layer in LAYERS} for grid in calls}
+    runs = {side: {grid: {layer: [] for layer in layers} for grid, layers in calls.items()}
             for side, calls in trees.items()}
     for k in range(args.pairs):
         order = ("A", "B") if k % 2 == 0 else ("B", "A")
-        for grid in trees["A"]:
-            for layer in LAYERS:
+        for grid, layers in trees["A"].items():
+            for layer in layers:
                 medians = alternate_medians([trees[side][grid][layer] for side in order])
                 for side, t in zip(order, medians):
                     runs[side][grid][layer].append(t * 1e3)
@@ -130,8 +142,8 @@ def main(argv=None) -> int:
     print(f"numpy: {np.__version__}  cores: {os.cpu_count()} (usable {affinity})")
     print(f"{'grid':<7} {'layer':<14} {'A median [q1, q3] ms':<26} "
           f"{'B median [q1, q3] ms':<26} B won")
-    for grid in trees["A"]:
-        for layer in LAYERS:
+    for grid, layers in trees["A"].items():
+        for layer in layers:
             a, b = runs["A"][grid][layer], runs["B"][grid][layer]
             won = sum(y < x for x, y in zip(a, b))
             cols = []
