@@ -57,13 +57,10 @@ DEFAULTS = {
     "prox.iters": 50,
     "prox.save_every": 1,
     "order.t_list": [0.2, 0.1, 0.05, 0.025],
-    "order.min_slope": 1.7,
     "denominator.y_list": [-2.0, 0.0, 2.0],
     "denominator.t_list": [0.2, 0.1, 0.05, 0.025],
     "sweep.h_list": [1.0 / 6.0, 1.0 / 3.0, 0.6, 1.0],
-    "sweep.threshold": 1e-3,
     "sweep.n_steps": 200,
-    "decay.slack_factor": 0.1,
     "plot": True,
     "timing.record": False,
 }
@@ -322,6 +319,9 @@ def cmd_sample(cfg, outdir: Path) -> tuple:
                      "mode_balance": float(np.mean(pts[:, 0] > 0))}
 
 
+MIN_SLOPE = 1.7  # order-check and denominator-check pass iff each fitted slope is >= this
+
+
 def cmd_order_check(cfg, outdir: Path) -> tuple:
     import numpy as np
     from .density import Grid, fp_rhs
@@ -347,8 +347,8 @@ def cmd_order_check(cfg, outdir: Path) -> tuple:
                   [([r[0] for r in rows], [r[1] for r in rows], "max err")],
                   title=f"order check, slope={slope:.3f}", xlabel="T",
                   ylabel="log10 err", logy=True)
-    ok = slope >= cfg["order.min_slope"]
-    print(f"order-check slope={slope:.3f} (pass iff >= {cfg['order.min_slope']}): "
+    ok = slope >= MIN_SLOPE
+    print(f"order-check slope={slope:.3f} (pass iff >= {MIN_SLOPE}): "
           f"{'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_ASSERT, {"slope": slope, "pass": ok}
 
@@ -370,11 +370,14 @@ def cmd_denominator_check(cfg, outdir: Path) -> tuple:
             rows.append((y, t_step, exact, lap, errs[-1]))
         slopes[y] = _fit_slope(t_list, errs)
     _write_csv(outdir / "denominator_check.csv", "y,T,exact,laplace,abs_err", rows)
-    ok = all(s >= cfg["order.min_slope"] for s in slopes.values())
+    ok = all(s >= MIN_SLOPE for s in slopes.values())
     for y, s in slopes.items():
         print(f"denominator-check y={y}: slope={s:.3f}")
     return (EXIT_OK if ok else EXIT_ASSERT,
             {"slopes": {str(k): v for k, v in slopes.items()}, "pass": ok})
+
+
+DECAY_SLACK = 0.1  # decay-check passes iff KL_k <= kl_bound_k + DECAY_SLACK * KL_0 * h
 
 
 def cmd_decay_check(cfg, outdir: Path) -> tuple:
@@ -385,8 +388,7 @@ def cmd_decay_check(cfg, outdir: Path) -> tuple:
         raise ParameterError("decay-check needs a target with known alpha")
     result = run(scfg, target)
     write_run_csv(outdir / "run.csv", result.reports)
-    kl0 = result.reports[0].kl
-    slack = cfg["decay.slack_factor"] * kl0 * scfg.h
+    slack = DECAY_SLACK * result.reports[0].kl * scfg.h
     violations = [r.iter for r in result.reports if r.kl > r.kl_bound + slack]
     if cfg["plot"]:
         from .svgfig import line_plot
@@ -403,6 +405,9 @@ def cmd_decay_check(cfg, outdir: Path) -> tuple:
                                            "terminal_kl": result.reports[-1].kl}
 
 
+SWEEP_THRESHOLD = 1e-3  # stepsize-sweep counts the steps to KL <= this
+
+
 def cmd_stepsize_sweep(cfg, outdir: Path) -> tuple:
     from . import theory
     from .samplers import evolve_law
@@ -414,13 +419,12 @@ def cmd_stepsize_sweep(cfg, outdir: Path) -> tuple:
     if len(set(names)) < len(names):
         raise ParameterError(f"sweep.h_list gives two stepsizes one law file "
                              f"{max(names, key=names.count)}; they must differ in 6 digits")
-    threshold = cfg["sweep.threshold"]
     summary = []
     for h, name in zip(h_list, names):
         trace = evolve_law(dataclasses.replace(scfg, h=h, T=h, n_steps=cfg["sweep.n_steps"]),
                            target)
         kls = [r.kl for r in trace.reports]
-        hit = next((r.iter for r in trace.reports if r.kl <= threshold), -1)
+        hit = next((r.iter for r in trace.reports if r.kl <= SWEEP_THRESHOLD), -1)
         stable = all(k == k and k != float("inf") for k in kls) \
             and kls[-1] <= kls[0] and not trace.folded
         summary.append((h, hit, stable, kls[-1], min(kls)))
@@ -428,7 +432,7 @@ def cmd_stepsize_sweep(cfg, outdir: Path) -> tuple:
     _write_csv(outdir / "sweep.csv", "h,steps_to_threshold,stable,terminal_kl,min_kl",
                summary)
     for h, hit, stable, term, _ in summary:
-        print(f"sweep h={h:.4f}: steps_to_{threshold:g}={hit} stable={stable} "
+        print(f"sweep h={h:.4f}: steps_to_{SWEEP_THRESHOLD:g}={hit} stable={stable} "
               f"terminal_kl={term:.3e}")
     extra = {"summary": [{"h": h, "steps_to_threshold": hit, "stable": stable,
                           "terminal_kl": term} for h, hit, stable, term, _ in summary]}

@@ -57,8 +57,8 @@ class Grid:
             if a.ndim != 1 or a.size < 2:
                 raise ParameterError("each axis must be a 1-D array with >= 2 points")
             steps = np.diff(a)
-            if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-                raise ParameterError("axes must be uniformly spaced")
+            if not (steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
+                raise ParameterError("axes must be increasing and uniformly spaced")
         object.__setattr__(self, "axes", axes)
 
     @classmethod
@@ -278,8 +278,8 @@ def kde(ensemble: ParticleEnsemble, bandwidth, query_axes: Grid) -> GridDensity:
         bw = silverman_bandwidth(ensemble.points)
     else:
         bw = np.broadcast_to(np.asarray(bandwidth, dtype=float), (d,)).copy()
-    if np.any(bw <= 0):
-        raise ParameterError(f"bandwidth must be positive, got {bw}")
+    if not np.all((bw > 0) & (bw < np.inf)):
+        raise ParameterError(f"bandwidth must be positive and finite, got {bw}")
 
     # Each axis's kernel exp(-(x - p)^2/(2b^2)) takes its exponent from one
     # GEMM, [x, 1, x^2] . [p/b^2, -p^2/(2b^2), -1/(2b^2)], clamped at 0

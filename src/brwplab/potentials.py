@@ -66,7 +66,7 @@ class Potential:
 
 def make_quadratic(alpha: float = 1.0, dim: int = 1) -> Potential:
     """V(x) = (alpha/2)|x|^2 with exact gradient alpha*x and Laplacian alpha*d."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
@@ -111,7 +111,7 @@ def make_gaussian_mixture(a=2.0, sigma: float = 1.0, dim: Optional[int] = None,
     V = -log(rho*)/beta, so exp(-beta*V) is exactly the normalized mixture.
     `a` is a scalar, the modes at ±a*e_1, or one number per axis, the modes at ±a.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ParameterError(f"sigma must be positive, got {sigma}")
     a = np.asarray(a, dtype=float)
     d = a.size if a.ndim else 1 if dim is None else int(dim)
@@ -188,7 +188,7 @@ def make_nonsmooth_mixture(kind: str, sigma: float = 1.0, b: float = 0.25,
         log_norm = np.log(2.0 + 0.5 * np.sqrt(np.pi) * np.exp(-L12_EPS * L12_EPS)) \
             if dim == 1 else 0.0
     elif kind == "gauss_laplace":
-        if sigma <= 0 or b <= 0:
+        if not (sigma > 0 and b > 0):
             raise ParameterError("sigma and b must be positive")
 
         def branch_exponents(x):

@@ -59,9 +59,9 @@ class ProxParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.T <= 0:
+        if not self.T > 0:
             raise ParameterError(f"T must be positive, got {self.T}")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ParameterError(f"beta must be positive, got {self.beta}")
 
 

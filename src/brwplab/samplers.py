@@ -61,7 +61,7 @@ class SamplerConfig:
             raise ParameterError(f"unknown method {self.method!r}; known: {METHODS}")
         if self.backend not in BACKENDS:
             raise ParameterError(f"unknown backend {self.backend!r}; known: {BACKENDS}")
-        if self.h <= 0:
+        if not self.h > 0:
             raise ParameterError(f"h must be positive, got {self.h}")
         if not (self.beta > 0 and self.init_sigma_sq > 0):
             raise ParameterError(f"beta and init_sigma_sq must be positive, got "
@@ -305,11 +305,9 @@ def run(cfg: SamplerConfig, target: Potential) -> RunResult:
             result.reports.append(_diagnose(cfg, target, ens, state, k, t0))
     if target.alpha is not None:
         row0 = result.reports[0]
-        inputs = theory.BoundInputs(alpha=target.alpha, beta=cfg.beta, h=cfg.h,
-                                    s=cfg.T / cfg.h, kl0=max(row0.kl, 0.0),
-                                    m0=max(row0.m0, 0.0))
+        kl0, m0 = max(row0.kl, 0.0), max(row0.m0, 0.0)
         for r in result.reports:
-            r.kl_bound = theory.kl_k_bound(r.iter, inputs)
+            r.kl_bound = theory.kl_k_bound(r.iter, target.alpha, cfg.h, cfg.T / cfg.h, kl0, m0)
     result.ensemble = ens
     return result
 

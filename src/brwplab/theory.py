@@ -1,69 +1,41 @@
 """The convergence bounds of the semi-implicit scheme that a run reports.
 
-kl_k_bound is the kl_bound column of run.csv; optimal_stepsize and
-max_stepsize are the paper's stepsizes, which stepsize-sweep records and
-run warns above. Remainder terms of the source bounds (O(h^2)/O(h^3)) are
-dropped; empirical comparisons must add an explicit slack for them. The
-paper's other checks (the one-step bound, the sequence lemma, the sampling
-complexity, Pinsker and Talagrand) are test oracles in tests/conftest.py.
+kl_k_bound, of plain numbers, is the kl_bound column of run.csv;
+optimal_stepsize and max_stepsize are the paper's stepsizes, which
+stepsize-sweep records and run warns above. Remainder terms of the source
+bounds (O(h^2)/O(h^3)) are dropped; empirical comparisons add a slack for
+them. The paper's other checks (the one-step bound, the sequence lemma, the
+sampling complexity, Pinsker and Talagrand) are oracles in tests/conftest.py.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import EvaluationError, ParameterError
+from .errors import ParameterError
 
 DENOM_EPS = 1e-12
 
 
-@dataclass
-class BoundInputs:
-    """Constants entering the KL decay bounds: rates, stepsize, initial functionals."""
+def kl_k_bound(k: int, alpha: float, h: float, s: float, kl0: float, m0: float) -> float:
+    """KL bound at step k: exp[-akh(2-(1+2s)ah)]*KL0 plus the M0 bias term
+    (h^2 s M0/2) sum_{j<k} q^j r^{k-1-j}, q = 1-2ah+(1+2s)a^2h^2, r = e^{-4ah}.
 
-    alpha: float
-    beta: float
-    h: float
-    s: float
-    kl0: float
-    m0: float
-
-    def __post_init__(self):
-        if min(self.alpha, self.beta, self.h) <= 0 or self.kl0 < 0 or self.m0 < 0:
-            raise ParameterError("alpha, beta, h must be positive; kl0, m0 nonnegative")
-        if not (0.0 <= self.s <= 1.0):
-            raise ParameterError(f"s must lie in [0,1], got {self.s}")
-
-
-def _bias_sum(k: int, q: float, r: float, coef: float) -> float:
-    """coef * sum_{j<k} q^j r^{k-1-j} = coef*(q^k - r^k)/(q - r), sign-safe.
-
-    This is the exact partial geometric sum behind the bias term; the
-    bound's printed form coef*r^k/(r-q) coincides with it when r > q and
-    is the magnitude-correct evaluation when r < q (the usual regime,
-    where the printed denominator is negative). q**k past the float range
-    raises OverflowError.
+    The sum is (q^k - r^k)/(q - r), or where |q - r| < DENOM_EPS its limit
+    k q^(k-1), within about k^2 |q - r| relative of it. A factor past the
+    float range makes the bound +inf, whatever KL0 and M0; a NaN KL0 or M0 makes it NaN.
     """
-    if abs(q - r) < DENOM_EPS:
-        raise EvaluationError(
-            f"degenerate bias denominator |e^(-c3 h) - (1 - c1 h)| = {abs(q - r):.2e}")
-    return coef * (q**k - r**k) / (q - r)
-
-
-def kl_k_bound(k: int, b: BoundInputs) -> float:
-    """KL bound at step k: exp[-akh(2-(1+2s)ah)]*KL0 plus the M0 bias term.
-
-    A factor past the float range makes the bound +inf, whatever KL0 and M0.
-    """
-    if k < 0:
-        raise ParameterError("k must be nonnegative")
-    a, h, s = b.alpha, b.h, b.s
-    c1 = a * (2.0 - (1.0 + 2.0 * s) * a * h)
-    q = 1.0 - 2.0 * a * h + (1.0 + 2.0 * s) * a * a * h * h
-    r = math.exp(-4.0 * a * h)
+    if k < 0 or not (alpha > 0 and h > 0 and 0.0 <= s <= 1.0) or kl0 < 0 or m0 < 0:
+        raise ParameterError(f"need k >= 0, alpha and h positive, s in [0,1], kl0 and m0 "
+                             f"nonnegative; got {k}, {alpha}, {h}, {s}, {kl0}, {m0}")
+    c1 = alpha * (2.0 - (1.0 + 2.0 * s) * alpha * h)
+    q = 1.0 - 2.0 * alpha * h + (1.0 + 2.0 * s) * alpha * alpha * h * h
+    r = math.exp(-4.0 * alpha * h)
+    coef = 0.5 * h * h * s * m0
     try:
-        return math.exp(-c1 * k * h) * b.kl0 + _bias_sum(k, q, r, 0.5 * h * h * s * b.m0)
+        bias = (coef * k * q**(k - 1) if abs(q - r) < DENOM_EPS
+                else coef * (q**k - r**k) / (q - r))
+        return math.exp(-c1 * k * h) * kl0 + bias
     except OverflowError:
         return math.inf
 
@@ -75,6 +47,6 @@ def optimal_stepsize(alpha: float) -> float:
 
 def max_stepsize(alpha: float) -> float:
     """Largest stepsize with a contracting KL bound: 2/(3 alpha)."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     return 2.0 / (3.0 * alpha)

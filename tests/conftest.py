@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from brwplab.density import Grid, GridDensity, uniform_axis
-from brwplab.errors import ParameterError
+from brwplab.errors import EvaluationError, ParameterError
 from brwplab.potentials import Potential, make_gaussian_mixture, make_quadratic
-from brwplab.theory import BoundInputs, _bias_sum, max_stepsize
+from brwplab.theory import DENOM_EPS, max_stepsize
 
 
 def make_zero(dim: int) -> Potential:
@@ -80,15 +80,30 @@ def gaussian_grid_factory():
 
 
 # ------------------------------------------- the paper's checks, as test oracles
-# kl_one_step_bound and sequence_bound_check check the closed forms a run
-# reports (theory.kl_k_bound and theory._bias_sum); sampling_complexity,
+# kl_one_step_bound and sequence_bound_check check the closed form a run
+# reports (theory.kl_k_bound, and bias_sum, its bias term); sampling_complexity,
 # pinsker_tv_bound and talagrand_w2_bound are checked against measured runs.
 
-def kl_one_step_bound(kl_k: float, k: int, b: BoundInputs) -> float:
+def kl_one_step_bound(kl_k: float, k: int, alpha: float, h: float, s: float,
+                      m0: float) -> float:
     """One-step bound KL_{k+1} <= [1 - 2ah + (1+2s)a^2h^2] KL_k + (h^2 s/2) M0 e^{-4ahk}."""
-    a, h, s = b.alpha, b.h, b.s
-    factor = 1.0 - 2.0 * a * h + (1.0 + 2.0 * s) * a * a * h * h
-    return factor * kl_k + 0.5 * h * h * s * b.m0 * math.exp(-4.0 * a * h * k)
+    factor = 1.0 - 2.0 * alpha * h + (1.0 + 2.0 * s) * alpha * alpha * h * h
+    return factor * kl_k + 0.5 * h * h * s * m0 * math.exp(-4.0 * alpha * h * k)
+
+
+def bias_sum(k: int, q: float, r: float, coef: float) -> float:
+    """coef * sum_{j<k} q^j r^{k-1-j} = coef*(q^k - r^k)/(q - r), sign-safe.
+
+    This is the exact partial geometric sum behind the bias term; the
+    bound's printed form coef*r^k/(r-q) coincides with it when r > q and
+    is the magnitude-correct evaluation when r < q (the usual regime,
+    where the printed denominator is negative). q**k past the float range
+    raises OverflowError.
+    """
+    if abs(q - r) < DENOM_EPS:
+        raise EvaluationError(
+            f"degenerate bias denominator |e^(-c3 h) - (1 - c1 h)| = {abs(q - r):.2e}")
+    return coef * (q**k - r**k) / (q - r)
 
 
 def sampling_complexity(delta: float, alpha: float) -> int:
@@ -119,7 +134,7 @@ def sequence_bound_check(c1: float, c2: float, c3: float, h: float,
     r = math.exp(-c3 * h)
     a = a0
     for k in range(k_max + 1):
-        bound = q**k * a0 + _bias_sum(k, q, r, h * h * c2)
+        bound = q**k * a0 + bias_sum(k, q, r, h * h * c2)
         if a > bound * (1.0 + rel_tol) + 1e-15:
             return False
         a = q * a + h * h * c2 * r**k

@@ -162,6 +162,13 @@ class TestConfigParsing:
         # l1_l12 reads neither sigma nor b
         (("sample", "--target.id", "l1_l12", "--target.sigma", "-1", "--target.b", "-1"),
          EXIT_OK, ""),
+        # the pass/fail thresholds are constants of cli, not settings
+        (("order-check", "--order.min_slope", "1.9"), EXIT_CONFIG,
+         "unknown config key(s) order.min_slope"),
+        (("stepsize-sweep", "--sweep.threshold", "1e-4"), EXIT_CONFIG,
+         "unknown config key(s) sweep.threshold"),
+        (("decay-check", "--decay.slack_factor", "0.2"), EXIT_CONFIG,
+         "unknown config key(s) decay.slack_factor"),
     ])
     def test_value_takes_the_type_of_its_default(self, tmp_path, capsys, argv, code, message):
         out = tmp_path / "t"
@@ -291,6 +298,15 @@ class TestSample:
             bounds = [r["kl_bound"] for r in csv.DictReader(f)]
         assert [i for i, b in enumerate(bounds) if b == "inf"] == inf_rows
         assert all(math.isfinite(float(b)) for b in bounds if b != "inf")
+
+    def test_tiny_stepsize_gives_a_finite_bound(self, tmp_path):
+        # at h = 1e-13 the bias sum's denominator |q - r| is below DENOM_EPS
+        out = tmp_path / "s"
+        assert run_cli("sample", "--out", str(out), "--sampler.h", "1e-13",
+                       "--sampler.n_steps", "2", "--plot", "false") == EXIT_OK
+        with open(out / "run.csv", newline="") as f:
+            bounds = [float(r["kl_bound"]) for r in csv.DictReader(f)]
+        assert len(bounds) == 3 and all(math.isfinite(b) for b in bounds)
 
 
 class TestThreads:

@@ -56,6 +56,8 @@ class TestGrid:
         pytest.param((np.linspace(0, 1, 5),) * 4, id="4-axes"),
         pytest.param((np.linspace(0, 1, 5), np.array([0.5])), id="1-point-axis"),
         pytest.param((np.zeros((2, 2)),), id="2-d-axis"),
+        pytest.param((np.linspace(1, 0, 5),), id="decreasing"),
+        pytest.param((np.zeros(5),), id="constant"),
     ])
     def test_bad_axes_rejected(self, axes):
         with pytest.raises(ParameterError):
@@ -96,6 +98,12 @@ class TestKde:
         pts = np.random.default_rng(0).standard_normal((10, 1))
         with pytest.raises(ParameterError):
             kde(ParticleEnsemble(pts), -0.5, Grid((uniform_axis(-5, 5, 101),)))
+
+    @pytest.mark.parametrize("bandwidth", [np.nan, np.inf, [0.5, np.nan]])
+    def test_nonfinite_bandwidth_rejected(self, bandwidth):
+        pts = np.random.default_rng(0).standard_normal((10, 2))
+        with pytest.raises(ParameterError, match="bandwidth must be positive and finite"):
+            kde(ParticleEnsemble(pts), bandwidth, Grid.uniform(((-5, 5, 21),) * 2))
 
     @pytest.mark.parametrize("dim, n, half, bandwidth", [
         pytest.param(1, KDE_BLOCK - 1, 8.0, "auto", id="1-127"),

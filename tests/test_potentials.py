@@ -152,6 +152,17 @@ class TestNonsmoothMixtures:
             make_nonsmooth_mixture("unknown_kind")
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_quadratic(alpha=np.nan),
+    lambda: make_gaussian_mixture(sigma=np.nan),
+    lambda: make_nonsmooth_mixture("gauss_laplace", sigma=np.nan),
+    lambda: make_nonsmooth_mixture("gauss_laplace", b=np.nan),
+], ids=["quadratic-alpha", "mixture-sigma", "gauss_laplace-sigma", "gauss_laplace-b"])
+def test_nan_parameter_rejected(build):
+    with pytest.raises(ParameterError):
+        build()
+
+
 class TestCatalog:
     def test_ids_resolve(self):
         for tid in ("quadratic", "gaussian_mixture", "l1_l12", "gauss_laplace"):

@@ -445,6 +445,12 @@ class TestPureProxDecay:
         assert drop == pytest.approx(fi, rel=0.2)
 
 
+@pytest.mark.parametrize("kwargs", [{"T": np.nan}, {"T": 0.1, "beta": np.nan}])
+def test_nan_params_rejected(kwargs):
+    with pytest.raises(ParameterError):
+        ProxParams(**kwargs)
+
+
 def test_params_validation():
     with pytest.raises(ParameterError):
         ProxParams(T=0.0)

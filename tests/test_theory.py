@@ -6,52 +6,46 @@ import pytest
 from brwplab.errors import EvaluationError, ParameterError
 from brwplab.potentials import make_quadratic
 from brwplab.samplers import SamplerConfig, evolve_law, run
-from brwplab.theory import BoundInputs, kl_k_bound, max_stepsize, optimal_stepsize
+from brwplab.theory import DENOM_EPS, kl_k_bound, max_stepsize, optimal_stepsize
 
 from conftest import (kl_one_step_bound, pinsker_tv_bound, sampling_complexity,
                       sequence_bound_check, talagrand_w2_bound)
 
 
-def iterate_one_step(k, b):
+def iterate_one_step(k, alpha, h, s, kl0, m0):
     """Independent oracle: apply the one-step recursion k times from kl0."""
-    kl = b.kl0
+    kl = kl0
     for j in range(k):
-        kl = kl_one_step_bound(kl, j, b)
+        kl = kl_one_step_bound(kl, j, alpha, h, s, m0)
     return kl
 
 
 class TestOneStepBound:
     def test_vanishing_step_is_identity(self):
-        b = BoundInputs(alpha=1.0, beta=1.0, h=1e-12, s=1.0, kl0=1.0, m0=1.0)
-        assert kl_one_step_bound(0.7, 3, b) == pytest.approx(0.7, abs=1e-10)
+        assert kl_one_step_bound(0.7, 3, 1.0, 1e-12, 1.0, 1.0) == pytest.approx(0.7, abs=1e-10)
 
     def test_s_zero_contraction_is_perfect_square(self):
         for alpha, h in ((1.0, 0.1), (2.0, 0.05)):
-            b = BoundInputs(alpha=alpha, beta=1.0, h=h, s=0.0, kl0=1.0, m0=5.0)
-            assert kl_one_step_bound(1.0, 0, b) == pytest.approx(
+            assert kl_one_step_bound(1.0, 0, alpha, h, 0.0, 5.0) == pytest.approx(
                 (1 - alpha * h) ** 2, rel=1e-12)
 
     def test_frozen_arithmetic_value(self):
         # 1 - 0.1 + 3*0.0025 + 0.00125 = 0.90875
-        b = BoundInputs(alpha=1.0, beta=1.0, h=0.05, s=1.0, kl0=1.0, m0=1.0)
-        assert kl_one_step_bound(1.0, 0, b) == pytest.approx(0.90875, abs=1e-12)
+        assert kl_one_step_bound(1.0, 0, 1.0, 0.05, 1.0, 1.0) == pytest.approx(0.90875, abs=1e-12)
 
 
 class TestKlKBound:
     def test_k_zero_is_initial_value(self):
-        b = BoundInputs(alpha=1.0, beta=1.0, h=0.05, s=1.0, kl0=0.8, m0=1.0)
-        assert kl_k_bound(0, b) == pytest.approx(0.8, abs=1e-14)
+        assert kl_k_bound(0, 1.0, 0.05, 1.0, 0.8, 1.0) == pytest.approx(0.8, abs=1e-14)
 
     def test_s_zero_pure_exponential(self):
-        b = BoundInputs(alpha=1.0, beta=1.0, h=0.1, s=0.0, kl0=1.0, m0=7.0)
         for k in (1, 5, 20):
-            assert kl_k_bound(k, b) == pytest.approx(
+            assert kl_k_bound(k, 1.0, 0.1, 0.0, 1.0, 7.0) == pytest.approx(
                 math.exp(-k * 0.1 * (2 - 0.1)), rel=1e-12)
 
     def test_cross_check_against_iteration(self):
-        b = BoundInputs(alpha=1.0, beta=1.0, h=0.1, s=1.0, kl0=1.0, m0=1.0)
-        closed = kl_k_bound(20, b)
-        iterated = iterate_one_step(20, b)
+        closed = kl_k_bound(20, 1.0, 0.1, 1.0, 1.0, 1.0)
+        iterated = iterate_one_step(20, 1.0, 0.1, 1.0, 1.0, 1.0)
         assert iterated <= closed + 1e-12
         # same decade: the closed form only relaxes (1-c1*h)^k to exp(-c1*h*k)
         assert closed == pytest.approx(iterated, rel=0.5)
@@ -61,16 +55,15 @@ class TestKlKBound:
             for ah in (0.05, 0.15, 0.3):
                 for s in (0.0, 0.5, 1.0):
                     h = ah / alpha
-                    b = BoundInputs(alpha=alpha, beta=1.0, h=h, s=s, kl0=1.0, m0=1.0)
-                    kl = b.kl0
+                    kl = 1.0
                     for k in range(501):
-                        assert kl <= kl_k_bound(k, b) * (1 + 1e-9) + 1e-15
-                        kl = kl_one_step_bound(kl, k, b)
+                        assert kl <= kl_k_bound(k, alpha, h, s, 1.0, 1.0) * (1 + 1e-9) + 1e-15
+                        kl = kl_one_step_bound(kl, k, alpha, h, s, 1.0)
 
     def test_monotone_when_contracting(self):
-        b = BoundInputs(alpha=1.0, beta=1.0, h=0.1, s=1.0, kl0=1.0, m0=1.0)
-        assert 2 * b.alpha * b.h - 3 * (b.alpha * b.h) ** 2 > 0
-        vals = [kl_k_bound(k, b) for k in range(200)]
+        alpha, h = 1.0, 0.1
+        assert 2 * alpha * h - 3 * (alpha * h) ** 2 > 0
+        vals = [kl_k_bound(k, alpha, h, 1.0, 1.0, 1.0) for k in range(200)]
         assert all(v2 <= v1 + 1e-12 for v1, v2 in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("h, s, kl0, m0, k", [
@@ -79,16 +72,46 @@ class TestKlKBound:
         (10.0, 1.0, 0.0, 1.0, 3),
         (1.0, 1.0, 10.0, 1.0, 709)])    # e^709 finite, times KL0 = 10 not
     def test_past_the_float_range_is_inf(self, h, s, kl0, m0, k):
-        b = BoundInputs(alpha=1.0, beta=1.0, h=h, s=s, kl0=kl0, m0=m0)
-        assert kl_k_bound(k, b) == math.inf
+        assert kl_k_bound(k, 1.0, h, s, kl0, m0) == math.inf
 
     def test_negative_k_rejected(self):
-        b = BoundInputs(alpha=1.0, beta=1.0, h=0.1, s=1.0, kl0=1.0, m0=1.0)
         with pytest.raises(ParameterError):
-            kl_k_bound(-1, b)
+            kl_k_bound(-1, 1.0, 0.1, 1.0, 1.0, 1.0)
+
+    def test_bad_s(self):
+        with pytest.raises(ParameterError):
+            kl_k_bound(1, 1.0, 0.1, 1.5, 1.0, 1.0)
+
+    def test_bad_alpha(self):
+        with pytest.raises(ParameterError):
+            kl_k_bound(1, -1.0, 0.1, 1.0, 1.0, 1.0)
+
+    def test_degenerate_denominator_is_the_limit(self):
+        # alpha = s = 1, h = 1e-13: |q - r| = |1 - 2h + 3h^2 - e^{-4h}| ~ 2h < DENOM_EPS
+        alpha, h, s, m0, k = 1.0, 1e-13, 1.0, 1.0, 5
+        q = 1.0 - 2.0 * alpha * h + (1.0 + 2.0 * s) * alpha * alpha * h * h
+        r = math.exp(-4.0 * alpha * h)
+        assert abs(q - r) < DENOM_EPS
+        direct = 0.5 * h * h * s * m0 * sum(q**j * r**(k - 1 - j) for j in range(k))
+        assert kl_k_bound(k, alpha, h, s, 0.0, m0) == pytest.approx(direct, rel=1e-9)
+
+    def test_nan_initial_values_give_nan(self):
+        assert math.isnan(kl_k_bound(3, 1.0, 0.1, 1.0, math.nan, 1.0))
+        assert math.isnan(kl_k_bound(3, 1.0, 0.1, 1.0, 1.0, math.nan))
 
 
 class TestComplexityAndStepsizes:
+    @pytest.mark.parametrize("evaluate", [
+        lambda: max_stepsize(math.nan),
+        lambda: optimal_stepsize(math.nan),
+        lambda: kl_k_bound(1, math.nan, 0.1, 1.0, 1.0, 1.0),
+        lambda: kl_k_bound(1, 1.0, math.nan, 1.0, 1.0, 1.0),
+        lambda: kl_k_bound(1, 1.0, 0.1, math.nan, 1.0, 1.0),
+    ], ids=["max_stepsize", "optimal_stepsize", "bound-alpha", "bound-h", "bound-s"])
+    def test_nan_rate_or_stepsize_rejected(self, evaluate):
+        with pytest.raises(ParameterError):
+            evaluate()
+
     def test_stepsize_constants(self):
         assert optimal_stepsize(1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
         assert max_stepsize(1.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
@@ -196,16 +219,6 @@ def test_sampling_complexity_reaches_delta(delta):
     assert chain[-1].kl <= delta
 
 
-class TestBoundInputsValidation:
-    def test_bad_s(self):
-        with pytest.raises(ParameterError):
-            BoundInputs(alpha=1.0, beta=1.0, h=0.1, s=1.5, kl0=1.0, m0=1.0)
-
-    def test_bad_alpha(self):
-        with pytest.raises(ParameterError):
-            BoundInputs(alpha=-1.0, beta=1.0, h=0.1, s=1.0, kl0=1.0, m0=1.0)
-
-
 def test_gaussian_kl_trajectory_respects_bound():
     """Scalar sanity: exact OU-flow KL decay sits below the discrete bound."""
     alpha = 1.0
@@ -215,8 +228,6 @@ def test_gaussian_kl_trajectory_respects_bound():
         return 0.5 * (v - 1 - np.log(v))
 
     v0 = 2.0
-    b = BoundInputs(alpha=alpha, beta=1.0, h=h, s=1.0,
-                    kl0=kl_of_var(v0), m0=0.75)
     for k in range(0, 200, 5):
         v = 1 + (v0 - 1) * np.exp(-2 * alpha * k * h)
-        assert kl_of_var(v) <= kl_k_bound(k, b) + 1e-12
+        assert kl_of_var(v) <= kl_k_bound(k, alpha, h, 1.0, kl_of_var(v0), 0.75) + 1e-12

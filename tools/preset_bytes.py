@@ -16,10 +16,12 @@ environment, so the library picks its default threading. With
 option ``--threads K``, so a source tree whose CLI imports numpy before it
 reads its options runs at K threads too. ``compare`` lists the lines that
 differ between two such runs and exits 1 if there are any. For each
-differing CSV or ``manifest.json`` that both runs wrote with the same shape
-it also prints, to stderr, the largest absolute and relative difference over
-the numeric cells or keys (``wallclock_ms`` and the stripped keys left out),
-which bounds an intended change of bytes.
+differing ``manifest.json`` that both runs wrote it prints, to stderr, the
+top-level and ``config`` keys found only in A, only in B, or with different
+values (the stripped keys left out). For each differing CSV or manifest
+that both runs wrote with the same shape it also prints the largest absolute
+and relative difference over the numeric cells or keys (``wallclock_ms`` and
+the stripped keys left out), which bounds an intended change of bytes.
 
 Standard library only; the benchmark argv come from perfbench/workloads.py.
 """
@@ -182,6 +184,23 @@ def cells(path: Path) -> dict:
             if j != skip}
 
 
+def manifest_key_diff(a: Path, b: Path) -> list:
+    """'only in A: KEY', 'only in B: KEY' and 'differs: KEY' for the top-level
+    keys and the config keys (as config.KEY) of two manifests, without
+    STRIPPED_KEYS. Values are compared as JSON text, so NaN equals NaN."""
+    def keys(path):
+        manifest = json.loads(path.read_text())
+        config = manifest.pop("config", {})
+        manifest.update((f"config.{k}", v) for k, v in config.items())
+        for key in STRIPPED_KEYS:
+            manifest.pop(key, None)
+        return {k: json.dumps(v, sort_keys=True) for k, v in manifest.items()}
+    ka, kb = keys(a), keys(b)
+    return ([f"only in A: {k}" for k in sorted(ka.keys() - kb.keys())]
+            + [f"only in B: {k}" for k in sorted(kb.keys() - ka.keys())]
+            + [f"differs: {k}" for k in sorted(ka.keys() & kb.keys()) if ka[k] != kb[k]])
+
+
 def _number(value):
     """value as a float, or None when it is not a number."""
     if isinstance(value, bool):
@@ -241,6 +260,8 @@ def main(argv=None) -> int:
         if not (fa.is_file() and fb.is_file()
                 and (fa.suffix == ".csv" or fa.name == "manifest.json")):
             continue
+        if fa.name == "manifest.json":
+            print(f"{name}: keys {'; '.join(manifest_key_diff(fa, fb))}", file=sys.stderr)
         bound = max_difference(fa, fb)
         if bound is None:
             print(f"{name}: shapes differ", file=sys.stderr)
