@@ -1,5 +1,5 @@
-"""Experiment runner: config parsing, presets, SVG figures, and the writers of
-every artifact (CSV tables, density files and their JSON sidecars, the manifest).
+"""Experiment runner: config parsing, presets, and the writers of every
+artifact (CSV tables, density files and their JSON sidecars, the manifest).
 
 Subcommands: prox-evolve, sample, order-check, denominator-check,
 decay-check, stepsize-sweep. Configuration is a flat key-value file with
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -61,7 +62,6 @@ DEFAULTS = {
     "denominator.t_list": [0.2, 0.1, 0.05, 0.025],
     "sweep.h_list": [1.0 / 6.0, 1.0 / 3.0, 0.6, 1.0],
     "sweep.n_steps": 200,
-    "plot": True,
     "timing.record": False,
 }
 
@@ -140,6 +140,7 @@ def _typed(key: str, text: str, kind=None):
     return int(value) if kind is int else float(value)
 
 
+@functools.cache   # one git process per interpreter, not one per main() call
 def _git_describe() -> str:
     try:        # in the package's own checkout, whatever the working directory
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
@@ -275,46 +276,18 @@ def cmd_prox_evolve(cfg, outdir: Path) -> tuple:
         if k % save_every == 0 or k == iters:
             write_density_csv(outdir / f"density_iter_{k:04d}.csv", rho)
     _write_csv(outdir / "l1_error.csv", "iter,l1,kl,prenorm_mass", rows)
-    if cfg["plot"]:
-        from .svgfig import line_plot
-        gm = rho.marginal_first()
-        tm = rs.marginal_first()
-        line_plot(outdir / "overlay.svg",
-                  [(gm.grid.axes[0], gm.values, "computed"),
-                   (tm.grid.axes[0], tm.values, "target")],
-                  title=f"kernel-proximal evolution, T={cfg['prox.T']}, "
-                        f"{iters} iterations",
-                  xlabel="x", ylabel="density")
-        if rows:
-            line_plot(outdir / "l1_error.svg",
-                      [([r[0] for r in rows], [r[1] for r in rows], "L1 error")],
-                      title="L1 distance to target", xlabel="iteration",
-                      ylabel="log10 L1", logy=True)
     return EXIT_OK, {"final_l1": rows[-1][1] if rows else None}
 
 
 def cmd_sample(cfg, outdir: Path) -> tuple:
     import numpy as np
-    from .density import Grid, target_density, uniform_axis
-    from .samplers import marginal_target, run
+    from .samplers import run
     target, scfg = _setup(cfg)
     result = run(scfg, target)
     write_run_csv(outdir / "run.csv", result.reports)
     pts = result.ensemble.points
     _write_csv(outdir / "ensemble_final.csv", ",".join(f"x{i}" for i in range(pts.shape[1])),
                (row.tolist() for row in pts))
-    if cfg["plot"]:
-        from .svgfig import histogram
-        overlay = None
-        marg = marginal_target(target)
-        if marg is not None:
-            ax = uniform_axis(-6.0, 6.0, 481)
-            rs = target_density(marg, Grid((ax,)), scfg.beta, check_truncation=False)
-            overlay = (ax, rs.values, "target")
-        histogram(outdir / "histogram.svg", pts[:, 0], bins=40, lo=-6.0, hi=6.0,
-                  overlay=overlay,
-                  title=f"{scfg.method}, N={scfg.n_particles}, "
-                        f"{scfg.n_steps} steps, h={scfg.h}", xlabel="x[0]")
     return EXIT_OK, {"final_kl": result.reports[-1].kl,
                      "mode_balance": float(np.mean(pts[:, 0] > 0))}
 
@@ -341,12 +314,6 @@ def cmd_order_check(cfg, outdir: Path) -> tuple:
         rows.append((t_step, float(np.max(np.abs(rho_t.values - expansion)))))
     slope = _fit_slope([r[0] for r in rows], [r[1] for r in rows])
     _write_csv(outdir / "order_check.csv", "T,max_err", rows)
-    if cfg["plot"]:
-        from .svgfig import line_plot
-        line_plot(outdir / "order_check.svg",
-                  [([r[0] for r in rows], [r[1] for r in rows], "max err")],
-                  title=f"order check, slope={slope:.3f}", xlabel="T",
-                  ylabel="log10 err", logy=True)
     ok = slope >= MIN_SLOPE
     print(f"order-check slope={slope:.3f} (pass iff >= {MIN_SLOPE}): "
           f"{'PASS' if ok else 'FAIL'}")
@@ -390,15 +357,6 @@ def cmd_decay_check(cfg, outdir: Path) -> tuple:
     write_run_csv(outdir / "run.csv", result.reports)
     slack = DECAY_SLACK * result.reports[0].kl * scfg.h
     violations = [r.iter for r in result.reports if r.kl > r.kl_bound + slack]
-    if cfg["plot"]:
-        from .svgfig import line_plot
-        its = [r.iter for r in result.reports]
-        line_plot(outdir / "decay_check.svg",
-                  [(its, [max(r.kl, 1e-300) for r in result.reports], "measured KL"),
-                   (its, [max(r.kl_bound + slack, 1e-300) for r in result.reports],
-                    "bound + slack")],
-                  title="KL decay vs bound", xlabel="iteration",
-                  ylabel="log10 KL", logy=True)
     ok = not violations
     print(f"decay-check: {'PASS' if ok else f'FAIL at iters {violations[:5]}'}")
     return EXIT_OK if ok else EXIT_ASSERT, {"violations": violations[:20], "pass": ok,

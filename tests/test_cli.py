@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import brwplab
+from brwplab import cli
 from brwplab.cli import (EXIT_ASSERT, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _git_describe,
                          _write_csv, load_config, main, resolve_config)
 
@@ -28,14 +29,14 @@ class TestConfigParsing:
         out = tmp_path / "typed"
         code = run_cli("sample", "--out", str(out), "--target.id", "gaussian_mixture",
                        "--target.a", "2", "--grid.n", "2401.0", "--sampler.T", "none",
-                       "--plot", "FALSE", "--sampler.method", "brwp_kde",
+                       "--timing.record", "TRUE", "--sampler.method", "brwp_kde",
                        "--sampler.n_steps", "2", "--sampler.n_particles", "64",
                        "--sampler.kde_bandwidth", "auto", "--sweep.h_list", "0.5",
                        "--sampler.h=0.04")
         assert code == EXIT_OK
         text = (out / "manifest.json").read_text()
         for line in ('"target.a": 2.0,', '"grid.n": 2401,', '"sampler.T": null,',
-                     '"plot": false,', '"sampler.kde_bandwidth": "auto",',
+                     '"timing.record": true', '"sampler.kde_bandwidth": "auto",',
                      '"sampler.h": 0.04,'):
             assert line in text
         assert json.loads(text)["config"]["sweep.h_list"] == [0.5]
@@ -84,8 +85,7 @@ class TestConfigParsing:
         cfg_file.write_text("sampler.n_steps = 50\n")
         out = tmp_path / "out"
         code = run_cli("sample", "--config", str(cfg_file), "--out", str(out),
-                       "--sampler.n_steps", "3", "--sampler.n_particles", "64",
-                       "--plot", "false")
+                       "--sampler.n_steps", "3", "--sampler.n_particles", "64")
         assert code == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["sampler.n_steps"] == 3
@@ -118,7 +118,7 @@ class TestConfigParsing:
     ])
     def test_nonfinite_or_nonintegral_value_is_config_error(self, tmp_path, capsys, argv, key):
         out = tmp_path / "v"
-        assert run_cli(*argv, "--out", str(out), "--plot", "false") == EXIT_CONFIG
+        assert run_cli(*argv, "--out", str(out)) == EXIT_CONFIG
         assert f"configuration error: {key} must be" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
@@ -133,7 +133,8 @@ class TestConfigParsing:
          EXIT_CONFIG, "target.b must be"),
         (("sample", "--target.alpha", "1,2"), EXIT_CONFIG, "target.alpha must be"),
         (("sample", "--sampler.h", "0.1,0.2"), EXIT_CONFIG, "sampler.h must be"),
-        (("sample", "--plot", "maybe"), EXIT_CONFIG, "plot must be true or false"),
+        (("sample", "--timing.record", "maybe"), EXIT_CONFIG,
+         "timing.record must be true or false"),
         (("denominator-check", "--sampler.backend", "bogus"), EXIT_CONFIG,
          "unknown backend 'bogus'"),
         (("sample", *MIXTURE_2D, "--target.a", "1,2"), EXIT_OK, ""),
@@ -173,7 +174,7 @@ class TestConfigParsing:
     def test_value_takes_the_type_of_its_default(self, tmp_path, capsys, argv, code, message):
         out = tmp_path / "t"
         steps = ("--sampler.n_steps", "2", "--sampler.n_particles", "64")
-        assert run_cli(argv[0], "--out", str(out), "--plot", "false", *steps,
+        assert run_cli(argv[0], "--out", str(out), *steps,
                        *argv[1:]) == code
         assert message in capsys.readouterr().err
         assert (out / "manifest.json").exists() == (code == EXIT_OK)
@@ -188,7 +189,6 @@ class TestSample:
         assert lines[0] == "iter,kl,fisher,m0,tv,w2,kl_bound,wallclock_ms"
         assert len(lines) == 7  # header + initial row + 5 steps
         assert (out / "ensemble_final.csv").exists()
-        assert (out / "histogram.svg").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 9
         assert manifest["backend"] == "quadrature"
@@ -204,19 +204,17 @@ class TestSample:
         assert (out_a / "run.csv").read_bytes() == (out_b / "run.csv").read_bytes()
         assert (out_a / "ensemble_final.csv").read_bytes() == \
             (out_b / "ensemble_final.csv").read_bytes()
-        assert (out_a / "histogram.svg").read_bytes() == \
-            (out_b / "histogram.svg").read_bytes()
 
     def test_wallclock_column_zero_by_default(self, tmp_path):
         out = tmp_path / "t"
         run_cli("sample", "--out", str(out), "--sampler.n_steps", "2",
-                "--sampler.n_particles", "64", "--plot", "false")
+                "--sampler.n_particles", "64")
         rows = (out / "run.csv").read_text().splitlines()[1:]
         assert all(r.rsplit(",", 1)[1] == "0.0" for r in rows)
 
     def test_timing_record_prints_the_total(self, tmp_path, capsys):
         code = run_cli("sample", "--out", str(tmp_path / "t"), "--sampler.n_steps", "2",
-                       "--sampler.n_particles", "64", "--plot", "false",
+                       "--sampler.n_particles", "64",
                        "--timing.record", "true")
         assert code == EXIT_OK
         assert re.search(r"^total \d+ ms$", capsys.readouterr().out, re.MULTILINE)
@@ -233,7 +231,7 @@ class TestSample:
     def test_unknown_backend_is_config_error(self, tmp_path, method, backend, capsys):
         code = run_cli("sample", "--out", str(tmp_path / "b"), "--sampler.method", method,
                        "--sampler.backend", backend, "--sampler.n_steps", "1",
-                       "--sampler.n_particles", "16", "--plot", "false")
+                       "--sampler.n_particles", "16")
         assert code == EXIT_CONFIG
         assert f"unknown backend '{backend}'" in capsys.readouterr().err
 
@@ -244,7 +242,7 @@ class TestSample:
         out = tmp_path / "g"
         code = run_cli("sample", "--out", str(out), "--target.dim", "4",
                        "--sampler.method", method, "--sampler.n_steps", "1",
-                       "--sampler.n_particles", "16", "--plot", "false")
+                       "--sampler.n_particles", "16")
         assert code == EXIT_CONFIG
         assert (f"{method} needs a full grid (target.dim <= 3) of the target's dimension: "
                 "target dim 4, grid dim 1") in capsys.readouterr().err
@@ -253,8 +251,7 @@ class TestSample:
     def test_narrow_grid_is_numerical_abort(self, tmp_path, capsys):
         code = run_cli("sample", "--out", str(tmp_path / "n"), "--target.id", "quadratic",
                        "--grid.lo", "-3", "--grid.hi", "3", "--grid.n", "241",
-                       "--sampler.n_steps", "2", "--sampler.n_particles", "64",
-                       "--plot", "false")
+                       "--sampler.n_steps", "2", "--sampler.n_particles", "64")
         assert code == EXIT_NUMERIC
         assert "widen the grid" in capsys.readouterr().err
 
@@ -262,8 +259,7 @@ class TestSample:
         # 6.5% of the particles start past the right edge of a 20001-point grid
         code = run_cli("sample", "--out", str(tmp_path / "n"), "--grid.lo", "-8",
                        "--grid.hi", "8", "--grid.n", "20001", "--sampler.init_sigma_sq", "20",
-                       "--sampler.n_particles", "200", "--sampler.n_steps", "1",
-                       "--plot", "false")
+                       "--sampler.n_particles", "200", "--sampler.n_steps", "1")
         assert code == EXIT_NUMERIC
         assert ("6.5% of particles left the score grid (> 1%); widen the grid"
                 in capsys.readouterr().err)
@@ -275,7 +271,7 @@ class TestSample:
         out = tmp_path / "b"
         code = run_cli("sample", "--out", str(out), "--target.beta", "40",
                        "--sampler.backend", backend, "--sampler.n_steps", "2",
-                       "--sampler.n_particles", "64", "--plot", "false")
+                       "--sampler.n_particles", "64")
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert (f"denominator table has {bad} of 2401 entries nonpositive or non-finite: "
@@ -292,7 +288,7 @@ class TestSample:
             warnings.simplefilter("ignore")     # h above the maximum stable stepsize
             code = run_cli("sample", "--out", str(out), "--sampler.method", method,
                            "--sampler.h", h, "--sampler.n_steps", "3",
-                           "--sampler.n_particles", "64", "--plot", "false")
+                           "--sampler.n_particles", "64")
         assert code == EXIT_OK
         with open(out / "run.csv", newline="") as f:
             bounds = [r["kl_bound"] for r in csv.DictReader(f)]
@@ -303,7 +299,7 @@ class TestSample:
         # at h = 1e-13 the bias sum's denominator |q - r| is below DENOM_EPS
         out = tmp_path / "s"
         assert run_cli("sample", "--out", str(out), "--sampler.h", "1e-13",
-                       "--sampler.n_steps", "2", "--plot", "false") == EXIT_OK
+                       "--sampler.n_steps", "2") == EXIT_OK
         with open(out / "run.csv", newline="") as f:
             bounds = [float(r["kl_bound"]) for r in csv.DictReader(f)]
         assert len(bounds) == 3 and all(math.isfinite(b) for b in bounds)
@@ -370,7 +366,7 @@ class TestThreads:
 class TestOrderCheck:
     def test_quadratic_passes(self, tmp_path):
         out = tmp_path / "oc"
-        code = run_cli("order-check", "--out", str(out), "--plot", "false")
+        code = run_cli("order-check", "--out", str(out))
         assert code == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert 1.7 <= manifest["slope"] <= 2.3
@@ -384,7 +380,7 @@ class TestOrderCheck:
 
     def test_coincident_stepsizes_are_config_error(self, tmp_path, capsys):
         # three equal stepsizes give no slope to fit
-        code = run_cli("order-check", "--out", str(tmp_path / "oc3"), "--plot", "false",
+        code = run_cli("order-check", "--out", str(tmp_path / "oc3"),
                        "--order.t_list", "0.1,0.1,0.1")
         assert code == EXIT_CONFIG
         assert "order.t_list needs at least 3 distinct stepsizes" in capsys.readouterr().err
@@ -395,7 +391,7 @@ class TestOrderCheck:
             out = tmp_path / backend
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")     # Laplace mass drift at T = 0.2
-                code = run_cli("order-check", "--out", str(out), "--plot", "false",
+                code = run_cli("order-check", "--out", str(out),
                                "--sampler.backend", backend)
             assert code == EXIT_OK
             assert json.loads((out / "manifest.json").read_text())["backend"] == backend
@@ -406,7 +402,7 @@ class TestOrderCheck:
         # N(0, 0.05) underflows to 0 at the grid edge; the expansion
         # rho0 + T*fp_rhs(rho0) needs no positive rho0, so the check runs
         out = tmp_path / "oc_narrow"
-        code = run_cli("order-check", "--out", str(out), "--plot", "false",
+        code = run_cli("order-check", "--out", str(out),
                        "--sampler.init_sigma_sq", "0.05")
         assert code == EXIT_ASSERT
         with open(out / "order_check.csv") as f:
@@ -439,7 +435,7 @@ class TestDenominatorCheck:
     def test_underflowing_integrand_says_so(self, tmp_path, capsys):
         # at y = 100 the integrand's exponent is below -9700 over the whole ±12 grid
         code = run_cli("denominator-check", "--out", str(tmp_path / "d"),
-                       "--denominator.y_list", "100", "--plot", "false")
+                       "--denominator.y_list", "100")
         assert code == EXIT_NUMERIC
         assert ("denominator integrand underflows to 0 everywhere on the grid at y = [100.0]"
                 in capsys.readouterr().err)
@@ -449,7 +445,7 @@ class TestDecayCheck:
     def test_short_quadratic_run_passes(self, tmp_path):
         out = tmp_path / "decay"
         code = run_cli("decay-check", "--out", str(out), "--sampler.n_steps", "30",
-                       "--sampler.n_particles", "64", "--plot", "false")
+                       "--sampler.n_particles", "64")
         assert code == EXIT_OK
 
     def test_needs_alpha(self, tmp_path):
@@ -462,8 +458,7 @@ class TestStepsizeSweep:
     def test_small_sweep_reports(self, tmp_path):
         out = tmp_path / "sw"
         code = run_cli("stepsize-sweep", "--out", str(out),
-                       "--sweep.h_list", "0.2,0.4", "--sweep.n_steps", "40",
-                       "--plot", "false")
+                       "--sweep.h_list", "0.2,0.4", "--sweep.n_steps", "40")
         assert code == EXIT_OK
         lines = (out / "sweep.csv").read_text().splitlines()
         assert lines[0] == "h,steps_to_threshold,stable,terminal_kl,min_kl"
@@ -474,8 +469,7 @@ class TestStepsizeSweep:
         # the law evolution folds on blur noise in the tails if the blur loses
         # relative accuracy there; this summary then changes
         out = tmp_path / "sw"
-        code = run_cli("stepsize-sweep", "--out", str(out), "--sweep.n_steps", "40",
-                       "--plot", "false")
+        code = run_cli("stepsize-sweep", "--out", str(out), "--sweep.n_steps", "40")
         assert code == EXIT_OK
         with open(out / "sweep.csv", newline="") as f:
             rows = list(csv.DictReader(f))
@@ -486,7 +480,7 @@ class TestStepsizeSweep:
         # 1/(3 alpha) and 2/(3 alpha) for the default quadratic, alpha = 1
         out = tmp_path / "sw"
         code = run_cli("stepsize-sweep", "--out", str(out), "--sweep.h_list", "0.2",
-                       "--sweep.n_steps", "5", "--plot", "false")
+                       "--sweep.n_steps", "5")
         assert code == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["optimal_stepsize"] == pytest.approx(1 / 3, rel=1e-15)
@@ -494,7 +488,7 @@ class TestStepsizeSweep:
         assert [r["h"] for r in manifest["summary"]] == [0.2]
         mix = tmp_path / "mix"
         code = run_cli("stepsize-sweep", "--out", str(mix), "--target.id", "gaussian_mixture",
-                       "--sweep.h_list", "0.2", "--sweep.n_steps", "5", "--plot", "false")
+                       "--sweep.h_list", "0.2", "--sweep.n_steps", "5")
         assert code == EXIT_OK
         manifest = json.loads((mix / "manifest.json").read_text())
         assert "optimal_stepsize" not in manifest and "max_stepsize" not in manifest
@@ -504,7 +498,7 @@ class TestStepsizeSweep:
         out = tmp_path / "sw"
         code = run_cli("stepsize-sweep", "--out", str(out), "--target.alpha", "3",
                        "--sampler.init_mean", "9", "--sampler.init_sigma_sq", "0.05",
-                       "--sweep.h_list", "1", "--sweep.n_steps", "5", "--plot", "false")
+                       "--sweep.h_list", "1", "--sweep.n_steps", "5")
         assert code == EXIT_OK
         assert len((out / "law_h_1.csv").read_text().splitlines()) == 1 + 2
         manifest = json.loads((out / "manifest.json").read_text())
@@ -516,7 +510,7 @@ class TestStepsizeSweep:
                                                            h_list, name):
         out = tmp_path / "sw"
         code = run_cli("stepsize-sweep", "--out", str(out), "--sweep.h_list", h_list,
-                       "--sweep.n_steps", "5", "--plot", "false")
+                       "--sweep.n_steps", "5")
         assert code == EXIT_CONFIG
         assert f"sweep.h_list gives two stepsizes one law file {name}" in capsys.readouterr().err
         assert not any(out.iterdir())
@@ -545,19 +539,11 @@ class TestProxEvolve:
         assert (out / "density_iter_0000.csv").exists()
         assert (out / "density_iter_0008.csv").exists()
         assert (out / "l1_error.csv").exists()
-        assert (out / "overlay.svg").exists()
         rows = (out / "l1_error.csv").read_text().splitlines()
         assert rows[0] == "iter,l1,kl,prenorm_mass"
         # every pre-normalization mass within the contract window
         masses = [float(r.split(",")[3]) for r in rows[1:]]
         assert all(abs(m - 1.0) <= 5e-3 for m in masses)
-
-    def test_zero_iterations_plot_overlay_only(self, tmp_path):
-        out = tmp_path / "pe0"
-        assert run_cli("prox-evolve", "--out", str(out), "--prox.iters", "0") == EXIT_OK
-        assert (out / "overlay.svg").exists()
-        assert not (out / "l1_error.svg").exists()
-        assert (out / "l1_error.csv").read_text() == "iter,l1,kl,prenorm_mass\n"
 
     @pytest.mark.parametrize("argv", [("--prox.iters", "-3"), ("--prox.save_every", "0")])
     def test_bad_count_is_config_error(self, tmp_path, capsys, argv):
@@ -568,8 +554,7 @@ class TestProxEvolve:
 
     def test_density_csv_roundtrip(self, tmp_path):
         out = tmp_path / "pe2"
-        run_cli("prox-evolve", "--out", str(out), "--prox.iters", "2",
-                "--plot", "false")
+        run_cli("prox-evolve", "--out", str(out), "--prox.iters", "2")
         g = read_density_csv(out / "density_iter_0002.csv")
         assert g.mass() == pytest.approx(1.0, abs=1e-9)
 
@@ -608,10 +593,31 @@ def test_csv_writer_fields(tmp_path):
 
 
 def test_git_describe_is_the_package_checkout_from_any_directory(tmp_path, monkeypatch):
+    _git_describe.cache_clear()
     monkeypatch.chdir(Path(brwplab.__file__).parent)
     in_package = _git_describe()
+    _git_describe.cache_clear()
     monkeypatch.chdir(tmp_path)
     assert _git_describe() == in_package
+
+
+def test_git_describe_runs_once_per_process(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return subprocess.CompletedProcess(args, 0, stdout="abc1234\n", stderr="")
+    monkeypatch.setattr(cli.subprocess, "run", counting_run)
+    _git_describe.cache_clear()
+    try:
+        for out in ("a", "b"):
+            assert run_cli("denominator-check", "--out", str(tmp_path / out)) == EXIT_OK
+    finally:
+        _git_describe.cache_clear()     # no later test may see the stub's answer
+    assert len(calls) == 1
+    for out in ("a", "b"):
+        assert json.loads((tmp_path / out / "manifest.json").read_text())["git_describe"] \
+            == "abc1234"
 
 
 def test_unknown_positional_is_config_error(tmp_path):
@@ -633,7 +639,7 @@ class TestProxEvolveQuantitative:
         code = run_cli("prox-evolve", "--out", str(out),
                        "--target.id", target_id, "--prox.T", str(t_step),
                        "--prox.iters", str(iters),
-                       "--prox.save_every", str(iters), "--plot", "false")
+                       "--prox.save_every", str(iters))
         assert code == EXIT_OK
         rows = (out / "l1_error.csv").read_text().splitlines()[1:]
         return [float(r.split(",")[1]) for r in rows]
@@ -661,7 +667,7 @@ class TestSampleQuantitative:
                        "--target.id", "gaussian_mixture",
                        "--sampler.method", "brwp_successive",
                        "--sampler.h", "0.02", "--sampler.n_steps", "50",
-                       "--sampler.n_particles", "500", "--plot", "false")
+                       "--sampler.n_particles", "500")
         assert code == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert 0.3 <= manifest["mode_balance"] <= 0.7
@@ -672,7 +678,7 @@ class TestSampleQuantitative:
                        "--target.id", "gauss_laplace",
                        "--sampler.method", "brwp_successive",
                        "--sampler.h", "0.02", "--sampler.n_steps", "20",
-                       "--sampler.n_particles", "200", "--plot", "false")
+                       "--sampler.n_particles", "200")
         assert code == EXIT_OK
         rows = (out / "run.csv").read_text().splitlines()[1:]
         kl = {int(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
@@ -684,5 +690,5 @@ class TestSampleQuantitative:
                        "--target.id", "gaussian_mixture",
                        "--sampler.method", "ula", "--sampler.h", "0.02",
                        "--sampler.n_steps", "50",
-                       "--sampler.n_particles", "500", "--plot", "false")
+                       "--sampler.n_particles", "500")
         assert code == EXIT_OK

@@ -1,4 +1,5 @@
-"""Time the build, score_of_step, apply_blur and a diagnostics row of two trees, pair by pair.
+"""Time the build, score_of_step, apply_blur, a diagnostics row, the KDE and the particle
+score of two trees, pair by pair.
 
     python tools/layer_bench.py SRC_A SRC_B [--pairs N]
 
@@ -20,7 +21,13 @@ diagnose: one samplers._diagnose row of a brwp_successive run whose chain
 is rho0, against that operator's target and grad V. Each diagnose call sets
 the chain to a fresh GridDensity of rho0's values, so the log of the chain
 is taken in every call, as in a run; the run-constant target density is
-built in the warm-up calls and reused. In each pair, for each grid
+built in the warm-up calls and reused. Also on 2401, 161^2 and 41^3, kde
+estimates 500 particles on the grid with the "auto" bandwidth; the grid
+"41" (41 points on +-12, the grid of a d > 3 run) times kde of 2000
+particles, and "2000x10d" times prox_particle_score of 2000 particles of the
+10-D Gaussian mixture at T = 0.05. The particles of each are a fixed draw
+(numpy's default_rng(0)) of a run's default initial law N(0, 2) on every
+axis, the same for both trees. In each pair, for each grid
 and layer, both trees take 3 warm-up calls and then 30 timed calls,
 alternating A and B call by call (B first in every other pair); a tree's
 figure for the pair is the median of its 30 calls. For each grid and layer
@@ -91,7 +98,24 @@ def layer_calls(src: Path, name: str) -> dict:
                 state.chain = density.GridDensity(state.grid, vals)
                 return samplers._diagnose(cfg, target, None, state, 0, 0.0)
             calls[label]["diagnose"] = diagnose
+            calls[label]["kde"] = kde_call(density, grid, 500)
+    grid_41 = density.Grid((density.uniform_axis(-12.0, 12.0, 41),))
+    calls["41"] = {"kde": kde_call(density, grid_41, 2000)}
+    cloud = density.ParticleEnsemble(particles(2000, 10))
+    target = potentials.make_gaussian_mixture(2.0, 1.0, dim=10)
+    calls["2000x10d"] = {"prox_particle_score": functools.partial(
+        proximal.prox_particle_score, cloud, target, proximal.ProxParams(T=0.05, beta=1.0))}
     return calls
+
+
+def particles(n: int, dim: int) -> np.ndarray:
+    """n fixed points in R^dim, drawn from N(0, 2) on every axis as a default run starts."""
+    return np.sqrt(2.0) * np.random.default_rng(0).standard_normal((n, dim))
+
+
+def kde_call(density, grid, n: int):
+    cloud = density.ParticleEnsemble(particles(n, grid.dim))
+    return functools.partial(density.kde, cloud, "auto", grid)
 
 
 def alternate_medians(fns: list) -> list:
@@ -140,7 +164,7 @@ def main(argv=None) -> int:
     print("threads:", ", ".join(f"{v}={os.environ.get(v, '<unset>')}" for v in THREAD_VARS))
     affinity = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
     print(f"numpy: {np.__version__}  cores: {os.cpu_count()} (usable {affinity})")
-    print(f"{'grid':<7} {'layer':<14} {'A median [q1, q3] ms':<26} "
+    print(f"{'grid':<8} {'layer':<19} {'A median [q1, q3] ms':<26} "
           f"{'B median [q1, q3] ms':<26} B won")
     for grid, layers in trees["A"].items():
         for layer in layers:
@@ -150,7 +174,7 @@ def main(argv=None) -> int:
             for xs in (a, b):
                 q1, q2, q3 = quartiles(xs)
                 cols.append(f"{q2:.3f} [{q1:.3f}, {q3:.3f}]")
-            print(f"{grid:<7} {layer:<14} {cols[0]:<26} {cols[1]:<26} {won}/{args.pairs}")
+            print(f"{grid:<8} {layer:<19} {cols[0]:<26} {cols[1]:<26} {won}/{args.pairs}")
     return 0
 
 

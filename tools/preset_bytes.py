@@ -6,7 +6,9 @@ leaves every output byte unchanged.
 
 ``run`` runs every preset in PRESETS with the package of the source tree SRC
 (SRC/src on PYTHONPATH), one subprocess per preset, each writing to
-OUT/<preset>/. It then writes OUT/sha256.txt: the exit code of each preset
+OUT/<preset>/, and then tools/plot.py on each preset directory that holds a
+manifest, with the same PYTHONPATH, so the figures are hashed too. It then
+writes OUT/sha256.txt: the exit code of each preset
 and a sha256 of every file it wrote. Before hashing, the columns and keys
 that hold times or the checkout are removed: the ``wallclock_ms`` column of
 every CSV, and ``runtime_s`` and ``git_describe`` of ``manifest.json``.
@@ -41,6 +43,7 @@ sys.dont_write_bytecode = True           # leave no cache files in perfbench/
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
+PLOT_TOOL = Path(__file__).resolve().with_name("plot.py")
 STRIPPED_KEYS = ("runtime_s", "git_describe")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -63,6 +66,12 @@ PRESETS = {
                "--sampler.n_steps", "3"],
     "successive_2d": ["sample", "--target.dim", "2", "--sampler.method", "brwp_successive",
                       "--sampler.n_steps", "5"],
+    # off-centre Gaussian chains: a centred run on a symmetric grid cancels odd-order errors
+    "successive_1d_offset": ["sample", "--sampler.method", "brwp_successive",
+                             "--sampler.init_mean", "1", "--sampler.n_steps", "10"],
+    "successive_3d_offset": ["sample", "--target.dim", "3", "--sampler.method",
+                             "brwp_successive", "--sampler.init_mean", "1",
+                             "--sampler.n_steps", "10"],
     "explicit_flow": ["sample", "--sampler.method", "explicit_flow", "--sampler.n_steps", "10"],
     "ula": ["sample", "--sampler.method", "ula", "--sampler.n_steps", "10"],
     "kde_laplace": ["sample", "--target.id", "gaussian_mixture", "--sampler.method",
@@ -100,7 +109,7 @@ PRESETS = {
     "sweep_small_h": ["stepsize-sweep", "--sweep.h_list", "0.05,0.1"],
     # values not written in their key's canonical form, and the --key=value form
     "typed_texts": ["sample", "--target.id", "gaussian_mixture", "--target.a", "2",
-                    "--grid.n", "2401.0", "--sampler.T", "none", "--plot", "FALSE",
+                    "--grid.n", "2401.0", "--sampler.T", "none", "--timing.record", "FALSE",
                     "--sampler.method", "brwp_kde", "--sampler.n_steps", "2",
                     "--sampler.kde_bandwidth", "auto", "--sampler.h=0.05"],
 }
@@ -139,6 +148,9 @@ def run(src: Path, out: Path, seed: int, threads: int | None) -> Path:
             cmd += ["--threads", str(threads)]
         code = subprocess.run(cmd, cwd=out, env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL).returncode
+        if (out / name / "manifest.json").is_file():
+            subprocess.run([sys.executable, str(PLOT_TOOL), name], cwd=out, env=env,
+                           check=True)
         print(f"{name}: exit {code}", file=sys.stderr)
         lines.append(f"exit {code}  {name}")
         for path in sorted(p for p in (out / name).rglob("*") if p.is_file()):
