@@ -59,7 +59,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("argv", [("stepsize-sweep", "--sweep.h_list", ""),
                                       ("stepsize-sweep", "--sweep.h_list", ","),
-                                      ("denominator-check", "--denominator.y_list", ",")])
+                                      ("sample", "--sampler.kde_bandwidth", ",")])
     def test_list_without_a_number_is_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "e"
         assert run_cli(*argv, "--out", str(out)) == EXIT_CONFIG
@@ -110,8 +110,8 @@ class TestConfigParsing:
         (("sample", "--target.id", "gaussian_mixture", "--target.sigma", "nan"), "target.sigma"),
         (("sample", "--target.id", "gauss_laplace", "--target.b", "inf"), "target.b"),
         (("sample", "--sampler.init_mean", "nan"), "sampler.init_mean"),
-        (("prox-evolve", "--prox.T", "nan"), "prox.T"),
-        (("denominator-check", "--denominator.t_list", "0.1,0.05,nan"), "denominator.t_list"),
+        (("prox-evolve", "--sampler.T", "nan"), "sampler.T"),
+        (("stepsize-sweep", "--sweep.h_list", "0.1,0.05,nan"), "sweep.h_list"),
         (("sample", "--sampler.n_steps", "2.7"), "sampler.n_steps"),
         (("sample", "--target.dim", "2.5"), "target.dim"),
         (("sample", "--grid.n", "241.5"), "grid.n"),
@@ -170,6 +170,12 @@ class TestConfigParsing:
          "unknown config key(s) sweep.threshold"),
         (("decay-check", "--decay.slack_factor", "0.2"), EXIT_CONFIG,
          "unknown config key(s) decay.slack_factor"),
+        # prox-evolve steps by sampler.*, and the checks' T and y lists are constants
+        (("prox-evolve", "--prox.iters", "5"), EXIT_CONFIG, "unknown config key(s) prox.iters"),
+        (("order-check", "--order.t_list", "0.2,0.1,0.05"), EXIT_CONFIG,
+         "unknown config key(s) order.t_list"),
+        (("denominator-check", "--denominator.y_list", "1"), EXIT_CONFIG,
+         "unknown config key(s) denominator.y_list"),
     ])
     def test_value_takes_the_type_of_its_default(self, tmp_path, capsys, argv, code, message):
         out = tmp_path / "t"
@@ -190,8 +196,9 @@ class TestSample:
         assert len(lines) == 7  # header + initial row + 5 steps
         assert (out / "ensemble_final.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 9
-        assert manifest["backend"] == "quadrature"
+        assert manifest["config"]["sampler.seed"] == 9
+        assert manifest["config"]["sampler.backend"] == "quadrature"
+        assert "seed" not in manifest and "backend" not in manifest
         assert "git_describe" in manifest
         assert manifest["runtime_s"] > 0
 
@@ -373,18 +380,6 @@ class TestOrderCheck:
         assert manifest["runtime_s"] > 0
         assert (out / "order_check.csv").exists()
 
-    def test_single_stepsize_is_config_error(self, tmp_path):
-        code = run_cli("order-check", "--out", str(tmp_path / "oc1"),
-                       "--order.t_list", "0.1")
-        assert code == EXIT_CONFIG
-
-    def test_coincident_stepsizes_are_config_error(self, tmp_path, capsys):
-        # three equal stepsizes give no slope to fit
-        code = run_cli("order-check", "--out", str(tmp_path / "oc3"),
-                       "--order.t_list", "0.1,0.1,0.1")
-        assert code == EXIT_CONFIG
-        assert "order.t_list needs at least 3 distinct stepsizes" in capsys.readouterr().err
-
     def test_runs_the_configured_backend(self, tmp_path):
         tables = []
         for backend in ("quadrature", "laplace_denominator"):
@@ -394,7 +389,8 @@ class TestOrderCheck:
                 code = run_cli("order-check", "--out", str(out),
                                "--sampler.backend", backend)
             assert code == EXIT_OK
-            assert json.loads((out / "manifest.json").read_text())["backend"] == backend
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert config["sampler.backend"] == backend
             tables.append((out / "order_check.csv").read_text())
         assert tables[0] != tables[1]
 
@@ -424,18 +420,31 @@ class TestDenominatorCheck:
         manifest = json.loads((out / "manifest.json").read_text())
         assert all(s >= 1.7 for s in manifest["slopes"].values())
 
-    def test_coincident_stepsizes_are_config_error(self, tmp_path, capsys):
-        code = run_cli("denominator-check", "--out", str(tmp_path / "dc3"),
-                       "--denominator.t_list", "0.1,0.1,0.1")
-        assert code == EXIT_CONFIG
-        assert "denominator.t_list needs at least 3 distinct stepsizes" in \
-            capsys.readouterr().err
+    def test_exact_point_passes_on_its_error(self, tmp_path, capsys):
+        # at d = 2, y = 0 the Laplace form of a quadratic is exact: abs_err is
+        # rounding at every T, and its slope (about 0.01) fits that rounding
+        out = tmp_path / "dc2"
+        assert run_cli("denominator-check", "--out", str(out), "--target.dim", "2") == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.endswith("at every T)") for line in lines] == [False, True, False]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["slopes"]["0.0"] < cli.MIN_SLOPE <= manifest["slopes"]["2.0"]
+        with open(out / "denominator_check.csv") as f:
+            at_zero = [r for r in csv.DictReader(f) if r["y"] == "0.0"]
+        assert all(float(r["abs_err"]) < cli.EXACT_REL_ERR * float(r["exact"])
+                   for r in at_zero)
 
+    def test_nonsmooth_kink_still_fails(self, tmp_path):
+        # y = -2 sits on the L1 kink of gauss_laplace: slope about 0.39, not exact
+        out = tmp_path / "dcgl"
+        assert run_cli("denominator-check", "--out", str(out),
+                       "--target.id", "gauss_laplace") == EXIT_ASSERT
+        assert json.loads((out / "manifest.json").read_text())["slopes"]["-2.0"] < 0.5
 
-    def test_underflowing_integrand_says_so(self, tmp_path, capsys):
+    def test_underflowing_integrand_says_so(self, tmp_path, capsys, monkeypatch):
         # at y = 100 the integrand's exponent is below -9700 over the whole ±12 grid
-        code = run_cli("denominator-check", "--out", str(tmp_path / "d"),
-                       "--denominator.y_list", "100")
+        monkeypatch.setattr(cli, "CHECK_Y", (100.0,))
+        code = run_cli("denominator-check", "--out", str(tmp_path / "d"))
         assert code == EXIT_NUMERIC
         assert ("denominator integrand underflows to 0 everywhere on the grid at y = [100.0]"
                 in capsys.readouterr().err)
@@ -533,11 +542,12 @@ class TestProxEvolve:
     def test_artifacts(self, tmp_path):
         out = tmp_path / "pe"
         code = run_cli("prox-evolve", "--out", str(out),
-                       "--target.id", "gaussian_mixture", "--prox.T", "0.05",
-                       "--prox.iters", "8", "--prox.save_every", "4")
+                       "--target.id", "gaussian_mixture", "--sampler.h", "0.05",
+                       "--sampler.n_steps", "8", "--sampler.diag_every", "3")
         assert code == EXIT_OK
-        assert (out / "density_iter_0000.csv").exists()
-        assert (out / "density_iter_0008.csv").exists()
+        # every sampler.diag_every steps, and at the last
+        assert sorted(p.name for p in out.glob("density_iter_*.csv")) == \
+            [f"density_iter_{k:04d}.csv" for k in (0, 3, 6, 8)]
         assert (out / "l1_error.csv").exists()
         rows = (out / "l1_error.csv").read_text().splitlines()
         assert rows[0] == "iter,l1,kl,prenorm_mass"
@@ -545,22 +555,28 @@ class TestProxEvolve:
         masses = [float(r.split(",")[3]) for r in rows[1:]]
         assert all(abs(m - 1.0) <= 5e-3 for m in masses)
 
-    @pytest.mark.parametrize("argv", [("--prox.iters", "-3"), ("--prox.save_every", "0")])
+    # SamplerConfig refuses both counts, for prox-evolve as for sample
+    BAD_COUNT_MESSAGES = {"--sampler.n_steps": "n_steps must be >= 0 and n_particles >= 2",
+                          "--sampler.diag_every": "diag_every must be >= 1"}
+
+    @pytest.mark.parametrize("argv", [("--sampler.n_steps", "-3"),
+                                      ("--sampler.diag_every", "0")])
     def test_bad_count_is_config_error(self, tmp_path, capsys, argv):
         out = tmp_path / "pe_bad"
         assert run_cli("prox-evolve", "--out", str(out), *argv) == EXIT_CONFIG
-        assert "prox.iters must be >= 0 and prox.save_every >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"configuration error: {self.BAD_COUNT_MESSAGES[argv[0]]}\n"
         assert not (out / "l1_error.csv").exists()
 
     def test_density_csv_roundtrip(self, tmp_path):
         out = tmp_path / "pe2"
-        run_cli("prox-evolve", "--out", str(out), "--prox.iters", "2")
+        run_cli("prox-evolve", "--out", str(out), "--sampler.n_steps", "2")
         g = read_density_csv(out / "density_iter_0002.csv")
         assert g.mass() == pytest.approx(1.0, abs=1e-9)
 
 
 RERUN_ARGS = {
-    "prox-evolve": ("--prox.iters", "4", "--prox.save_every", "2"),
+    "prox-evolve": ("--sampler.n_steps", "4", "--sampler.diag_every", "2"),
     "order-check": (),
     "denominator-check": (),
     "decay-check": ("--sampler.n_steps", "5", "--sampler.n_particles", "64"),
@@ -637,9 +653,9 @@ class TestProxEvolveQuantitative:
     def _l1_after(self, target_id, t_step, iters, tmp_path, tag):
         out = tmp_path / f"pe_{tag}"
         code = run_cli("prox-evolve", "--out", str(out),
-                       "--target.id", target_id, "--prox.T", str(t_step),
-                       "--prox.iters", str(iters),
-                       "--prox.save_every", str(iters))
+                       "--target.id", target_id, "--sampler.h", str(t_step),
+                       "--sampler.n_steps", str(iters),
+                       "--sampler.diag_every", str(iters))
         assert code == EXIT_OK
         rows = (out / "l1_error.csv").read_text().splitlines()[1:]
         return [float(r.split(",")[1]) for r in rows]

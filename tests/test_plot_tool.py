@@ -19,8 +19,8 @@ _spec.loader.exec_module(plot_tool)
 FIGURE_RUNS = {
     "sample": (("--sampler.method", "ula", "--sampler.n_steps", "10",
                 "--sampler.n_particles", "256", "--seed", "4"), ["histogram.svg"]),
-    "prox-evolve": (("--target.id", "gaussian_mixture", "--prox.iters", "8",
-                     "--prox.save_every", "4"), ["l1_error.svg", "overlay.svg"]),
+    "prox-evolve": (("--target.id", "gaussian_mixture", "--sampler.n_steps", "8",
+                     "--sampler.diag_every", "4"), ["l1_error.svg", "overlay.svg"]),
     "order-check": ((), ["order_check.svg"]),
     "decay-check": (("--sampler.n_steps", "5", "--sampler.n_particles", "64"),
                     ["decay_check.svg"]),
@@ -49,7 +49,7 @@ def test_rerun_draws_identical_figures(command, tmp_path):
 
 def test_zero_iterations_plot_overlay_only(tmp_path):
     out = tmp_path / "pe0"
-    assert main(["prox-evolve", "--out", str(out), "--prox.iters", "0"]) == EXIT_OK
+    assert main(["prox-evolve", "--out", str(out), "--sampler.n_steps", "0"]) == EXIT_OK
     assert (out / "l1_error.csv").read_text() == "iter,l1,kl,prenorm_mass\n"
     assert plot_tool.main([str(out)]) == 0
     assert (out / "overlay.svg").exists()

@@ -156,6 +156,33 @@ class TestSuccessiveMode:
         kls = [r.kl for r in result.reports]
         assert all(b < a for a, b in zip(kls[:100], kls[1:101]))
 
+    @pytest.mark.parametrize("m0", [0.0, 1.0])
+    @pytest.mark.parametrize("dim, n, rtol", [(1, 2401, 1e-10), (2, 161, 1e-10),
+                                              (3, 41, None)])
+    def test_chain_rows_follow_the_gaussian_closed_form(self, dim, n, rtol, m0):
+        """Quadratic V, alpha = beta = 1, h = T = 0.05, rho0 = N(m0, 2) on every
+        axis: the chain is N(m, v) per axis, with v' the Prox_T variance and
+        m' = m/(1 + T), so KL = (d/2)(v - 1 - log v + m^2) and
+        Fisher = d((v - 1)^2/v + m^2). The 41^3 rows (its spacing 0.6 exceeds
+        the blur's width sqrt(2T) = 0.32, so the step is not resolved) and W2
+        (its 512-level quantile rule) are printed, not gated."""
+        T = 0.05
+        cfg = SamplerConfig(method="brwp_successive", h=T, n_steps=10, init_mean=m0,
+                            grid=((-12.0, 12.0, n),) * dim)
+        reports = run(cfg, make_quadratic(1.0, dim)).reports
+        assert [r.iter for r in reports] == list(range(11))
+        v, m = 2.0, m0
+        for r in reports:
+            kl = dim / 2 * (v - 1 - math.log(v) + m * m)
+            fisher = dim * ((v - 1) ** 2 / v + m * m)
+            errs = abs(r.kl - kl) / kl, abs(r.fisher - fisher) / fisher
+            w2 = math.hypot(m, math.sqrt(v) - 1)    # first axis, against N(0, 1)
+            print(f"d={dim} m0={m0} iter={r.iter}: kl rel err {errs[0]:.2e}, "
+                  f"fisher rel err {errs[1]:.2e}, w2 abs err {abs(r.w2 - w2):.2e}")
+            if rtol is not None:
+                assert max(errs) <= rtol, (r.iter, r.kl, kl, r.fisher, fisher)
+            v, m = prox_variance_oracle(v, 1.0, 1.0, T), m / (1 + T)
+
     def test_needs_grid_dim(self):
         target = make_quadratic(1.0, 5)
         cfg = SamplerConfig(method="brwp_successive", n_steps=1)

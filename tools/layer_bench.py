@@ -1,5 +1,5 @@
-"""Time the build, score_of_step, apply_blur, a diagnostics row, the KDE and the particle
-score of two trees, pair by pair.
+"""Time the build, score_of_step, apply_blur, a diagnostics row, the KDE, interp_at and
+the particle score of two trees, pair by pair.
 
     python tools/layer_bench.py SRC_A SRC_B [--pairs N]
 
@@ -22,7 +22,9 @@ is rho0, against that operator's target and grad V. Each diagnose call sets
 the chain to a fresh GridDensity of rho0's values, so the log of the chain
 is taken in every call, as in a run; the run-constant target density is
 built in the warm-up calls and reused. Also on 2401, 161^2 and 41^3, kde
-estimates 500 particles on the grid with the "auto" bandwidth; the grid
+estimates 500 particles on the grid with the "auto" bandwidth, and
+interp_at interpolates the d score fields of one score_of_step of rho0 at
+500 particles; the grid
 "41" (41 points on +-12, the grid of a d > 3 run) times kde of 2000
 particles, and "2000x10d" times prox_particle_score of 2000 particles of the
 10-D Gaussian mixture at T = 0.05. The particles of each are a fixed draw
@@ -99,6 +101,8 @@ def layer_calls(src: Path, name: str) -> dict:
                 return samplers._diagnose(cfg, target, None, state, 0, 0.0)
             calls[label]["diagnose"] = diagnose
             calls[label]["kde"] = kde_call(density, grid, 500)
+            calls[label]["interp_at"] = functools.partial(
+                samplers.interp_at, grid.axes, op.score_of_step(rho0)[2], particles(500, dim))
     grid_41 = density.Grid((density.uniform_axis(-12.0, 12.0, 41),))
     calls["41"] = {"kde": kde_call(density, grid_41, 2000)}
     cloud = density.ParticleEnsemble(particles(2000, 10))

@@ -9,7 +9,9 @@ RUN_DIR, chosen by the manifest's ``command``:
   first-axis marginal of the target (rebuilt from the manifest's target.*
   config) on [-6, 6] where the catalog has one;
 - ``prox-evolve``: overlay.svg of the last density file's first-axis marginal
-  against the target's, and l1_error.svg when l1_error.csv has rows;
+  against the target's, titled with the stepsize (sampler.T, or sampler.h
+  when T is none) and sampler.n_steps, and l1_error.svg when l1_error.csv
+  has rows;
 - ``order-check``: order_check.svg of order_check.csv, titled with the
   manifest's slope;
 - ``decay-check``: decay_check.svg of run.csv's KL against the bound plus
@@ -80,11 +82,12 @@ def plot_prox_evolve(run_dir: Path, manifest: dict):
     rs = target_density(_target(config), rho.grid, config["target.beta"],
                         check_truncation=False)
     gm, tm = rho.marginal_first(), rs.marginal_first()
+    t_step = config["sampler.h"] if config["sampler.T"] is None else config["sampler.T"]
     line_plot(run_dir / "overlay.svg",
               [(gm.grid.axes[0], gm.values, "computed"),
                (tm.grid.axes[0], tm.values, "target")],
-              title=f"kernel-proximal evolution, T={config['prox.T']}, "
-                    f"{config['prox.iters']} iterations",
+              title=f"kernel-proximal evolution, T={t_step}, "
+                    f"{config['sampler.n_steps']} iterations",
               xlabel="x", ylabel="density")
     l1 = _columns(run_dir / "l1_error.csv")
     if l1["iter"]:

@@ -93,16 +93,20 @@ PRESETS = {
     # 4-D target on a 3-D grid without a marginal: every diagnostic is NaN
     "ula_gauss_laplace_4d": ["sample", "--target.id", "gauss_laplace", "--target.dim", "4",
                              "--sampler.method", "ula", "--sampler.n_steps", "5"],
-    "prox_evolve_1d": ["prox-evolve", "--prox.iters", "20", "--prox.save_every", "5"],
-    "prox_evolve_2d": ["prox-evolve", "--target.dim", "2", "--prox.iters", "10",
-                       "--prox.save_every", "5"],
+    "prox_evolve_1d": ["prox-evolve", "--sampler.n_steps", "20", "--sampler.diag_every", "5"],
+    "prox_evolve_2d": ["prox-evolve", "--target.dim", "2", "--sampler.n_steps", "10",
+                       "--sampler.diag_every", "5"],
     # density files and sidecars on the default 41^3 grid
-    "prox_evolve_3d": ["prox-evolve", "--target.dim", "3", "--prox.iters", "2",
-                       "--prox.save_every", "2"],
+    "prox_evolve_3d": ["prox-evolve", "--target.dim", "3", "--sampler.n_steps", "2",
+                       "--sampler.diag_every", "2"],
+    # a stepsize other than the default: T follows sampler.h
+    "prox_evolve_h02": ["prox-evolve", "--sampler.h", "0.2", "--sampler.n_steps", "5"],
     "order_check": ["order-check"],
     # the 2-D small-T expansion on the default 161^2 grid
     "order_check_2d": ["order-check", "--target.dim", "2"],
     "denominator_check": ["denominator-check"],
+    # at y = 0 the Laplace form of a 2-D quadratic is exact: that point passes on abs_err
+    "denominator_check_2d": ["denominator-check", "--target.dim", "2"],
     "decay_check": ["decay-check"],
     "sweep": ["stepsize-sweep"],
     # stepsizes far below the optimal 1/3: the law map folds in the far tail
