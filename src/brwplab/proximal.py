@@ -16,10 +16,10 @@ each stored vector or weighted-matrix entry below the smallest normal float
 is 0. Every blur is one loop over the axes, and the dimension decides only
 how one axis is blurred. For d >= 2 both vectors are laid out as trapezoid
 matrices per axis, so a step costs O(d * G * n) instead of O(G^2). In 1-D the
-blur is an FFT convolution with the cached spectra, of the smallest length
-2^k, 3*2^k or 5*2^k that is at least 2G - 1; its small entries are recomputed
-by correlating the kernel vector with the nonzero inputs within the kernel's
-band, and no G x G matrix is held.
+blur is an FFT convolution (density.fft_blur) with the cached spectra, of the
+smallest length 2^k, 3*2^k or 5*2^k that is at least 2G - 1; its small
+entries are recomputed by correlating the kernel vector with the nonzero
+inputs within the kernel's band, and no G x G matrix is held.
 
 BACKENDS of the operator: "quadrature" computes D by grid quadrature (exact
 up to trapezoid error), "laplace_denominator" uses the second-order closed form
@@ -36,8 +36,8 @@ from typing import Optional
 
 import numpy as np
 
-from .density import (LOG_FLOOR, Grid, GridDensity, ParticleEnsemble, grid_gradient,
-                      trapezoid_weights)
+from .density import (BLUR_EXACT_BELOW, LOG_FLOOR, Grid, GridDensity, ParticleEnsemble,
+                      fft_blur, fft_kernels, grid_gradient, heat_kernel, trapezoid_weights)
 from .errors import (DegenerateDensityError, IsolatedParticleError,
                      ParameterError, StepsizeError, TruncationError)
 from .potentials import Potential
@@ -48,7 +48,6 @@ LAPLACE_GUARD = 0.1           # refuse when 1 + (T/2)*Lap V(s) <= this
 LAPLACE_WARN = 0.5            # warn when T * sup Lap V over query points exceeds this
 MASS_TOL = 5e-3               # pre-renormalization mass must stay within 1 +/- this
 SCORE_BLOCK = 128             # particle rows per block of the particle score
-BLUR_EXACT_BELOW = 1e-6       # 1-D FFT blur: recompute densely below this share of the peak
 
 
 @dataclass
@@ -143,14 +142,8 @@ class GridProxOperator:
         # per axis (K_i, K_i'): in 1-D (Toeplitz vector, spectrum) pairs, for
         # d >= 2 weighted Toeplitz matrices
         if grid.dim == 1:
-            g = grid.shape[0]
-            kern, dkern = self._kernels(grid.axes[0])
-            # the smallest of 2^k, 3*2^k, 5*2^k >= 2G - 1: the kept slice of a
-            # circular convolution this long has no wrap-around
-            self._fft_len = min(c << (-(-(2 * g - 1) // c) - 1).bit_length() for c in (1, 3, 5))
-            self._band = int(np.flatnonzero(kern[g - 1:])[-1])   # widest nonzero offset
-            self._axis_kernels = [tuple((vec, np.fft.rfft(vec, self._fft_len))
-                                        for vec in (kern, dkern))]
+            self._fft_len, self._band, kernels = fft_kernels(self._kernels(grid.axes[0]))
+            self._axis_kernels = [tuple(kernels)]
         else:
             self._axis_kernels = [tuple(_weighted_toeplitz(vec, a) for vec in self._kernels(a))
                                   for a in grid.axes]
@@ -174,19 +167,15 @@ class GridProxOperator:
     def _kernels(self, axis):
         """Toeplitz vectors (kern, dkern) at the offsets k = -(G-1) .. G-1 of a uniform axis.
 
-        kern[G-1+k] = c*exp(-beta*(k*dx)^2/(4T)), and dkern is its x-derivative
+        kern is density.heat_kernel, and dkern is its x-derivative
         -beta*k*dx/(2T) * kern, taken from kern after its flush. Entries of
-        either below the smallest normal float are set to 0: products with
-        subnormal operands run on the CPU's slow microcode path.
+        either below the smallest normal float are 0.
         """
         beta, T = self.p.beta, self.p.T
-        tiny = np.finfo(float).tiny
         off = axis - axis[0]
-        kern = np.sqrt(beta / (4 * np.pi * T)) * np.exp(-beta * off**2 / (4 * T))
-        kern[kern < tiny] = 0.0
-        kern = np.concatenate((kern[:0:-1], kern))
+        kern = heat_kernel(axis, T, beta)
         dkern = -beta / (2 * T) * np.concatenate((-off[:0:-1], off)) * kern
-        dkern[np.abs(dkern) < tiny] = 0.0
+        dkern[np.abs(dkern) < np.finfo(float).tiny] = 0.0
         return kern, dkern
 
     def apply_blur(self, vals: np.ndarray) -> np.ndarray:
@@ -199,7 +188,7 @@ class GridProxOperator:
         entry, so every entry with |out| < BLUR_EXACT_BELOW * max|out| is
         recomputed exactly: each contiguous run of such entries (leading,
         interior or trailing) is one np.correlate of the Toeplitz kernel
-        vector with the weighted inputs it can reach (see _fft_blur). The
+        vector with the weighted inputs it can reach (see density.fft_blur). The
         tails, where the denominator and evolve_law need relative accuracy,
         are thus exact sums, and the kept entries are within about 1e-10 of
         the dense blur relative to the blur of |vals|.
@@ -219,46 +208,10 @@ class GridProxOperator:
         """vals blurred along axis i by each of the first n of (K_i, K_i')."""
         kernels = self._axis_kernels[i][:n]
         if self.grid.dim == 1:
-            return self._fft_blur(vals, kernels)
+            # the entries recomputed exactly are those where the blur is below
+            # BLUR_EXACT_BELOW of its peak, for the derivative blur too
+            return fft_blur(vals * self.grid.weights, kernels, self._fft_len, self._band)
         return [np.moveaxis(np.tensordot(mat, vals, axes=(1, i)), 0, i) for mat in kernels]
-
-    def _fft_blur(self, vals, kernels):
-        """1-D blurs of vals with each (Toeplitz vector, spectrum) pair; one forward FFT.
-
-        The entries recomputed exactly are those where the first blur is below
-        BLUR_EXACT_BELOW of its peak, for every kernel alike. The score divides
-        a derivative blur by that blur: elsewhere the derivative's absolute
-        FFT error, about 1e-16 of its peak, moves the quotient by about
-        1e-10 * max|derivative| / max(blur) at most.
-
-        A run [a, b) correlates over the inputs j from max(first nonzero,
-        a - band) to min(last nonzero, b - 1 + band), band being the widest
-        offset with a nonzero kernel entry (a derivative kernel is 0 wherever
-        the kernel is). The products left out are exact zeros, so the sums
-        differ from the full ones only in their order, and a run no input
-        reaches is 0.
-        """
-        g, n = vals.size, self._fft_len
-        u = vals * self.grid.weights
-        u_hat = np.fft.rfft(u, n)
-        outs = [np.fft.irfft(u_hat * k_hat, n)[g - 1:2 * g - 1] for _, k_hat in kernels]
-        mag = np.abs(outs[0])
-        low = np.zeros(g + 2, dtype=bool)        # padded: every run has both edges
-        np.less(mag, BLUR_EXACT_BELOW * mag.max(), out=low[1:-1])
-        runs = np.flatnonzero(low[1:] != low[:-1]).reshape(-1, 2)    # [start, stop) rows
-        if runs.size:
-            # out[i] = sum_j kern[G-1+i-j] u[j], which is the convolution; a run
-            # [a, b) needs only the j in [a - band, b - 1 + band] with u[j] != 0
-            nonzero = np.flatnonzero(u)
-            first, last = nonzero[0], nonzero[-1]
-            u_rev = u[::-1].copy()
-            for a, b in runs:
-                lo, hi = max(first, a - self._band), min(last, b - 1 + self._band)
-                for out, (kern, _) in zip(outs, kernels):
-                    out[a:b] = (np.correlate(kern[g - 1 + a - hi:g + b - 1 - lo],
-                                             u_rev[g - 1 - hi:g - lo], "valid")
-                                if lo <= hi else 0.0)
-        return outs
 
     def step(self, rho0: GridDensity, raw: Optional[np.ndarray] = None):
         """One proximal step; returns (normalized rho_T, pre-normalization mass).

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brwplab.density import (KDE_BLOCK, LOG_FLOOR, DiagnosticsReport, Grid, GridDensity,
-                             ParticleEnsemble, divergences, fisher_information,
-                             fourth_moment_m0, fp_rhs, kde, kl_divergence,
+from brwplab.density import (KDE_BIN_SPACING, KDE_BLOCK, LOG_FLOOR, DiagnosticsReport, Grid,
+                             GridDensity, ParticleEnsemble, binned_kde, divergences,
+                             fisher_information, fourth_moment_m0, fp_rhs, kde, kl_divergence,
                              _extended_mass, grid_gradient, grid_quantiles,
                              silverman_bandwidth,
                              target_density, tv_distance, uniform_axis, w2_1d,
@@ -147,6 +147,51 @@ class TestKde:
         axes = (uniform_axis(-8, 8, 161), uniform_axis(-8, 8, 161))
         g = kde(ParticleEnsemble(pts), "auto", Grid(axes))
         assert g.mass() == pytest.approx(1.0, abs=1e-9)
+
+
+def binned_kde_cloud(name: str, n: int = 500) -> np.ndarray:
+    """n fixed 1-D points: N(0, 2), the mixture of N(+-2, 1), or N(0.3, 1)."""
+    rng = np.random.default_rng(7)
+    if name == "wide":
+        return np.sqrt(2.0) * rng.standard_normal(n)
+    if name == "mixture":
+        return np.where(rng.random(n) < 0.5, -2.0, 2.0) + rng.standard_normal(n)
+    return 0.3 + rng.standard_normal(n)
+
+
+class TestBinnedKde:
+    @pytest.mark.parametrize("cloud", ["wide", "mixture", "concentrated"])
+    @pytest.mark.parametrize("half, n", [(12.0, 2401), (24.0, 4801), (12.0, None)],
+                             ids=["2401", "4801-wide", "at-KDE_BIN_SPACING"])
+    def test_matches_kde_within_the_binning_bound(self, cloud, half, n):
+        """|binned - kde| / peak within (dx/b)^2 / 8, the leading term of a point
+        midway between two nodes, on the default grids and where dx = KDE_BIN_SPACING * b."""
+        x = binned_kde_cloud(cloud)
+        b = float(silverman_bandwidth(x[:, None])[0])
+        if n is None:
+            n = int(np.ceil(2 * half / (KDE_BIN_SPACING * b))) + 1
+        grid = Grid((uniform_axis(-half, half, n),))
+        ratio = grid.spacing[0] / b
+        assert ratio <= KDE_BIN_SPACING
+        ref = kde(ParticleEnsemble(x[:, None]), b, grid).values
+        got = binned_kde(x, b, grid).values
+        assert np.max(np.abs(got - ref)) <= ratio ** 2 / 8 * ref.max()
+
+    @pytest.mark.parametrize("cloud", ["wide", "mixture", "concentrated"])
+    def test_finite_nonnegative_unit_mass(self, cloud):
+        grid = Grid((uniform_axis(-12.0, 12.0, 2401),))
+        # points on both end nodes too: (12 - (-12)) / dx rounds above 2400
+        x = np.concatenate((binned_kde_cloud(cloud), grid.axes[0][[0, -1]]))
+        g = binned_kde(x, float(silverman_bandwidth(x[:, None])[0]), grid)
+        assert np.all(np.isfinite(g.values)) and np.all(g.values >= 0)
+        assert g.mass() == pytest.approx(1.0, abs=1e-12)
+
+    def test_point_cluster_on_a_node_reproduces_kernel(self):
+        ax = uniform_axis(-10.0, 10.0, 2001)
+        x0, bw = ax[1070], 0.8
+        g = binned_kde(np.full(50, x0), bw, Grid((ax,)))
+        ref = np.exp(-(ax - x0) ** 2 / (2 * bw**2)) / (bw * np.sqrt(2 * np.pi))
+        assert np.max(np.abs(g.values - ref)) < 1e-12
 
 
 class TestKl:

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from brwplab.cli import DEFAULTS, grid_spec
-from brwplab.density import (Grid, ParticleEnsemble, kde, kl_divergence, relative_entropy,
-                             target_density, uniform_axis)
+from brwplab.density import (Grid, ParticleEnsemble, binned_kde, kde, kl_divergence,
+                             relative_entropy, target_density, uniform_axis)
 from brwplab.errors import EvaluationError, ParameterError
 from brwplab.potentials import (make_gaussian_mixture, make_nonsmooth_mixture,
                                 make_quadratic)
-from brwplab.samplers import (DensityState, SamplerConfig, brwp_step,
+from brwplab.samplers import (DensityState, SamplerConfig, _grid_kde, brwp_step,
                               evolve_law, explicit_flow_step, initial_ensemble,
                               initial_grid_density, interp_at, marginal_target, run,
                               ula_step)
@@ -323,9 +323,9 @@ class TestPerRunCaching:
     def test_explicit_flow_one_kde_per_step(self, quad1d, monkeypatch):
         import brwplab.samplers as samplers
         calls = []
-        real = samplers.kde
-        monkeypatch.setattr(samplers, "kde",
-                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        for name in ("kde", "binned_kde"):      # the fine 1-D grid bins
+            monkeypatch.setattr(samplers, name, lambda *a, real=getattr(samplers, name), **kw:
+                                calls.append(1) or real(*a, **kw))
         cfg = SamplerConfig(method="explicit_flow", n_steps=5, n_particles=100,
                             seed=0, diag_every=1)
         res = run(cfg, quad1d)
@@ -518,11 +518,33 @@ def test_high_dim_run_measures_its_first_axis_on_one_grid(monkeypatch):
     real = Grid.__post_init__
     monkeypatch.setattr(Grid, "__post_init__", lambda self: grids.append(self) or real(self))
     result = run(cfg, target)
-    assert len(grids) == 1 and grids[0].shape == (41,)
+    assert len(grids) == 1 and grids[0].shape == (2401,)
     ens0 = initial_ensemble(cfg, target.dim, np.random.default_rng(cfg.seed))
-    g = kde(ParticleEnsemble(ens0.points[:, :1]), cfg.kde_bandwidth, grids[0])
+    g = _grid_kde(ens0, cfg, DensityState(grids[0]))
     rs = target_density(marginal_target(target), grids[0], cfg.beta)
     assert result.reports[0].kl == relative_entropy(g, rs)
+
+
+@pytest.mark.parametrize("shape, off_grid", [((41,), False), ((161, 161), False),
+                                             ((41, 41, 41), False), ((2401,), True)],
+                         ids=["41", "161^2", "41^3", "2401-one-off-grid"])
+def test_grid_kde_is_direct_kde_where_it_does_not_bin(shape, off_grid):
+    # coarse grids, d >= 2, and a particle off the grid: kde's bytes, with the "auto" bandwidth
+    grid = Grid(tuple(uniform_axis(-12.0, 12.0, n) for n in shape))
+    pts = np.sqrt(2.0) * np.random.default_rng(0).standard_normal((500, len(shape)))
+    if off_grid:
+        pts[0, 0] = np.nextafter(12.0, np.inf)
+    ens = ParticleEnsemble(pts)
+    got = _grid_kde(ens, SamplerConfig(method="brwp_kde"), DensityState(grid))
+    assert np.array_equal(got.values, kde(ens, "auto", grid).values)
+
+
+def test_grid_kde_bins_on_the_fine_1d_grid():
+    grid = Grid((uniform_axis(-12.0, 12.0, 2401),))
+    pts = np.sqrt(2.0) * np.random.default_rng(0).standard_normal((500, 1))
+    got = _grid_kde(ParticleEnsemble(pts), SamplerConfig(method="brwp_kde", kde_bandwidth=0.4),
+                    DensityState(grid))
+    assert np.array_equal(got.values, binned_kde(pts[:, 0], 0.4, grid).values)
 
 
 def test_past_d3_without_marginal_every_row_is_nan():

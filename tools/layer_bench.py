@@ -22,12 +22,14 @@ is rho0, against that operator's target and grad V. Each diagnose call sets
 the chain to a fresh GridDensity of rho0's values, so the log of the chain
 is taken in every call, as in a run; the run-constant target density is
 built in the warm-up calls and reused. Also on 2401, 161^2 and 41^3, kde
-estimates 500 particles on the grid with the "auto" bandwidth, and
+estimates 500 particles on the grid with the "auto" bandwidth as a run
+does, by samplers._grid_kde with a fresh DensityState each call (so it
+times whichever estimator the tree's run uses, binned or direct), and
 interp_at interpolates the d score fields of one score_of_step of rho0 at
 500 particles; the grid
-"41" (41 points on +-12, the grid of a d > 3 run) times kde of 2000
-particles, and "2000x10d" times prox_particle_score of 2000 particles of the
-10-D Gaussian mixture at T = 0.05. The particles of each are a fixed draw
+"41" (41 points on +-12) times that kde of 2000 particles, and "2000x10d"
+times prox_particle_score of 2000 particles of the 10-D Gaussian mixture at
+T = 0.05. The particles of each are a fixed draw
 (numpy's default_rng(0)) of a run's default initial law N(0, 2) on every
 axis, the same for both trees. In each pair, for each grid
 and layer, both trees take 3 warm-up calls and then 30 timed calls,
@@ -100,11 +102,11 @@ def layer_calls(src: Path, name: str) -> dict:
                 state.chain = density.GridDensity(state.grid, vals)
                 return samplers._diagnose(cfg, target, None, state, 0, 0.0)
             calls[label]["diagnose"] = diagnose
-            calls[label]["kde"] = kde_call(density, grid, 500)
+            calls[label]["kde"] = kde_call(density, samplers, grid, 500)
             calls[label]["interp_at"] = functools.partial(
                 samplers.interp_at, grid.axes, op.score_of_step(rho0)[2], particles(500, dim))
     grid_41 = density.Grid((density.uniform_axis(-12.0, 12.0, 41),))
-    calls["41"] = {"kde": kde_call(density, grid_41, 2000)}
+    calls["41"] = {"kde": kde_call(density, samplers, grid_41, 2000)}
     cloud = density.ParticleEnsemble(particles(2000, 10))
     target = potentials.make_gaussian_mixture(2.0, 1.0, dim=10)
     calls["2000x10d"] = {"prox_particle_score": functools.partial(
@@ -117,9 +119,11 @@ def particles(n: int, dim: int) -> np.ndarray:
     return np.sqrt(2.0) * np.random.default_rng(0).standard_normal((n, dim))
 
 
-def kde_call(density, grid, n: int):
+def kde_call(density, samplers, grid, n: int):
+    """The run's KDE of n fixed particles on grid, from a fresh DensityState each call."""
     cloud = density.ParticleEnsemble(particles(n, grid.dim))
-    return functools.partial(density.kde, cloud, "auto", grid)
+    cfg = samplers.SamplerConfig(method="brwp_kde")
+    return lambda: samplers._grid_kde(cloud, cfg, samplers.DensityState(grid))
 
 
 def alternate_medians(fns: list) -> list:
