@@ -331,37 +331,54 @@ def fft_blur(u: np.ndarray, kernels, fft_len: int, band: int) -> list:
 
 # ------------------------------------------------------------ estimators
 
-def kde_bandwidth(points: np.ndarray, bandwidth) -> np.ndarray:
-    """Per-axis bandwidth of kde's bandwidth spec for the (N, d) points; refuses nonpositive
-    or non-finite ones."""
-    if isinstance(bandwidth, str):
-        if bandwidth != "auto":
-            raise ParameterError(f"unknown bandwidth spec {bandwidth!r}")
-        bw = silverman_bandwidth(points)
-    else:
-        bw = np.broadcast_to(np.asarray(bandwidth, dtype=float), (points.shape[1],)).copy()
-    if not np.all((bw > 0) & (bw < np.inf)):
-        raise ParameterError(f"bandwidth must be positive and finite, got {bw}")
-    return bw
-
-
 def kde(ensemble: ParticleEnsemble, bandwidth, query_axes: Grid) -> GridDensity:
     """Gaussian-product-kernel density estimate, normalized on the Grid query_axes.
 
     bandwidth: positive float, per-axis array, or "auto" for the Silverman
     rule (4/(d+2))^{1/(d+4)} N^{-1/(d+4)} * per-axis sample std, which in
-    1-D is exactly (4/(3N))^{1/5} * std.
+    1-D is exactly (4/(3N))^{1/5} * std; it is read once, and a nonpositive
+    or non-finite one is refused.
+
+    The estimate is binned (_binned_kde) when the grid is 1-D, its spacing dx
+    is at most KDE_BIN_SPACING times the bandwidth b, and every particle lies
+    on the grid; in every other case it is the direct sums (_kde_sums).
+    Binning keeps the points' mean and moves each one's kernel by the Taylor
+    term f(1-f)/2 * dx^2 * K'', so the two differ by O((dx/b)^2) relative to
+    the peak (Hall and Wand 1996, J. Multivariate Anal. 56). The leading term
+    is largest, (dx/b)^2 / 8, for one point midway between two nodes; the
+    largest measured ratio of |binned - direct| / peak to (dx/b)^2 was 0.120,
+    over clusters of 2 to 7 such points. For clouds of 50, 500 and 2000
+    points from N(0, 2), N(0.3, 1) and the mixture of N(+-2, 1), five draws
+    each, the largest |binned - direct| / peak was 6.0e-4 at dx =
+    KDE_BIN_SPACING * b and 2.2e-5 on the 2401- and 4801-point default grids
+    (dx = 0.01, dx/b at most 0.044).
+    """
+    d = query_axes.dim
+    if ensemble.dim != d:
+        raise ParameterError(f"ensemble dim {ensemble.dim} != query grid dim {d}")
+    pts = ensemble.points
+    if isinstance(bandwidth, str):
+        if bandwidth != "auto":
+            raise ParameterError(f"unknown bandwidth spec {bandwidth!r}")
+        bw = silverman_bandwidth(pts)
+    else:
+        bw = np.broadcast_to(np.asarray(bandwidth, dtype=float), (d,)).copy()
+    if not np.all((bw > 0) & (bw < np.inf)):
+        raise ParameterError(f"bandwidth must be positive and finite, got {bw}")
+    x, axis = pts[:, 0], query_axes.axes[0]
+    if (d == 1 and query_axes.spacing[0] <= KDE_BIN_SPACING * bw[0]
+            and axis[0] <= x.min() and x.max() <= axis[-1]):
+        return _binned_kde(x, float(bw[0]), query_axes)
+    return _kde_sums(pts, bw, query_axes)
+
+
+def _kde_sums(points: np.ndarray, bw: np.ndarray, grid: Grid) -> GridDensity:
+    """The direct Gaussian-kernel sums of the (N, d) points with per-axis bandwidths bw.
 
     One code path serves d = 1, 2 and 3; memory is O(KDE_BLOCK * N + N *
     G_1...G_{d-1}) for a grid of shape (G_0, ..., G_{d-1}), so a 41^3 grid
     with N = 500 holds a 6.7 MB right-hand side.
     """
-    axes = query_axes.axes
-    d = len(axes)
-    if ensemble.dim != d:
-        raise ParameterError(f"ensemble dim {ensemble.dim} != query grid dim {d}")
-    bw = kde_bandwidth(ensemble.points, bandwidth)
-
     # Each axis's kernel exp(-(x - p)^2/(2b^2)) takes its exponent from one
     # GEMM, [x, 1, x^2] . [p/b^2, -p^2/(2b^2), -1/(2b^2)], clamped at 0
     # against rounding. Axes 1..d-1 fold into the right-hand side: it starts
@@ -370,9 +387,9 @@ def kde(ensemble: ParticleEnsemble, bandwidth, query_axes: Grid) -> GridDensity:
     # shape (G_1...G_{d-1}, N); in 1-D it is the scale vector. Axis 0 then runs
     # KDE_BLOCK grid rows at a time: GEMM, minimum, exp, and a GEMM with the
     # right-hand side.
-    n = ensemble.n
+    n, d = points.shape
     folds = []
-    for ax, p, b in zip(axes, ensemble.points.T, bw):
+    for ax, p, b in zip(grid.axes, points.T, bw):
         b2 = b ** 2
         folds.append((np.stack((ax, np.ones_like(ax), ax * ax), axis=1),
                       np.stack((p / b2, -p * p / (2 * b2), np.full(n, -1 / (2 * b2))))))
@@ -384,7 +401,7 @@ def kde(ensemble: ParticleEnsemble, bandwidth, query_axes: Grid) -> GridDensity:
     xa, pa = folds[0]
     g0 = xa.shape[0]
     vals = np.empty((g0,) + rhs.shape[:-1])
-    buf = _empty_aligned((min(KDE_BLOCK, g0), n))
+    buf = np.empty((min(KDE_BLOCK, g0), n))
     for lo in range(0, g0, KDE_BLOCK):
         hi = min(lo + KDE_BLOCK, g0)
         k = buf[:hi - lo]
@@ -392,10 +409,10 @@ def kde(ensemble: ParticleEnsemble, bandwidth, query_axes: Grid) -> GridDensity:
         np.minimum(k, 0.0, out=k)
         np.exp(k, out=k)
         np.matmul(k, rhs.T, out=vals[lo:hi])
-    return GridDensity(query_axes, vals.reshape(query_axes.shape)).normalize()
+    return GridDensity(grid, vals.reshape(grid.shape)).normalize()
 
 
-def binned_kde(x: np.ndarray, bandwidth: float, grid: Grid) -> GridDensity:
+def _binned_kde(x: np.ndarray, bandwidth: float, grid: Grid) -> GridDensity:
     """Linearly binned Gaussian KDE of the 1-D points x, normalized on the 1-D grid.
 
     Each point is split between the two nodes of its cell, with weight 1 - f
@@ -405,19 +422,8 @@ def binned_kde(x: np.ndarray, bandwidth: float, grid: Grid) -> GridDensity:
     bandwidth^2/2 and beta = 1, by fft_blur, whose exact tail repair keeps
     every value a nonnegative sum. Every point must lie on the grid: the
     binning would fold one outside onto the edge node. A point on the last
-    node is held there (f = 1) against the rounding of (x - lo)/dx.
-
-    Binning keeps the points' mean and moves each one's kernel by the Taylor
-    term f(1-f)/2 * dx^2 * K'', so the estimate differs from kde's by
-    O((dx/bandwidth)^2) relative to its peak
-    (Hall and Wand 1996, J. Multivariate Anal. 56). The leading term is
-    largest, (dx/bandwidth)^2 / 8, for one point midway between two nodes;
-    the largest measured ratio of |binned - kde| / peak to (dx/bandwidth)^2
-    was 0.120, over clusters of 2 to 7 such points. For clouds of 50, 500
-    and 2000 points from N(0, 2), N(0.3, 1) and the mixture of N(+-2, 1),
-    five draws each, the largest |binned - kde| / peak was 6.0e-4 at dx =
-    KDE_BIN_SPACING * bandwidth and 2.2e-5 on the 2401- and 4801-point
-    default grids (dx = 0.01, dx/bandwidth at most 0.044).
+    node is held there (f = 1) against the rounding of (x - lo)/dx. kde
+    states when it bins and how far the result is from the direct sums.
     """
     axis = grid.axes[0]
     t = np.minimum((x - axis[0]) / grid.spacing[0], axis.size - 1)
@@ -427,21 +433,6 @@ def binned_kde(x: np.ndarray, bandwidth: float, grid: Grid) -> GridDensity:
     counts += np.bincount(i0 + 1, frac, axis.size)
     fft_len, band, kernels = fft_kernels([heat_kernel(axis, bandwidth ** 2 / 2)])
     return GridDensity(grid, fft_blur(counts, kernels, fft_len, band)[0]).normalize()
-
-
-def _empty_aligned(shape: tuple) -> np.ndarray:
-    """np.empty(shape) that starts on a 64-byte cache line.
-
-    malloc aligns to 16 bytes only. On a CPU with AVX-512, where a misaligned
-    64-byte load spans two cache lines, the block passes of a 1-D KDE of 500
-    points on 2401 (GEMM, minimum, exp, matrix-vector product) took 1.12 ms
-    in all on an aligned block and 1.37 ms at each of the other three 16-byte
-    offsets, with the same bytes.
-    """
-    size = int(np.prod(shape))
-    raw = np.empty(size + 7)
-    start = (-raw.ctypes.data % 64) // raw.itemsize
-    return raw[start:start + size].reshape(shape)
 
 
 def silverman_bandwidth(points: np.ndarray) -> np.ndarray:

@@ -16,10 +16,9 @@ each stored vector or weighted-matrix entry below the smallest normal float
 is 0. Every blur is one loop over the axes, and the dimension decides only
 how one axis is blurred. For d >= 2 both vectors are laid out as trapezoid
 matrices per axis, so a step costs O(d * G * n) instead of O(G^2). In 1-D the
-blur is an FFT convolution (density.fft_blur) with the cached spectra, of the
-smallest length 2^k, 3*2^k or 5*2^k that is at least 2G - 1; its small
-entries are recomputed by correlating the kernel vector with the nonzero
-inputs within the kernel's band, and no G x G matrix is held.
+blur is an FFT convolution with the cached spectra and exact small entries
+(density.fft_kernels states its length, density.fft_blur its repair rule),
+and no G x G matrix is held.
 
 BACKENDS of the operator: "quadrature" computes D by grid quadrature (exact
 up to trapezoid error), "laplace_denominator" uses the second-order closed form
@@ -36,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .density import (BLUR_EXACT_BELOW, LOG_FLOOR, Grid, GridDensity, ParticleEnsemble,
-                      fft_blur, fft_kernels, grid_gradient, heat_kernel, trapezoid_weights)
+from .density import (LOG_FLOOR, Grid, GridDensity, ParticleEnsemble, fft_blur, fft_kernels,
+                      grid_gradient, heat_kernel, trapezoid_weights)
 from .errors import (DegenerateDensityError, IsolatedParticleError,
                      ParameterError, StepsizeError, TruncationError)
 from .potentials import Potential
@@ -181,18 +180,11 @@ class GridProxOperator:
     def apply_blur(self, vals: np.ndarray) -> np.ndarray:
         """Trapezoid Gaussian blur of grid values, one pass per axis in axis order.
 
-        In 1-D, a zero-padded FFT convolution with the cached kernel
-        spectrum, as long as the smallest 2^k, 3*2^k or 5*2^k >= 2G - 1: the
-        G outputs kept from the circular convolution then see no
-        wrap-around. Its error is absolute, about 1e-16 of the peak at every
-        entry, so every entry with |out| < BLUR_EXACT_BELOW * max|out| is
-        recomputed exactly: each contiguous run of such entries (leading,
-        interior or trailing) is one np.correlate of the Toeplitz kernel
-        vector with the weighted inputs it can reach (see density.fft_blur). The
-        tails, where the denominator and evolve_law need relative accuracy,
-        are thus exact sums, and the kept entries are within about 1e-10 of
-        the dense blur relative to the blur of |vals|.
-        For d >= 2 the dense per-axis products are faster than per-axis FFTs.
+        In 1-D, density.fft_blur of the weighted values with the cached
+        kernel spectrum; its docstring states the accuracy, and its tails,
+        where the denominator and evolve_law need relative accuracy, are
+        exact sums. For d >= 2 the dense per-axis products are faster than
+        per-axis FFTs.
         In every dimension, each stored vector or weighted-matrix entry below
         the smallest normal float, tiny, is 0 (see _kernels), so each dropped
         term is below tiny * max(1, dx) * |vals_j| and an output moves by less
@@ -208,8 +200,6 @@ class GridProxOperator:
         """vals blurred along axis i by each of the first n of (K_i, K_i')."""
         kernels = self._axis_kernels[i][:n]
         if self.grid.dim == 1:
-            # the entries recomputed exactly are those where the blur is below
-            # BLUR_EXACT_BELOW of its peak, for the derivative blur too
             return fft_blur(vals * self.grid.weights, kernels, self._fft_len, self._band)
         return [np.moveaxis(np.tensordot(mat, vals, axes=(1, i)), 0, i) for mat in kernels]
 

@@ -28,9 +28,8 @@ from typing import Optional
 import numpy as np
 
 from . import theory
-from .density import (KDE_BIN_SPACING, DiagnosticsReport, Grid, GridDensity,
-                      ParticleEnsemble, binned_kde, divergences, grid_gradient, kde,
-                      kde_bandwidth, target_density, w2_grids_1d, w2_to_target_1d)
+from .density import (DiagnosticsReport, Grid, GridDensity, ParticleEnsemble, divergences,
+                      grid_gradient, kde, target_density, w2_grids_1d, w2_to_target_1d)
 from .errors import DegenerateDensityError, EvaluationError, ParameterError
 from .potentials import Potential
 from .proximal import BACKENDS, GridProxOperator, ProxParams, prox_particle_score
@@ -194,23 +193,12 @@ def _grid_operator(cfg: SamplerConfig, target: Potential, state: DensityState):
 
 def _grid_kde(ensemble: ParticleEnsemble, cfg: SamplerConfig,
               state: DensityState) -> GridDensity:
-    """KDE of the ensemble's first grid.dim coordinates on the run grid, once per ensemble.
-
-    Binned (density.binned_kde) where the grid is 1-D, its spacing is at most
-    KDE_BIN_SPACING times the bandwidth and every particle lies on it;
-    density.kde, with the same bandwidth, everywhere else.
-    """
+    """density.kde of the ensemble's first grid.dim coordinates, computed once per ensemble."""
     if state.kde is None or state.kde[0] is not ensemble:
         grid = state.grid
-        pts = ensemble.points[:, :grid.dim]
-        bw = kde_bandwidth(pts, cfg.kde_bandwidth)
-        x, axis = pts[:, 0], grid.axes[0]
-        if (grid.dim == 1 and grid.spacing[0] <= KDE_BIN_SPACING * bw[0]
-                and axis[0] <= x.min() and x.max() <= axis[-1]):
-            g = binned_kde(x, float(bw[0]), grid)
-        else:
-            g = kde(ParticleEnsemble(pts), bw, grid)
-        state.kde = (ensemble, g)
+        ens = (ensemble if ensemble.dim == grid.dim
+               else ParticleEnsemble(ensemble.points[:, :grid.dim]))
+        state.kde = (ensemble, kde(ens, cfg.kde_bandwidth, grid))
     return state.kde[1]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from brwplab.density import (KDE_BIN_SPACING, KDE_BLOCK, LOG_FLOOR, DiagnosticsReport, Grid,
-                             GridDensity, ParticleEnsemble, binned_kde, divergences,
+                             GridDensity, ParticleEnsemble, _binned_kde, _kde_sums, divergences,
                              fisher_information, fourth_moment_m0, fp_rhs, kde, kl_divergence,
                              _extended_mass, grid_gradient, grid_quantiles,
                              silverman_bandwidth,
@@ -117,9 +117,10 @@ class TestKde:
         pytest.param(2, 161, 12.0, (0.3, 0.8), id="2-161-per-axis"),
         pytest.param(3, 41, 12.0, (0.5, 0.9, 1.4), id="3-41-per-axis")])
     def test_in_place_kernels_bit_identical(self, dim, n, half, bandwidth):
-        """kde against the exact-distance kernels, within 1e-12 relative
-        (1e-300 absolute where the kernels underflow): every axis takes its
-        exponent from one GEMM of the expanded square."""
+        """kde's direct sums against the exact-distance kernels, within 1e-12
+        relative (1e-300 absolute where the kernels underflow): every axis takes
+        its exponent from one GEMM of the expanded square. The 2401 and 4801
+        rows are grids that kde itself would bin."""
         rng = np.random.default_rng(dim)
         ens = ParticleEnsemble(rng.standard_normal((300, dim)) * 1.3)
         axes = tuple(uniform_axis(-half, half, n) for _ in range(dim))
@@ -131,15 +132,8 @@ class TestKde:
                    for i in range(dim)]
         spec = ("aj->a", "aj,bj->ab", "aj,bj,cj->abc")[dim - 1]
         ref = GridDensity(grid, np.einsum(spec, *kernels) / ens.n).normalize().values
-        got = kde(ens, bandwidth, grid).values
+        got = _kde_sums(ens.points, bw, grid).values
         assert np.all(np.abs(got - ref) <= 1e-12 * ref + 1e-300)
-
-    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (KDE_BLOCK, 500)])
-    def test_block_buffer_starts_on_a_cache_line(self, shape):
-        bufs = [density._empty_aligned(shape) for _ in range(8)]
-        for buf in bufs:
-            assert buf.shape == shape and buf.flags.c_contiguous and buf.flags.writeable
-            assert buf.ctypes.data % 64 == 0
 
     def test_2d_kde_mass(self):
         rng = np.random.default_rng(2)
@@ -159,6 +153,42 @@ def binned_kde_cloud(name: str, n: int = 500) -> np.ndarray:
     return 0.3 + rng.standard_normal(n)
 
 
+def wide_cloud(dim: int, n: int = 500) -> np.ndarray:
+    """n fixed points of N(0, 2 I) in dim dimensions, the default initial law."""
+    return np.sqrt(2.0) * np.random.default_rng(0).standard_normal((n, dim))
+
+
+class TestKdeChoice:
+    """kde bins exactly when the grid is 1-D, dx <= KDE_BIN_SPACING * b and
+    every particle lies on the grid; otherwise it runs the direct sums."""
+
+    def test_bins_at_the_spacing_limit_and_not_past_it(self):
+        grid = Grid((uniform_axis(-12.0, 12.0, 241),))
+        dx, ens = grid.spacing[0], ParticleEnsemble(wide_cloud(1))
+        b = dx / KDE_BIN_SPACING
+        while KDE_BIN_SPACING * b < dx:
+            b = np.nextafter(b, np.inf)
+        assert KDE_BIN_SPACING * b == dx
+        assert np.array_equal(kde(ens, b, grid).values,
+                              _binned_kde(ens.points[:, 0], b, grid).values)
+        while KDE_BIN_SPACING * b >= dx:
+            b = np.nextafter(b, 0.0)
+        assert np.array_equal(kde(ens, b, grid).values,
+                              _kde_sums(ens.points, np.array([b]), grid).values)
+
+    @pytest.mark.parametrize("shape, off_grid", [((2401,), True), ((41,), False),
+                                                 ((161, 161), False), ((41, 41, 41), False)],
+                             ids=["2401-one-off-grid", "41", "161^2", "41^3"])
+    def test_direct_sums_where_it_does_not_bin(self, shape, off_grid):
+        # a particle just past the last node, a coarse 1-D grid, and d >= 2
+        grid = Grid(tuple(uniform_axis(-12.0, 12.0, n) for n in shape))
+        pts = wide_cloud(len(shape))
+        if off_grid:
+            pts[0, 0] = np.nextafter(12.0, np.inf)
+        assert np.array_equal(kde(ParticleEnsemble(pts), "auto", grid).values,
+                              _kde_sums(pts, silverman_bandwidth(pts), grid).values)
+
+
 class TestBinnedKde:
     @pytest.mark.parametrize("cloud", ["wide", "mixture", "concentrated"])
     @pytest.mark.parametrize("half, n", [(12.0, 2401), (24.0, 4801), (12.0, None)],
@@ -173,8 +203,8 @@ class TestBinnedKde:
         grid = Grid((uniform_axis(-half, half, n),))
         ratio = grid.spacing[0] / b
         assert ratio <= KDE_BIN_SPACING
-        ref = kde(ParticleEnsemble(x[:, None]), b, grid).values
-        got = binned_kde(x, b, grid).values
+        ref = _kde_sums(x[:, None], np.array([b]), grid).values
+        got = _binned_kde(x, b, grid).values
         assert np.max(np.abs(got - ref)) <= ratio ** 2 / 8 * ref.max()
 
     @pytest.mark.parametrize("cloud", ["wide", "mixture", "concentrated"])
@@ -182,14 +212,14 @@ class TestBinnedKde:
         grid = Grid((uniform_axis(-12.0, 12.0, 2401),))
         # points on both end nodes too: (12 - (-12)) / dx rounds above 2400
         x = np.concatenate((binned_kde_cloud(cloud), grid.axes[0][[0, -1]]))
-        g = binned_kde(x, float(silverman_bandwidth(x[:, None])[0]), grid)
+        g = _binned_kde(x, float(silverman_bandwidth(x[:, None])[0]), grid)
         assert np.all(np.isfinite(g.values)) and np.all(g.values >= 0)
         assert g.mass() == pytest.approx(1.0, abs=1e-12)
 
     def test_point_cluster_on_a_node_reproduces_kernel(self):
         ax = uniform_axis(-10.0, 10.0, 2001)
         x0, bw = ax[1070], 0.8
-        g = binned_kde(np.full(50, x0), bw, Grid((ax,)))
+        g = _binned_kde(np.full(50, x0), bw, Grid((ax,)))
         ref = np.exp(-(ax - x0) ** 2 / (2 * bw**2)) / (bw * np.sqrt(2 * np.pi))
         assert np.max(np.abs(g.values - ref)) < 1e-12
 

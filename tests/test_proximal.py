@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from brwplab.density import (LOG_FLOOR, Grid, GridDensity, ParticleEnsemble, fp_rhs, kde,
-                             kl_divergence, fisher_information, trapezoid_weights,
+from brwplab.density import (BLUR_EXACT_BELOW, LOG_FLOOR, Grid, GridDensity, ParticleEnsemble,
+                             fp_rhs, kde, kl_divergence, fisher_information, trapezoid_weights,
                              uniform_axis)
 from brwplab.errors import (DegenerateDensityError, IsolatedParticleError, NumericalError,
                             ParameterError, StepsizeError, TruncationError)
 from brwplab.potentials import Potential, make_gaussian_mixture, make_quadratic
-from brwplab.proximal import (BLUR_EXACT_BELOW, SCORE_BLOCK, GridProxOperator, ProxParams,
+from brwplab.proximal import (SCORE_BLOCK, GridProxOperator, ProxParams,
                               _log_denominator_laplace, _weighted_toeplitz, denominator_exact,
                               denominator_laplace, prox_particle_score)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from brwplab.cli import DEFAULTS, grid_spec
-from brwplab.density import (Grid, ParticleEnsemble, binned_kde, kde, kl_divergence,
+from brwplab.density import (Grid, ParticleEnsemble, _binned_kde, kde, kl_divergence,
                              relative_entropy, target_density, uniform_axis)
 from brwplab.errors import EvaluationError, ParameterError
 from brwplab.potentials import (make_gaussian_mixture, make_nonsmooth_mixture,
@@ -323,9 +323,8 @@ class TestPerRunCaching:
     def test_explicit_flow_one_kde_per_step(self, quad1d, monkeypatch):
         import brwplab.samplers as samplers
         calls = []
-        for name in ("kde", "binned_kde"):      # the fine 1-D grid bins
-            monkeypatch.setattr(samplers, name, lambda *a, real=getattr(samplers, name), **kw:
-                                calls.append(1) or real(*a, **kw))
+        monkeypatch.setattr(samplers, "kde", lambda *a, real=samplers.kde, **kw:
+                            calls.append(1) or real(*a, **kw))
         cfg = SamplerConfig(method="explicit_flow", n_steps=5, n_particles=100,
                             seed=0, diag_every=1)
         res = run(cfg, quad1d)
@@ -530,6 +529,7 @@ def test_high_dim_run_measures_its_first_axis_on_one_grid(monkeypatch):
                          ids=["41", "161^2", "41^3", "2401-one-off-grid"])
 def test_grid_kde_is_direct_kde_where_it_does_not_bin(shape, off_grid):
     # coarse grids, d >= 2, and a particle off the grid: kde's bytes, with the "auto" bandwidth
+    # (tests/test_density.py checks that kde runs its direct sums here)
     grid = Grid(tuple(uniform_axis(-12.0, 12.0, n) for n in shape))
     pts = np.sqrt(2.0) * np.random.default_rng(0).standard_normal((500, len(shape)))
     if off_grid:
@@ -540,11 +540,15 @@ def test_grid_kde_is_direct_kde_where_it_does_not_bin(shape, off_grid):
 
 
 def test_grid_kde_bins_on_the_fine_1d_grid():
+    # binned on the default grid, and computed once per ensemble object
     grid = Grid((uniform_axis(-12.0, 12.0, 2401),))
     pts = np.sqrt(2.0) * np.random.default_rng(0).standard_normal((500, 1))
-    got = _grid_kde(ParticleEnsemble(pts), SamplerConfig(method="brwp_kde", kde_bandwidth=0.4),
-                    DensityState(grid))
-    assert np.array_equal(got.values, binned_kde(pts[:, 0], 0.4, grid).values)
+    ens, state = ParticleEnsemble(pts), DensityState(grid)
+    cfg = SamplerConfig(method="brwp_kde", kde_bandwidth=0.4)
+    got = _grid_kde(ens, cfg, state)
+    assert np.array_equal(got.values, _binned_kde(pts[:, 0], 0.4, grid).values)
+    assert _grid_kde(ens, cfg, state) is got
+    assert _grid_kde(ParticleEnsemble(pts), cfg, state) is not got
 
 
 def test_past_d3_without_marginal_every_row_is_nan():

@@ -9,6 +9,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -44,3 +46,21 @@ def test_every_traced_name_resolves_and_install_round_trips(monkeypatch):
         tracer.uninstall()
     assert {meth: op_cls.__dict__[meth] for meth in originals} == originals
     assert "open" not in vars(importlib.import_module("brwplab.cli"))
+
+
+@pytest.mark.parametrize("grid", [((-12.0, 12.0, 2401),), ((-8.0, 8.0, 161),) * 2],
+                         ids=["2401", "161^2"])
+def test_tracer_sees_every_kde_of_a_run(monkeypatch, grid):
+    """One density.kde span per diagnostics row, binned or direct; each step reuses its row's."""
+    tracing = _load_tracing(monkeypatch)
+    samplers = importlib.import_module("brwplab.samplers")
+    target = importlib.import_module("brwplab.potentials").make_quadratic(1.0, dim=len(grid))
+    cfg = samplers.SamplerConfig(method="brwp_kde", n_steps=3, diag_every=1, n_particles=200,
+                                 seed=0, grid=grid)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        samplers.run(cfg, target)
+    finally:
+        tracer.uninstall()
+    assert sum(s.name == "density.kde" for s in tracer.spans) == cfg.n_steps + 1

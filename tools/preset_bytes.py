@@ -61,6 +61,9 @@ PRESETS = {
     "mixture_sigma_2d": ["sample", "--target.id", "gaussian_mixture", "--target.dim", "2",
                          "--target.sigma", "0.8", "--sampler.method", "brwp_kde",
                          "--sampler.n_steps", "5"],
+    # the 1-D direct-sums KDE: dx = 0.6 is above KDE_BIN_SPACING times the bandwidth
+    "kde_1d_coarse": ["sample", "--target.id", "gaussian_mixture", "--sampler.method",
+                      "brwp_kde", "--grid.n", "41", "--sampler.n_steps", "5"],
     # the d = 3 KDE on the default 41^3 grid
     "kde_3d": ["sample", "--target.dim", "3", "--sampler.method", "brwp_kde",
                "--sampler.n_steps", "3"],
