@@ -532,12 +532,12 @@ def test_score_of_step_matches_step_and_gradient(dim):
 
 @pytest.mark.parametrize("dim, passes, ffts", [(1, 0, 1), (2, 5, 0), (3, 9, 0)])
 def test_score_of_step_pass_counts(monkeypatch, dim, passes, ffts):
-    # per-axis passes (one tensordot each) for d >= 2; one forward FFT in 1-D
+    # per-axis passes (one np.matmul each) for d >= 2; one forward FFT in 1-D
     axes = tuple(uniform_axis(-6.0, 6.0, 33) for _ in range(dim))
     mesh = np.meshgrid(*axes, indexing="ij")
     rho0 = GridDensity(Grid(axes), np.exp(-sum(m ** 2 for m in mesh) / 4.0)).normalize()
     op = GridProxOperator(rho0.grid, make_quadratic(1.0, dim), ProxParams(T=0.2, beta=1.0))
-    calls = {"tensordot": 0, "rfft": 0}
+    calls = {"matmul": 0, "rfft": 0}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -547,17 +547,111 @@ def test_score_of_step_pass_counts(monkeypatch, dim, passes, ffts):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(np, "tensordot")
+    counted(np, "matmul")
     counted(np.fft, "rfft")
     op.score_of_step(rho0)
-    assert calls == {"tensordot": passes, "rfft": ffts}
+    assert calls == {"matmul": passes, "rfft": ffts}
+
+
+@pytest.mark.parametrize("sizes", [(17, 23), (17, 23, 29)])
+def test_axis_passes_match_einsum(sizes):
+    # each d >= 2 pass, fresh and into a scratch grid, against a plain sum
+    # over axis i; unequal sizes catch a pass that reads the wrong axis
+    axes = tuple(uniform_axis(-6.0, 6.0, n) for n in sizes)
+    grid = Grid(axes)
+    op = GridProxOperator(grid, make_quadratic(1.0, len(sizes)), ProxParams(T=0.2, beta=1.0))
+    vals = np.exp(-sum((m - 0.5) ** 2 for m in grid.mesh) / 4.0)
+    vals *= np.random.default_rng(0).uniform(0.5, 1.5, grid.shape)
+    def along(m, v, i):
+        return np.moveaxis(np.einsum("ab,...b->...a", m, np.moveaxis(v, i, -1)), -1, i)
+
+    for i in range(len(sizes)):
+        fresh = op._axis_blurs(vals, i, 2)
+        scratch = op._axis_blurs(vals, i, 2, tuple(op._scratch[:2]))
+        for j, mat in enumerate(op._axis_kernels[i]):
+            ref, bound = along(mat, vals, i), along(np.abs(mat), np.abs(vals), i)
+            assert fresh[j].shape == grid.shape and fresh[j].flags.c_contiguous
+            assert scratch[j] is op._scratch[j]
+            assert np.array_equal(scratch[j], fresh[j])
+            assert np.all(np.abs(fresh[j] - ref) <= 1e-15 * bound)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_score_of_step_outputs_do_not_share_the_scratch(dim):
+    axes = tuple(uniform_axis(-6.0, 6.0, 33) for _ in range(dim))
+    grid = Grid(axes)
+    op = GridProxOperator(grid, make_quadratic(1.0, dim), ProxParams(T=0.2, beta=1.0))
+    first = op.score_of_step(
+        GridDensity(grid, np.exp(-sum(m**2 for m in grid.mesh) / 4.0)).normalize())
+    kept = [first[0].values.copy()] + [s.copy() for s in first[2]]
+    second = GridDensity(grid, np.exp(-sum((m - 1.0) ** 2 for m in grid.mesh) / 2.0)).normalize()
+    op.score_of_step(second)
+    op.step(second)
+    op.apply_blur(second.values)
+    assert all(np.array_equal(a, b) for a, b in zip([first[0].values] + first[2], kept))
+    for out in [first[0].values] + first[2]:
+        assert not any(np.may_share_memory(out, b) for b in op._scratch)
+
+
+@pytest.mark.parametrize("dim, n, T, var", [(2, 161, 0.01, 0.05), (3, 41, 0.05, 1.0)])
+def test_scaled_passes_keep_every_normal_output(dim, n, T, var):
+    # r = rho0/D is scaled by 2**k before the passes; forcing k = 0 gives the
+    # unscaled passes. rho_T and the mass agree bitwise wherever rho_T is normal,
+    # and the score wherever Blur[r] is at least tiny/eps, which no
+    # subnormal product's rounding reaches
+    grid = Grid((uniform_axis(-12.0, 12.0, n),) * dim)
+    op = GridProxOperator(grid, make_quadratic(1.0, dim), ProxParams(T=T, beta=1.0))
+    rho0 = GridDensity(grid, np.exp(-sum(m**2 for m in grid.mesh) / (2 * var))).normalize()
+    for _ in range(3):
+        rho0 = op.score_of_step(rho0)[0]
+    ratio, k = op._ratio(rho0)
+    assert k > 900
+    rho_t, mass, score = op.score_of_step(rho0)
+    op._top_exp -= k
+    assert op._ratio(rho0)[1] == 0
+    with np.errstate(all="ignore"):
+        ref_t, ref_mass, ref_score = op.score_of_step(rho0)
+    assert mass == ref_mass and mass == op.step(rho0)[1]
+    tiny = np.finfo(float).tiny
+    normal = ref_t.values >= tiny
+    assert np.array_equal(rho_t.values[normal], ref_t.values[normal])
+    assert np.all(rho_t.values[~normal] < tiny * 2**53)
+    resolved = op.apply_blur(np.ldexp(ratio, -k)) >= tiny / np.finfo(float).eps
+    for s, ref in zip(score, ref_score):
+        assert np.array_equal(s[resolved], ref[resolved])
+    if dim == 2:                  # here the unscaled passes hold subnormal values
+        blur = op.apply_blur(np.ldexp(ratio, -k))
+        assert np.any((blur > 0) & (blur < tiny))
+
+
+@pytest.mark.parametrize("factor", [1e300, 1e-300, 2.0**-1000])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_extreme_input_scale_gives_finite_outputs(dim, factor):
+    # rho0 spans 1e-3 of its peak, so even at 1e-300 its entries stay normal
+    grid = Grid((uniform_axis(-6.0, 6.0, 33),) * dim)
+    op = GridProxOperator(grid, make_quadratic(1.0, dim), ProxParams(T=0.2, beta=1.0))
+    rho0 = GridDensity(grid, np.exp(-sum((m - 0.5) ** 2 for m in grid.mesh) / 16.0)).normalize()
+    scaled = GridDensity(grid, rho0.values * factor)
+    assert scaled.values.min() > np.finfo(float).tiny
+    ref_t, ref_mass, ref_score = op.score_of_step(rho0)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.filterwarnings("ignore", "pre-renormalization mass")
+        rho_t, mass, score = op.score_of_step(scaled)
+    assert np.all(np.isfinite(rho_t.values)) and np.isfinite(mass)
+    assert mass == pytest.approx(factor * ref_mass, rel=1e-14)
+    assert np.allclose(rho_t.values, ref_t.values, rtol=1e-14, atol=0)
+    for s, ref in zip(score, ref_score):
+        assert np.all(np.isfinite(s))
+        assert np.allclose(s, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    if factor == 2.0**-1000:                       # a power of two cancels exactly
+        assert np.array_equal(rho_t.values, ref_t.values)
+        assert all(np.array_equal(s, ref) for s, ref in zip(score, ref_score))
 
 
 @pytest.mark.parametrize("backend", ["quadrature", "laplace_denominator"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_drift_is_built_once_and_read_only(backend, dim):
-    # -(beta/2) d_i V per axis, laid out like a blur on both backends; the
-    # Laplace denominator is C-ordered, so it does not give that layout
+    # -(beta/2) d_i V per axis, C-ordered like every blur output on both backends
     axes = tuple(uniform_axis(-6.0, 6.0, 33) for _ in range(dim))
     grid = Grid(axes)
     rho0 = GridDensity(grid, np.exp(-sum(m ** 2 for m in grid.mesh) / 4.0)).normalize()
@@ -567,7 +661,7 @@ def test_drift_is_built_once_and_read_only(backend, dim):
     assert len(op._drift) == dim
     for drift, grad in zip(op._drift, op.grad_v):
         assert not drift.flags.writeable
-        assert drift.strides == blur.strides
+        assert drift.flags.c_contiguous and drift.strides == blur.strides
         assert np.array_equal(drift, -grad.reshape(grid.shape))     # beta/2 = 1
         with pytest.raises(ValueError):
             drift[...] = 0.0
@@ -601,7 +695,7 @@ def test_score_is_zero_where_blur_underflows(dim, n):
     with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
         warnings.simplefilter("error")
         rho_t, mass, score = op.score_of_step(rho0)
-    blur = op.apply_blur(rho0.values / op.denom)
+    blur = op.apply_blur(op._ratio(rho0)[0])     # Blur[r] with score_of_step's scaling
     zero = blur == 0
     assert 0 < np.count_nonzero(zero) < zero.size
     assert np.any((blur > 0) & (blur < np.finfo(float).tiny))
@@ -827,12 +921,21 @@ class TestSubnormalFlush:
             assert not np.any((blur > 0) & (blur < tiny))
 
         def unflushed(vals):
+            # the operator's pass shapes and scaling: the input times 2**k,
+            # stacks of K @ (pre, G, post), then (-1, G) @ K^T on the last
+            # axis, and the output times 2**-k
+            k = op._scale_exp(vals)
+            vals = np.ldexp(vals, k)
             for i in range(3):
-                vals = np.moveaxis(np.tensordot(ref_mat, vals, axes=(1, i)), 0, i)
-            return vals
+                shape = (41**i, 41, -1)
+                vals = (ref_mat @ vals.reshape(shape) if i < 2 else
+                        vals.reshape(-1, 41) @ np.ascontiguousarray(ref_mat.T))
+            return np.ldexp(vals, -k).reshape(grid.shape)
 
-        ratio = np.exp(-sum(m**2 for m in grid.mesh) / 4.0) / op.denom
-        for vals in (op.e_v, ratio):
+        rho0 = GridDensity(grid, np.exp(-sum(m**2 for m in grid.mesh) / 4.0)).normalize()
+        ratio, k = op._ratio(rho0)              # scaled as score_of_step scales it
+        assert k > 900
+        for vals in (op.e_v, ratio, np.ldexp(ratio, -k)):
             assert np.array_equal(op.apply_blur(vals), unflushed(vals))
         # x_i * rho0/D is odd in x_i: on the plane x_i = 0 its blur cancels to 0
         # and the dropped entries can leave a subnormal residue there

@@ -80,7 +80,7 @@ PRESETS = {
     "kde_laplace": ["sample", "--target.id", "gaussian_mixture", "--sampler.method",
                     "brwp_kde", "--sampler.backend", "laplace_denominator",
                     "--sampler.n_steps", "10"],
-    # the Laplace denominator above d = 1: its drift fields take the blur's layout
+    # the Laplace denominator above d = 1: a closed-form denominator, C-ordered as a blur is
     "successive_3d_laplace": ["sample", "--target.dim", "3", "--sampler.method",
                               "brwp_successive", "--sampler.backend", "laplace_denominator",
                               "--sampler.n_steps", "3"],
