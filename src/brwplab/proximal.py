@@ -13,16 +13,17 @@ second term to cancel. The operator caches the denominator, the score's drift
 -(beta/2) grad V and, per axis, the Toeplitz vectors of the kernel and of its
 derivative, the derivative taken from the flushed kernel; in every dimension
 each stored vector or weighted-matrix entry below the smallest normal float
-is 0. Every blur is one loop over the axes, and the dimension decides only
-how one axis is blurred. For d >= 2 both vectors are laid out as trapezoid
-matrices per axis, so a step costs O(d * G * n) instead of O(G^2). Each pass
-is one np.matmul on the grid's C layout, into scratch grids the operator
-owns, and its input is scaled by a power of two that puts its largest entry
-just under what the passes can take without overflow, so that small entries
-make normal rather than subnormal products; the scale cancels exactly in
-every normal output. In 1-D the blur is an FFT convolution with the cached
-spectra and exact small entries (density.fft_kernels states its length,
-density.fft_blur its repair rule), and no G x G matrix is held.
+is 0. Every blur is one loop over the axes, GridProxOperator._passes, and
+the dimension decides only how one axis is blurred. For d >= 2 both vectors
+are laid out as trapezoid matrices per axis, so a step costs O(d * G * n)
+instead of O(G^2). Each pass is one np.matmul on the grid's C layout, into
+grids the operator owns up to the last axis, and its input is scaled by a
+power of two that puts its largest entry just under what the passes can
+take without overflow, so that small entries make normal rather than
+subnormal products; the scale cancels exactly in every normal output. In
+1-D the blur is an FFT convolution with the cached spectra and exact small
+entries (density.fft_kernels states its length, density.fft_blur its repair
+rule), and no G x G matrix is held.
 
 BACKENDS of the operator: "quadrature" computes D by grid quadrature (exact
 up to trapezoid error), "laplace_denominator" uses the second-order closed form
@@ -127,9 +128,9 @@ class GridProxOperator:
 
     step(rho0) gives rho_T and its mass; score_of_step(rho0) also its score.
     grad_v is grad V on the grid per axis, read-only and C-ordered: grad_v[i]
-    is d_i V on the grid's shape (see density.grid_gradient). For d >= 2 the
-    blurs write into scratch grids the operator owns, so one operator serves
-    one thread at a time.
+    is d_i V on the grid's shape (see density.grid_gradient). The blurs take
+    their input in, and write between axes into, grids the operator owns (see
+    _passes), so one operator serves one thread at a time.
     """
 
     def __init__(self, grid: Grid, target: Potential, p: ProxParams,
@@ -145,23 +146,29 @@ class GridProxOperator:
         half_bv = p.beta / 2 * target.eval_fn(pts)
         self.e_v = np.exp(-half_bv).reshape(grid.shape)
         # per axis (K_i, K_i'): in 1-D (Toeplitz vector, spectrum) pairs, for
-        # d >= 2 weighted Toeplitz matrices, the last axis's also transposed
-        if grid.dim == 1:
+        # d >= 2 weighted Toeplitz matrices and the shape a pass views a grid in
+        d = grid.dim
+        if d == 1:
             self._fft_len, self._band, kernels = fft_kernels(self._kernels(grid.axes[0]))
             self._axis_kernels = [tuple(kernels)]
         else:
             self._axis_kernels = [tuple(_weighted_toeplitz(vec, a) for vec in self._kernels(a))
                                   for a in grid.axes]
-            self._last_t = [np.ascontiguousarray(m.T) for m in self._axis_kernels[-1]]
-        # the grids the d >= 2 passes write between axes (see score_of_step)
-        self._scratch = [np.empty(grid.shape) for _ in range(grid.dim + 1 if grid.dim > 1 else 0)]
+            shape = grid.shape
+            self._views = [(int(np.prod(shape[:i])), g, -1) for i, g in enumerate(shape[:-1])]
+            self._views.append((-1, shape[-1]))
+        # the grids the passes read and write (see _passes): _stacks[0][0] is
+        # their input, and axis i < d - 1 writes i + 2 grids at most into the
+        # stack it does not read, so the stacks hold d and d - 1 grids
+        self._stacks = [[np.empty(grid.shape) for _ in range(n)]
+                        for n in ((d, d - 1) if d % 2 else (d - 1, d))]
         # For d >= 2 the passes take their input scaled by a power of two that
         # puts its max|.| in [2**(top-1), 2**top) (see _scale_exp). Each pass
         # grows a maximum at most by its matrix's largest absolute row sum, so
         # no pass exceeds 2**1022; below, top also leaves room for e_V * Blur
         # and the mass sum of step.
         self._top_exp = 1022
-        for mats in self._axis_kernels if grid.dim > 1 else ():
+        for mats in self._axis_kernels if d > 1 else ():
             self._top_exp -= _exponent_above(max(np.abs(m).sum(axis=1).max() for m in mats))
         self.denom = (self.apply_blur(self.e_v) if backend == "quadrature" else
                       np.exp(_log_denominator_laplace(pts, target, p)).reshape(grid.shape))
@@ -194,15 +201,14 @@ class GridProxOperator:
     def apply_blur(self, vals: np.ndarray) -> np.ndarray:
         """Trapezoid Gaussian blur of grid values, one pass per axis in axis order.
 
-        In 1-D, density.fft_blur of the weighted values with the cached
-        kernel spectrum; its docstring states the accuracy, and its tails,
-        where the denominator and evolve_law need relative accuracy, are
-        exact sums. For d >= 2 the dense per-axis products are faster than
-        per-axis FFTs: each pass is one np.matmul on the C layout, the input
-        is scaled by the power of two of _scale_exp and the output scaled
-        back, so every normal output keeps its value, and the passes between
-        axes write into the operator's scratch grids. The returned array is
-        fresh and C-ordered.
+        vals must have the grid's shape; it is read, not written. In 1-D,
+        density.fft_blur of the weighted values with the cached kernel
+        spectrum; its docstring states the accuracy, and its tails, where the
+        denominator and evolve_law need relative accuracy, are exact sums.
+        For d >= 2 the dense per-axis products are faster than per-axis FFTs
+        (see _passes); the output is scaled back by the power of two the
+        passes took, so every normal output keeps its value. The returned
+        array is fresh and C-ordered.
         In every dimension, each stored vector or weighted-matrix entry below
         the smallest normal float, tiny, is 0 (see _kernels), so each dropped
         term is below tiny * max(1, dx) * |vals_j| and an output moves by less
@@ -210,37 +216,42 @@ class GridProxOperator:
         about |vals_i|, so for a nonnegative input whose dynamic range is
         under 1e40 the change is under 1e-260 relative.
         """
-        free = list(self._scratch)
+        if np.shape(vals) != self.grid.shape:
+            raise ParameterError(
+                f"values shape {np.shape(vals)} does not match grid {self.grid.shape}")
+        self._stacks[0][0][...] = vals
+        (blur,), k = self._passes(False)
+        return np.ldexp(blur, -k, out=blur) if k else blur
+
+    def _passes(self, derivs: bool):
+        """([Blur, Blur_0', ..., Blur_{d-1}'], k): the blurs of the grid in _stacks[0][0].
+
+        The input is first scaled there in place by 2**k, k of _scale_exp, and
+        every output carries that factor. One loop over the axes gives every
+        blur: at axis i the running blur K_{i-1} ... K_0 x and each earlier
+        derivative blur go through K_i, and with derivs the running blur also
+        goes through K_i'. Without derivs only Blur is returned. In 1-D the
+        blurs are one density.fft_blur, sharing its forward FFT. For d >= 2
+        each pass is one np.matmul on the C layout: axis i < d - 1 takes K_i @
+        (pre, G_i, post) stacks, the last axis the grid seen as (-1, G_d)
+        times K_d^T. The passes before the last axis write into the two
+        stacks in turn, and the last axis writes fresh arrays.
+        """
+        vals = self._stacks[0][0]
         k = self._scale_exp(vals)
         if k:
-            vals = np.ldexp(vals, k, out=free.pop())
-        for i in range(self.grid.dim):
-            out = free.pop() if i < self.grid.dim - 1 else None
-            vals = self._axis_blurs(vals, i, out=(out,))[0]
-        return np.ldexp(vals, -k, out=vals) if k else vals
-
-    def _axis_blurs(self, vals, i, n=1, out=(None, None)):
-        """vals blurred along axis i by each of the first n of (K_i, K_i').
-
-        For d >= 2, blur j is written into out[j], a C-ordered grid, or into a
-        fresh one where out[j] is None. Axis i < d - 1 takes K @ vals seen as
-        (pre, G_i, post) stacks; the last axis takes vals seen as (-1, G_d)
-        times the stored transpose of K.
-        """
+            np.ldexp(vals, k, out=vals)
         if self.grid.dim == 1:
-            return fft_blur(vals * self.grid.weights, self._axis_kernels[0][:n],
-                            self._fft_len, self._band)
-        shape = self.grid.shape
-        outs = [np.empty(shape) if o is None else o for o in out[:n]]
-        if i == self.grid.dim - 1:
-            flat = vals.reshape(-1, shape[i])
-            for m, o in zip(self._last_t, outs):
-                np.matmul(flat, m, out=o.reshape(flat.shape))
-        else:
-            stacks = vals.reshape(int(np.prod(shape[:i])), shape[i], -1)
-            for m, o in zip(self._axis_kernels[i], outs):
-                np.matmul(m, stacks, out=o.reshape(stacks.shape))
-        return outs
+            return fft_blur(vals * self.grid.weights, self._axis_kernels[0][:1 + derivs],
+                            self._fft_len, self._band), k
+        blurs, last = [vals], self.grid.dim - 1
+        for i, ((mat, dmat), view) in enumerate(zip(self._axis_kernels, self._views)):
+            jobs = [(mat, b) for b in blurs] + [(dmat, blurs[0])] * derivs
+            if i == last:
+                return [np.matmul(b.reshape(view), m.T).reshape(vals.shape) for m, b in jobs], k
+            blurs = self._stacks[(i + 1) % 2][:len(jobs)]
+            for (m, b), out in zip(jobs, blurs, strict=True):
+                np.matmul(m, b.reshape(view), out=out.reshape(view))
 
     def _scale_exp(self, vals) -> int:
         """k that puts max|vals| * 2**k in [2**(top-1), 2**top) (see __init__).
@@ -256,28 +267,20 @@ class GridProxOperator:
         top = max(vals.max(), -vals.min())
         return self._top_exp - int(np.frexp(top)[1]) if 0 < top < np.inf else 0
 
-    def _ratio(self, rho0: GridDensity, out=None):
-        """(r, k): r = rho0/D * 2**k with k of _scale_exp, into out if given.
-
-        k cancels in Blur'/Blur and in raw/mass, so every normal output is
-        the unscaled one.
-        """
-        r = np.divide(rho0.values, self.denom, out=out)
-        k = self._scale_exp(r)
-        return (np.ldexp(r, k, out=r) if k else r), k
-
     def step(self, rho0: GridDensity, raw: Optional[np.ndarray] = None, k: int = 0):
         """One proximal step; returns (normalized rho_T, pre-normalization mass).
 
         raw is e_V * Blur[rho0/D] * 2**k when the caller already holds it
-        (see _ratio). The numerator integral is cut at the grid edge with no
-        tail check, unlike denominator_exact: for quadratic V and rho0 =
-        N(0, 4) on +-12 the output is 80-90% off the closed form at |x| > 8
-        (1e-9 to 1e-13 of its peak) for T from 0.05 to 0.5, and nothing warns.
+        (see _passes); it is normalized in place into rho_T. The numerator
+        integral is cut at the grid edge with no tail check, unlike
+        denominator_exact: for quadratic V and rho0 = N(0, 4) on +-12 the
+        output is 80-90% off the closed form at |x| > 8 (1e-9 to 1e-13 of its
+        peak) for T from 0.05 to 0.5, and nothing warns.
         """
         if raw is None:
-            r, k = self._ratio(rho0)
-            raw = self.e_v * self.apply_blur(r)
+            np.divide(rho0.values, self.denom, out=self._stacks[0][0])
+            (blur,), k = self._passes(False)
+            raw = np.multiply(self.e_v, blur, out=blur)
         total = float(np.sum(self.grid.weights * raw))
         mass = float(np.ldexp(total, -k))
         if not np.isfinite(mass) or mass <= 0:
@@ -285,7 +288,7 @@ class GridProxOperator:
         if abs(mass - 1.0) > MASS_TOL:
             warnings.warn(f"pre-renormalization mass {mass:.6f} outside 1 +/- {MASS_TOL}; "
                           "grid may be too narrow or T too large", stacklevel=2)
-        return GridDensity(self.grid, raw / total), mass
+        return GridDensity(self.grid, np.divide(raw, total, out=raw)), mass
 
     def score_of_step(self, rho0: GridDensity):
         """(rho_T normalized, pre-mass, per-axis score grad log rho_T).
@@ -302,35 +305,14 @@ class GridProxOperator:
         kernel vector (see _kernels), so Blur_i' also drops each term whose
         kernel entry is below tiny: each dropped term is below
         max(1, beta*|x - y|/(2T)) * tiny * max(1, dx) * |r_j|.
-        Where Blur[r] is 0 the score is 0. One loop over the axes gives every
-        blur: at axis i each earlier derivative blur passes through K_i, and
-        the running blur K_{i-1} ... K_0 r goes through K_i and K_i'. Blur[r]
-        thus takes step's passes in its order, so rho_T is step's bytes:
-        d = 3 takes 9 per-axis passes and d = 2 takes 5. In 1-D both blurs
-        share one forward FFT.
-        For d >= 2, r is scaled by the power of two of _ratio, which cancels
-        in every output, and each pass but the last axis's writes into one of
-        the operator's d + 1 scratch grids; rho_T and the score fields are
-        fresh arrays, so a later call does not change them.
+        Where Blur[r] is 0 the score is 0. Blur[r] takes step's passes in its
+        order (see _passes), so rho_T is step's bytes: d = 3 takes 9 per-axis
+        passes and d = 2 takes 5. The power of two the passes scale r by
+        cancels in every output. rho_T and the score fields are fresh arrays,
+        so a later call does not change them.
         """
-        # free: the scratch grids no longer read; an input goes back once its
-        # passes are done. Axis i < d - 1 holds the i + 1 blurs it was given
-        # and two new ones at most, so d + 1 grids suffice; in 1-D none is used.
-        free = list(self._scratch)
-        blur, k = self._ratio(rho0, free.pop() if free else None)
-        score = []
-        for i in range(self.grid.dim):
-            last = i == self.grid.dim - 1
-            moved = []
-            for s in score:
-                moved.append(self._axis_blurs(s, i, out=(None if last else free.pop(),))[0])
-                free.append(s)
-            nxt, dblur = self._axis_blurs(blur, i, 2, (free.pop() if free else None,
-                                                       None if last else free.pop()))
-            free.append(blur)
-            blur, score = nxt, moved + [dblur]
-        raw = np.multiply(self.e_v, blur, out=free.pop() if free else None)
-        rho_t, mass = self.step(rho0, raw, k)
+        np.divide(rho0.values, self.denom, out=self._stacks[0][0])
+        (blur, *score), k = self._passes(True)
         # Each Blur_i'[r] becomes score_i in place. A quotient per axis, not
         # one reciprocal: 1/Blur[r] overflows where Blur[r] is subnormal.
         pos = blur > 0
@@ -338,6 +320,7 @@ class GridProxOperator:
             np.divide(s, blur, out=s, where=pos)
             s += drift
             s[~pos] = 0.0
+        rho_t, mass = self.step(rho0, np.multiply(self.e_v, blur, out=blur), k)
         return rho_t, mass, score
 
 

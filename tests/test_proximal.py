@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -72,6 +73,12 @@ def assert_blur_matches_dense(op, vals):
     return fast
 
 
+def blurs_of(op, vals, derivs=True):
+    """op._passes of vals, copied into its input slot: (blurs, k), each blur times 2**k."""
+    op._stacks[0][0][...] = vals
+    return op._passes(derivs)
+
+
 def assert_fft_blurs_match_dense(op, vals):
     """apply_blur and score_of_step's two 1-D blurs, with the kernel and with its
     derivative, against the dense products.
@@ -90,7 +97,7 @@ def assert_fft_blurs_match_dense(op, vals):
     ddense = rows * op.grid.weights                # ddense[i, j] = dkern[G-1+i-j] * w_j
     flush = 2 * np.finfo(float).tiny * max(1.0, axis[1] - axis[0]) * np.sum(np.abs(vals))
     fast = op.apply_blur(vals)
-    blur, dblur = op._axis_blurs(vals, 0, 2)
+    (blur, dblur), _ = blurs_of(op, vals)
     assert np.array_equal(blur, fast)
     assert np.all(np.abs(fast - dense @ vals) <= 1e-9 * (dense @ np.abs(vals)) + flush)
     bound = np.abs(ddense) @ np.abs(vals)
@@ -555,8 +562,9 @@ def test_score_of_step_pass_counts(monkeypatch, dim, passes, ffts):
 
 @pytest.mark.parametrize("sizes", [(17, 23), (17, 23, 29)])
 def test_axis_passes_match_einsum(sizes):
-    # each d >= 2 pass, fresh and into a scratch grid, against a plain sum
-    # over axis i; unequal sizes catch a pass that reads the wrong axis
+    # every output of _passes, Blur and each Blur_j', against an einsum chain
+    # over the axes with axis j's kernel replaced by its derivative for
+    # Blur_j'; unequal sizes catch a pass that reads the wrong axis
     axes = tuple(uniform_axis(-6.0, 6.0, n) for n in sizes)
     grid = Grid(axes)
     op = GridProxOperator(grid, make_quadratic(1.0, len(sizes)), ProxParams(T=0.2, beta=1.0))
@@ -565,32 +573,76 @@ def test_axis_passes_match_einsum(sizes):
     def along(m, v, i):
         return np.moveaxis(np.einsum("ab,...b->...a", m, np.moveaxis(v, i, -1)), -1, i)
 
-    for i in range(len(sizes)):
-        fresh = op._axis_blurs(vals, i, 2)
-        scratch = op._axis_blurs(vals, i, 2, tuple(op._scratch[:2]))
-        for j, mat in enumerate(op._axis_kernels[i]):
-            ref, bound = along(mat, vals, i), along(np.abs(mat), np.abs(vals), i)
-            assert fresh[j].shape == grid.shape and fresh[j].flags.c_contiguous
-            assert scratch[j] is op._scratch[j]
-            assert np.array_equal(scratch[j], fresh[j])
-            assert np.all(np.abs(fresh[j] - ref) <= 1e-15 * bound)
+    blurs, k = blurs_of(op, vals)
+    assert len(blurs) == len(sizes) + 1 and k == op._scale_exp(vals) != 0
+    (only,), k_only = blurs_of(op, vals, derivs=False)
+    assert k_only == k and np.array_equal(only, blurs[0])
+    for j, out in enumerate(blurs):
+        ref, bound = vals, np.abs(vals)
+        for i, (mat, dmat) in enumerate(op._axis_kernels):
+            m = dmat if i == j - 1 else mat
+            ref, bound = along(m, ref, i), along(np.abs(m), bound, i)
+        assert out.shape == grid.shape and out.flags.c_contiguous
+        assert np.all(np.abs(np.ldexp(out, -k) - ref) <= 1e-15 * bound)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_score_of_step_outputs_do_not_share_the_scratch(dim):
+    # in every order of the three blurring calls, each returned array stays
+    # as it was returned through all later calls and is none of the grids
+    # the operator's passes read and write
     axes = tuple(uniform_axis(-6.0, 6.0, 33) for _ in range(dim))
     grid = Grid(axes)
     op = GridProxOperator(grid, make_quadratic(1.0, dim), ProxParams(T=0.2, beta=1.0))
-    first = op.score_of_step(
-        GridDensity(grid, np.exp(-sum(m**2 for m in grid.mesh) / 4.0)).normalize())
-    kept = [first[0].values.copy()] + [s.copy() for s in first[2]]
-    second = GridDensity(grid, np.exp(-sum((m - 1.0) ** 2 for m in grid.mesh) / 2.0)).normalize()
-    op.score_of_step(second)
-    op.step(second)
-    op.apply_blur(second.values)
-    assert all(np.array_equal(a, b) for a, b in zip([first[0].values] + first[2], kept))
-    for out in [first[0].values] + first[2]:
-        assert not any(np.may_share_memory(out, b) for b in op._scratch)
+    rho0s = [GridDensity(grid, np.exp(-sum((m - c) ** 2 for m in grid.mesh) / v)).normalize()
+             for c, v in ((0.0, 4.0), (1.0, 2.0))]
+    calls = {"apply_blur": lambda rho: [op.apply_blur(rho.values)],
+             "step": lambda rho: [op.step(rho)[0].values],
+             "score_of_step": lambda rho: (lambda out: [out[0].values] + out[2])(
+                 op.score_of_step(rho))}
+    for order in itertools.permutations(calls):
+        outs = [out for name in order for rho in rho0s for out in calls[name](rho)]
+        kept = [out.copy() for out in outs]
+        for name in order:
+            calls[name](rho0s[0])
+        assert all(np.array_equal(a, b) for a, b in zip(outs, kept))
+        for out in outs:
+            assert not any(np.may_share_memory(out, b) for stack in op._stacks for b in stack)
+
+
+@pytest.mark.parametrize("scaled", [True, False])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_blurs_do_not_write_their_input(dim, scaled):
+    # the passes scale their input by 2**k in a grid of the operator's own;
+    # unscaled inputs sit at the passes' scale already, so there k = 0
+    grid = Grid((uniform_axis(-6.0, 6.0, 33),) * dim)
+    op = GridProxOperator(grid, make_quadratic(1.0, dim), ProxParams(T=0.2, beta=1.0))
+    vals = np.exp(-sum((m - 0.5) ** 2 for m in grid.mesh) / 4.0)
+    rho0 = GridDensity(grid, vals)
+    if not scaled:
+        vals = np.ldexp(vals, op._scale_exp(vals))
+        rho0 = GridDensity(grid, np.ldexp(rho0.values, op._scale_exp(rho0.values / op.denom)))
+    ks = [op._scale_exp(vals), op._scale_exp(rho0.values / op.denom)]
+    assert all((k != 0) == (scaled and dim > 1) for k in ks)
+    kept = [vals.copy(), rho0.values.copy()]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "pre-renormalization mass")
+        op.apply_blur(vals)
+        op.step(rho0)
+        op.score_of_step(rho0)
+    assert np.array_equal(vals, kept[0]) and np.array_equal(rho0.values, kept[1])
+
+
+@pytest.mark.parametrize("n, dim", [(65, 1), (17, 2), (9, 3)])
+def test_apply_blur_refuses_values_not_shaped_like_the_grid(n, dim):
+    # numpy would broadcast a scalar or an axis-length vector to a grid of blurs
+    grid = Grid((uniform_axis(-6.0, 6.0, n),) * dim)
+    op = GridProxOperator(grid, make_quadratic(1.0, dim), ProxParams(T=0.2, beta=1.0))
+    bad = [1.0, np.ones(1), np.ones(grid.shape + (1,))] + [np.ones(n)] * (dim > 1)
+    for vals in bad:
+        with pytest.raises(ParameterError, match="does not match grid"):
+            op.apply_blur(vals)
+    assert op.apply_blur(np.ones(grid.shape)).shape == grid.shape
 
 
 @pytest.mark.parametrize("dim, n, T, var", [(2, 161, 0.01, 0.05), (3, 41, 0.05, 1.0)])
@@ -604,11 +656,12 @@ def test_scaled_passes_keep_every_normal_output(dim, n, T, var):
     rho0 = GridDensity(grid, np.exp(-sum(m**2 for m in grid.mesh) / (2 * var))).normalize()
     for _ in range(3):
         rho0 = op.score_of_step(rho0)[0]
-    ratio, k = op._ratio(rho0)
+    ratio = rho0.values / op.denom
+    k = op._scale_exp(ratio)
     assert k > 900
     rho_t, mass, score = op.score_of_step(rho0)
     op._top_exp -= k
-    assert op._ratio(rho0)[1] == 0
+    assert op._scale_exp(ratio) == 0
     with np.errstate(all="ignore"):
         ref_t, ref_mass, ref_score = op.score_of_step(rho0)
     assert mass == ref_mass and mass == op.step(rho0)[1]
@@ -616,11 +669,11 @@ def test_scaled_passes_keep_every_normal_output(dim, n, T, var):
     normal = ref_t.values >= tiny
     assert np.array_equal(rho_t.values[normal], ref_t.values[normal])
     assert np.all(rho_t.values[~normal] < tiny * 2**53)
-    resolved = op.apply_blur(np.ldexp(ratio, -k)) >= tiny / np.finfo(float).eps
+    resolved = op.apply_blur(ratio) >= tiny / np.finfo(float).eps
     for s, ref in zip(score, ref_score):
         assert np.array_equal(s[resolved], ref[resolved])
     if dim == 2:                  # here the unscaled passes hold subnormal values
-        blur = op.apply_blur(np.ldexp(ratio, -k))
+        blur = op.apply_blur(ratio)
         assert np.any((blur > 0) & (blur < tiny))
 
 
@@ -695,7 +748,8 @@ def test_score_is_zero_where_blur_underflows(dim, n):
     with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
         warnings.simplefilter("error")
         rho_t, mass, score = op.score_of_step(rho0)
-    blur = op.apply_blur(op._ratio(rho0)[0])     # Blur[r] with score_of_step's scaling
+    ratio = rho0.values / op.denom
+    blur = op.apply_blur(np.ldexp(ratio, op._scale_exp(ratio)))   # as score_of_step scales r
     zero = blur == 0
     assert 0 < np.count_nonzero(zero) < zero.size
     assert np.any((blur > 0) & (blur < np.finfo(float).tiny))
@@ -929,12 +983,14 @@ class TestSubnormalFlush:
             for i in range(3):
                 shape = (41**i, 41, -1)
                 vals = (ref_mat @ vals.reshape(shape) if i < 2 else
-                        vals.reshape(-1, 41) @ np.ascontiguousarray(ref_mat.T))
+                        vals.reshape(-1, 41) @ ref_mat.T)
             return np.ldexp(vals, -k).reshape(grid.shape)
 
         rho0 = GridDensity(grid, np.exp(-sum(m**2 for m in grid.mesh) / 4.0)).normalize()
-        ratio, k = op._ratio(rho0)              # scaled as score_of_step scales it
+        ratio = rho0.values / op.denom
+        k = op._scale_exp(ratio)
         assert k > 900
+        ratio = np.ldexp(ratio, k)              # scaled as score_of_step scales it
         for vals in (op.e_v, ratio, np.ldexp(ratio, -k)):
             assert np.array_equal(op.apply_blur(vals), unflushed(vals))
         # x_i * rho0/D is odd in x_i: on the plane x_i = 0 its blur cancels to 0

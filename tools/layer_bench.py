@@ -1,5 +1,5 @@
 """Time the build, score_of_step, apply_blur, a diagnostics row, the KDE, interp_at and
-the particle score of two trees, pair by pair, with the minor page faults per call.
+the particle score of two trees, pair by pair.
 
     python tools/layer_bench.py SRC_A SRC_B [--pairs N]
 
@@ -35,16 +35,9 @@ axis, the same for both trees. In each pair, for each grid
 and layer, both trees take 3 warm-up calls and then 30 timed calls,
 alternating A and B call by call (B first in every other pair); a tree's
 figure for the pair is the median of its 30 calls. For each grid and layer
-the report gives each tree's median and quartiles over the pairs, how many
-pairs B ran faster than A, ties counting for neither, and each tree's minor
-page faults per call, the median over the pairs. In each pair, after the
-timed calls, each tree makes 30 more calls in a row, and resource.getrusage's
-ru_minflt over them, divided by 30, is its figure: the two trees share one
-heap, so in alternating calls one tree's frees would set the faults of the
-other's next call. The figure depends on the heap's history as well:
-glibc raises its trim threshold after large frees, and after the 1-D and
-particle layers a layer may fault less than it does in a fresh process. It
-also prints the BLAS thread variables, the numpy version and the core count.
+the report gives each tree's median and quartiles over the pairs and how
+many pairs B ran faster than A, ties counting for neither. It also prints
+the BLAS thread variables, the numpy version and the core count.
 """
 
 from __future__ import annotations
@@ -54,7 +47,6 @@ import functools
 import importlib
 import importlib.util
 import os
-import resource
 import statistics
 import sys
 import time
@@ -135,13 +127,7 @@ def kde_call(density, samplers, grid, n: int):
 
 
 def alternate_medians(fns: list) -> list:
-    """(median time, minor page faults per call) of each fn.
-
-    The times are taken over CALLS rounds that call every fn once, in order.
-    The faults are counted afterwards over CALLS consecutive calls of each fn
-    on its own: the trees share one heap, so in alternating calls one tree's
-    frees would set the faults of the other's next call.
-    """
+    """Median time of each fn over CALLS rounds that call every fn once, in order."""
     for _ in range(WARM):
         for fn in fns:
             fn()
@@ -151,13 +137,7 @@ def alternate_medians(fns: list) -> list:
             t0 = time.perf_counter()
             fn()
             ts.append(time.perf_counter() - t0)
-    faults = []
-    for fn in fns:
-        f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(CALLS):
-            fn()
-        faults.append((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0) / CALLS)
-    return [(statistics.median(ts), f) for ts, f in zip(times, faults)]
+    return [statistics.median(ts) for ts in times]
 
 
 def quartiles(xs: list) -> tuple:
@@ -179,16 +159,13 @@ def main(argv=None) -> int:
              "B": layer_calls(args.src_b, "brwplab_b")}
     runs = {side: {grid: {layer: [] for layer in layers} for grid, layers in calls.items()}
             for side, calls in trees.items()}
-    faults = {side: {grid: {layer: [] for layer in layers} for grid, layers in calls.items()}
-              for side, calls in trees.items()}
     for k in range(args.pairs):
         order = ("A", "B") if k % 2 == 0 else ("B", "A")
         for grid, layers in trees["A"].items():
             for layer in layers:
                 medians = alternate_medians([trees[side][grid][layer] for side in order])
-                for side, (t, f) in zip(order, medians):
+                for side, t in zip(order, medians):
                     runs[side][grid][layer].append(t * 1e3)
-                    faults[side][grid][layer].append(f)
         print(f"pair {k + 1}/{args.pairs} done", file=sys.stderr)
 
     print("A =", args.src_a, " B =", args.src_b, f" pairs = {args.pairs}")
@@ -196,7 +173,7 @@ def main(argv=None) -> int:
     affinity = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
     print(f"numpy: {np.__version__}  cores: {os.cpu_count()} (usable {affinity})")
     print(f"{'grid':<8} {'layer':<19} {'A median [q1, q3] ms':<26} "
-          f"{'B median [q1, q3] ms':<26} {'B won':<6} faults/call A, B")
+          f"{'B median [q1, q3] ms':<26} B won")
     for grid, layers in trees["A"].items():
         for layer in layers:
             a, b = runs["A"][grid][layer], runs["B"][grid][layer]
@@ -205,9 +182,7 @@ def main(argv=None) -> int:
             for xs in (a, b):
                 q1, q2, q3 = quartiles(xs)
                 cols.append(f"{q2:.3f} [{q1:.3f}, {q3:.3f}]")
-            fa, fb = (statistics.median(faults[side][grid][layer]) for side in "AB")
-            print(f"{grid:<8} {layer:<19} {cols[0]:<26} {cols[1]:<26} "
-                  f"{f'{won}/{args.pairs}':<6} {fa:.1f}, {fb:.1f}")
+            print(f"{grid:<8} {layer:<19} {cols[0]:<26} {cols[1]:<26} {won}/{args.pairs}")
     return 0
 
 
